@@ -180,54 +180,15 @@ std::optional<Addr> Cache::invalidate(Addr addr) {
   return std::nullopt;
 }
 
-void Cache::save_state(ckpt::Sink& s) const {
-  s.section("cache");
-  s.str(cfg_.name);
-  s.u64(lines_.size());
-  for (const Line& l : lines_) {
-    s.b(l.valid);
-    s.b(l.dirty);
-    s.u64(l.tag);
-    s.u64(l.lru);
-    s.u8(l.rrpv);
-  }
-  s.u64(clock_);
-  rng_.save_state(s);
-  s.u64(stats_.hits);
-  s.u64(stats_.misses);
-  s.u64(stats_.evictions);
-  s.u64(stats_.writebacks);
-  s.u32(psel_);
-  s.u64(eaf_fifo_.size());
-  for (Addr a : eaf_fifo_) s.u64(a);
+template <class Ar>
+void Cache::fields(Ar& ar) {
+  ar.section("cache");
+  ar.match(cfg_.name, "cache name");
+  ar.fixed(lines_, "cache line count");
+  ar(clock_, rng_, stats_, psel_, eaf_fifo_);
+  if constexpr (Ar::loading)
+    if (!ar.verifying()) eaf_set_ = std::unordered_set<Addr>(eaf_fifo_.begin(), eaf_fifo_.end());
 }
-
-void Cache::load_state(ckpt::Source& s) {
-  s.section("cache");
-  s.match_str(cfg_.name, "cache name");
-  s.match_u64(lines_.size(), "cache line count");
-  for (Line& l : lines_) {
-    l.valid = s.b();
-    l.dirty = s.b();
-    l.tag = s.u64();
-    l.lru = s.u64();
-    l.rrpv = s.u8();
-  }
-  clock_ = s.u64();
-  rng_.load_state(s);
-  stats_.hits = s.u64();
-  stats_.misses = s.u64();
-  stats_.evictions = s.u64();
-  stats_.writebacks = s.u64();
-  psel_ = s.u32();
-  eaf_fifo_.clear();
-  eaf_set_.clear();
-  const std::uint64_t eaf_n = s.u64();
-  for (std::uint64_t i = 0; i < eaf_n; ++i) {
-    const Addr a = s.u64();
-    eaf_fifo_.push_back(a);
-    eaf_set_.insert(a);
-  }
-}
+IMA_CKPT_FIELDS(Cache);
 
 }  // namespace ima::cache

@@ -20,11 +20,6 @@ namespace ima::obs {
 class StatRegistry;
 }  // namespace ima::obs
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima::cache {
 
 enum class ReplPolicy : std::uint8_t { Lru, Random, Srrip, Drrip, EafLru };
@@ -76,6 +71,10 @@ class Cache {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t writebacks = 0;
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(hits, misses, evictions, writebacks);
+    }
     double miss_rate() const {
       const auto total = hits + misses;
       return total ? static_cast<double>(misses) / static_cast<double>(total) : 0.0;
@@ -89,8 +88,8 @@ class Cache {
 
   /// Checkpoint lines, LRU clock, replacement RNG/duel state and stats.
   /// The EAF set is rebuilt from the serialized FIFO on load.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar);
 
  private:
   struct Line {
@@ -99,6 +98,11 @@ class Cache {
     Addr tag = 0;
     std::uint64_t lru = 0;      // higher = more recent
     std::uint8_t rrpv = 3;      // RRIP re-reference prediction value
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(valid, dirty, tag, lru, rrpv);
+    }
   };
 
   std::uint32_t set_of(Addr addr) const;

@@ -60,25 +60,12 @@ class StridePrefetcher final : public Prefetcher {
 
   std::string name() const override { return "stride"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    s.section("stride");
-    ckpt::put_map(s, table_, [](ckpt::Sink& k, const Entry& e) {
-      k.u64(e.pc);
-      k.u64(e.last);
-      k.u64(static_cast<std::uint64_t>(e.stride));
-      k.u32(e.confidence);
-    });
-  }
-  void load_state(ckpt::Source& s) override {
-    s.section("stride");
-    ckpt::get_map(s, table_, [](ckpt::Source& k) {
-      Entry e;
-      e.pc = k.u64();
-      e.last = k.u64();
-      e.stride = static_cast<std::int64_t>(k.u64());
-      e.confidence = k.u32();
-      return e;
-    });
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("stride");
+    ar(table_);
   }
 
  private:
@@ -87,6 +74,11 @@ class StridePrefetcher final : public Prefetcher {
     Addr last = 0;
     std::int64_t stride = 0;
     std::uint32_t confidence = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(pc, last, stride, confidence);
+    }
   };
   std::uint32_t table_size_;
   std::uint32_t degree_;
@@ -130,16 +122,12 @@ class GhbDelta final : public Prefetcher {
 
   std::string name() const override { return "ghb-delta"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    s.section("ghb");
-    s.u64(ghb_.size());
-    for (Addr a : ghb_) s.u64(a);
-  }
-  void load_state(ckpt::Source& s) override {
-    s.section("ghb");
-    ghb_.clear();
-    const std::uint64_t n = s.u64();
-    for (std::uint64_t i = 0; i < n; ++i) ghb_.push_back(s.u64());
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("ghb");
+    ar(ghb_);
   }
 
  private:
@@ -204,25 +192,13 @@ void FeedbackPrefetcher::register_stats(obs::StatRegistry& reg,
             [this] { return static_cast<double>(degree_); });
 }
 
-void FeedbackPrefetcher::save_state(ckpt::Sink& s) const {
-  s.section("feedback");
-  s.u32(degree_);
-  s.u64(useful_);
-  s.u64(useless_);
-  s.u64(total_useful_);
-  s.u64(total_useless_);
-  inner_->save_state(s);
+template <class Ar>
+void FeedbackPrefetcher::fields(Ar& ar) {
+  ar.section("feedback");
+  ar(degree_, useful_, useless_, total_useful_, total_useless_, *inner_);
 }
-
-void FeedbackPrefetcher::load_state(ckpt::Source& s) {
-  s.section("feedback");
-  degree_ = s.u32();
-  useful_ = s.u64();
-  useless_ = s.u64();
-  total_useful_ = s.u64();
-  total_useless_ = s.u64();
-  inner_->load_state(s);
-}
+void FeedbackPrefetcher::save_state(ckpt::Sink& s) const { s(*this); }
+void FeedbackPrefetcher::load_state(ckpt::Source& s) { s(*this); }
 
 void FeedbackPrefetcher::maybe_adjust() {
   if (useful_ + useless_ < cfg_.sample_interval) return;
@@ -271,21 +247,13 @@ void FilteredPrefetcher::notify_useless(Addr addr, std::uint64_t pc) {
   perceptron_.train(features(addr, pc), false);
 }
 
-void FilteredPrefetcher::save_state(ckpt::Sink& s) const {
-  s.section("filtered");
-  s.u64(dropped_);
-  s.u64(issued_);
-  perceptron_.save_state(s);
-  inner_->save_state(s);
+template <class Ar>
+void FilteredPrefetcher::fields(Ar& ar) {
+  ar.section("filtered");
+  ar(dropped_, issued_, perceptron_, *inner_);
 }
-
-void FilteredPrefetcher::load_state(ckpt::Source& s) {
-  s.section("filtered");
-  dropped_ = s.u64();
-  issued_ = s.u64();
-  perceptron_.load_state(s);
-  inner_->load_state(s);
-}
+void FilteredPrefetcher::save_state(ckpt::Sink& s) const { s(*this); }
+void FilteredPrefetcher::load_state(ckpt::Source& s) { s(*this); }
 
 void FilteredPrefetcher::register_stats(obs::StatRegistry& reg,
                                         const std::string& prefix) const {

@@ -46,6 +46,7 @@ class Prefetcher {
 
   /// Checkpoint detector tables / history buffers / learned weights.
   /// Stateless prefetchers (none, next-line) keep the empty defaults; the
+  /// others forward both to their one fields() (common/ckpt.hh). The
   /// restore target must be built by the same factory with the same
   /// parameters.
   virtual void save_state(ckpt::Sink&) const {}
@@ -97,6 +98,8 @@ class FeedbackPrefetcher final : public TrainablePrefetcher {
 
   void save_state(ckpt::Sink& s) const override;
   void load_state(ckpt::Source& s) override;
+  template <class Ar>
+  void fields(Ar& ar);
 
  private:
   void maybe_adjust();
@@ -136,6 +139,8 @@ class FilteredPrefetcher final : public TrainablePrefetcher {
 
   void save_state(ckpt::Sink& s) const override;
   void load_state(ckpt::Source& s) override;
+  template <class Ar>
+  void fields(Ar& ar);
 
  private:
   std::vector<std::uint64_t> features(Addr addr, std::uint64_t pc) const;

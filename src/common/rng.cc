@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/ckpt.hh"
-
 namespace ima {
 
 namespace {
@@ -46,28 +44,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
 
 double Rng::next_double() {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-void Rng::save_state(ckpt::Sink& s) const {
-  for (std::uint64_t w : s_) s.u64(w);
-}
-
-void Rng::load_state(ckpt::Source& s) {
-  for (auto& w : s_) w = s.u64();
-}
-
-void ZipfGenerator::save_state(ckpt::Sink& s) const {
-  s.u64(n_);
-  s.f64(theta_);
-  rng_.save_state(s);
-}
-
-void ZipfGenerator::load_state(ckpt::Source& s) {
-  s.match_u64(n_, "zipf n");
-  const double theta = s.f64();
-  if (std::bit_cast<std::uint64_t>(theta) != std::bit_cast<std::uint64_t>(theta_))
-    s.fail(ckpt::ErrorKind::Config, "zipf theta mismatch");
-  rng_.load_state(s);
 }
 
 double ZipfGenerator::zeta(std::uint64_t n, double theta) {

@@ -8,11 +8,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima {
 
 /// xoshiro256** 1.0 by Blackman & Vigna (public domain reference algorithm).
@@ -42,8 +37,10 @@ class Rng {
 
   /// Checkpoint the exact generator state (the four xoshiro words), so a
   /// restored run replays the identical draw sequence.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(s_);
+  }
 
  private:
   std::uint64_t s_[4]{};
@@ -78,8 +75,12 @@ class ZipfGenerator {
 
   /// Only the embedded Rng is mutable state; the Gray et al. constants are
   /// construction-derived, so load verifies (n, theta) as config.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.match(n_, "zipf n");
+    ar.match(theta_, "zipf theta");
+    ar(rng_);
+  }
 
  private:
   std::uint64_t n_;

@@ -3,39 +3,7 @@
 #include <cassert>
 #include <numeric>
 
-#include "common/ckpt.hh"
-
 namespace ima {
-
-void RunningStat::save_state(ckpt::Sink& s) const {
-  s.u64(n_);
-  s.f64(sum_);
-  s.f64(mean_);
-  s.f64(m2_);
-  s.f64(min_);
-  s.f64(max_);
-}
-
-void RunningStat::load_state(ckpt::Source& s) {
-  n_ = s.u64();
-  sum_ = s.f64();
-  mean_ = s.f64();
-  m2_ = s.f64();
-  min_ = s.f64();
-  max_ = s.f64();
-}
-
-void Histogram::save_state(ckpt::Sink& s) const {
-  s.u64(counts_.size());
-  for (std::uint64_t c : counts_) s.u64(c);
-  stat_.save_state(s);
-}
-
-void Histogram::load_state(ckpt::Source& s) {
-  s.match_u64(counts_.size(), "histogram bucket count");
-  for (auto& c : counts_) c = s.u64();
-  stat_.load_state(s);
-}
 
 double Histogram::percentile(double q) const {
   const std::uint64_t total =

@@ -12,11 +12,6 @@
 #include <string>
 #include <vector>
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima {
 
 /// Running scalar statistic: count / sum / min / max / mean / stddev
@@ -45,8 +40,10 @@ class RunningStat {
 
   /// Checkpoint the exact accumulator state (Welford terms included), so a
   /// restored stat is bit-identical to the uninterrupted one.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(n_, sum_, mean_, m2_, min_, max_);
+  }
 
  private:
   std::uint64_t n_ = 0;
@@ -85,8 +82,11 @@ class Histogram {
     return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
   }
 
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.fixed(counts_, "histogram bucket count");
+    ar(stat_);
+  }
 
  private:
   double lo_;

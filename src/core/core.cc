@@ -153,78 +153,16 @@ void SimpleCore::dump(std::ostream& os, Cycle now) const {
      << " stalls=" << stats_.stall_cycles << "\n";
 }
 
-namespace {
-
-void put_entry(ckpt::Sink& s, const workloads::TraceEntry& e) {
-  s.u32(e.compute);
-  s.u64(e.addr);
-  s.u8(static_cast<std::uint8_t>(e.type));
-  s.u64(e.pc);
-  s.b(e.dependent);
-}
-
-workloads::TraceEntry get_entry(ckpt::Source& s) {
-  workloads::TraceEntry e;
-  e.compute = s.u32();
-  e.addr = s.u64();
-  e.type = static_cast<AccessType>(s.u8());
-  e.pc = s.u64();
-  e.dependent = s.b();
-  return e;
-}
-
-}  // namespace
-
-void SimpleCore::save_state(ckpt::Sink& s) const {
-  s.section("core");
-  s.u64(id_);
-  s.str(stream_->name());
+template <class Ar>
+void SimpleCore::fields(Ar& ar) {
   if (waiting_ && !async_done_ && ready_at_ == kCycleNever)
-    throw ckpt::CheckpointError(ckpt::ErrorKind::State,
-                                "core blocked on an outstanding asynchronous access");
-  s.u64(lookahead_.size());
-  for (const auto& e : lookahead_) put_entry(s, e);
-  s.u64(runahead_pos_);
-  s.u32(runahead_issued_);
-  put_entry(s, current_);
-  s.u32(compute_left_);
-  s.b(access_pending_);
-  s.b(waiting_);
-  s.b(async_done_);
-  s.u64(ready_at_);
-  s.u64(last_tick_);
-  s.u64(stats_.instructions);
-  s.u64(stats_.loads);
-  s.u64(stats_.stores);
-  s.u64(stats_.stall_cycles);
-  s.u64(stats_.runahead_prefetches);
-  s.u64(stats_.finish_cycle);
-  stream_->save_state(s);
+    ar.fail(ckpt::ErrorKind::State, "core blocked on an outstanding asynchronous access");
+  ar.section("core");
+  ar.match(std::uint64_t{id_}, "core id");
+  ar.match(stream_->name(), "core stream");
+  ar(lookahead_, runahead_pos_, runahead_issued_, current_, compute_left_, access_pending_,
+     waiting_, async_done_, ready_at_, last_tick_, stats_, *stream_);
 }
-
-void SimpleCore::load_state(ckpt::Source& s) {
-  s.section("core");
-  s.match_u64(id_, "core id");
-  s.match_str(stream_->name(), "core stream");
-  lookahead_.clear();
-  const std::uint64_t n = s.u64();
-  for (std::uint64_t i = 0; i < n; ++i) lookahead_.push_back(get_entry(s));
-  runahead_pos_ = s.u64();
-  runahead_issued_ = s.u32();
-  current_ = get_entry(s);
-  compute_left_ = s.u32();
-  access_pending_ = s.b();
-  waiting_ = s.b();
-  async_done_ = s.b();
-  ready_at_ = s.u64();
-  last_tick_ = s.u64();
-  stats_.instructions = s.u64();
-  stats_.loads = s.u64();
-  stats_.stores = s.u64();
-  stats_.stall_cycles = s.u64();
-  stats_.runahead_prefetches = s.u64();
-  stats_.finish_cycle = s.u64();
-  stream_->load_state(s);
-}
+IMA_CKPT_FIELDS(SimpleCore);
 
 }  // namespace ima::core

@@ -18,11 +18,6 @@
 #include "common/types.hh"
 #include "workloads/stream.hh"
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima::core {
 
 /// The memory hierarchy's interface to the core. `issue` starts an access;
@@ -82,6 +77,10 @@ class SimpleCore {
     std::uint64_t stall_cycles = 0;
     std::uint64_t runahead_prefetches = 0;
     Cycle finish_cycle = 0;
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(instructions, loads, stores, stall_cycles, runahead_prefetches, finish_cycle);
+    }
     double ipc(Cycle elapsed) const {
       return elapsed ? static_cast<double>(instructions) / static_cast<double>(elapsed) : 0.0;
     }
@@ -97,8 +96,8 @@ class SimpleCore {
   /// and the access stream. Requires no outstanding asynchronous access
   /// (the memory system must be idle): the completion closure handed to the
   /// port is not serializable.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar);
 
  private:
   void fetch_next();

@@ -372,86 +372,19 @@ void Channel::dump(std::ostream& os, Cycle now) const {
   }
 }
 
-void Channel::save_state(ckpt::Sink& s) const {
-  s.section("channel");
-  s.u32(id_);
-  s.u64(unit_open_.size());
-  s.u32(units_per_rank_);
-  s.b(salp_);
-  s.u64(ranks_.size());
-  s.u64(state_version_);
-  ckpt::put_vec_u8(s, unit_open_);
-  ckpt::put_vec_u32(s, unit_row_);
-  ckpt::put_vec(s, unit_next_act_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-  ckpt::put_vec(s, unit_next_pre_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-  ckpt::put_vec(s, unit_next_rd_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-  ckpt::put_vec(s, unit_next_wr_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-  ckpt::put_vec_u32(s, bank_open_units_);
-  ckpt::put_vec_u32(s, rank_open_units_);
-  for (const RankState& r : ranks_) {
-    s.u64(r.next_act);
-    s.u64(r.ready);
-    for (Cycle a : r.act_ring) s.u64(a);
-    s.u64(r.acts);
-    s.u8(static_cast<std::uint8_t>(r.power));
-    s.u64(r.power_since);
-    s.f64(r.bg_accum);
-  }
-  s.u64(bus_next_rd_);
-  s.u64(bus_next_wr_);
-  s.u64(stats_.acts);
-  s.u64(stats_.pres);
-  s.u64(stats_.rds);
-  s.u64(stats_.wrs);
-  s.u64(stats_.charged_acts);
-  s.u64(stats_.refs);
-  s.u64(stats_.ref_rows);
-  s.u64(stats_.aaps);
-  s.u64(stats_.lisa_hops);
-  s.u64(stats_.tras);
-  s.f64(stats_.cmd_energy);
-  s.f64(stats_.bus_energy);
+template <class Ar>
+void Channel::fields(Ar& ar) {
+  ar.section("channel");
+  ar.match(id_, "channel id");
+  ar.match(std::uint64_t{unit_open_.size()}, "channel unit count");
+  ar.match(units_per_rank_, "units per rank");
+  ar.match(salp_, "SALP mode");
+  ar.match(std::uint64_t{ranks_.size()}, "rank count");
+  ar(state_version_, unit_open_, unit_row_, unit_next_act_, unit_next_pre_, unit_next_rd_,
+     unit_next_wr_, bank_open_units_, rank_open_units_);
+  for (RankState& r : ranks_) ar(r);
+  ar(bus_next_rd_, bus_next_wr_, stats_);
 }
-
-void Channel::load_state(ckpt::Source& s) {
-  s.section("channel");
-  if (s.u32() != id_) s.fail(ckpt::ErrorKind::Config, "channel id mismatch");
-  s.match_u64(unit_open_.size(), "channel unit count");
-  if (s.u32() != units_per_rank_) s.fail(ckpt::ErrorKind::Config, "units per rank mismatch");
-  if (s.b() != salp_) s.fail(ckpt::ErrorKind::Config, "SALP mode mismatch");
-  s.match_u64(ranks_.size(), "rank count");
-  state_version_ = s.u64();
-  ckpt::get_vec_u8(s, unit_open_);
-  ckpt::get_vec_u32(s, unit_row_);
-  ckpt::get_vec(s, unit_next_act_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-  ckpt::get_vec(s, unit_next_pre_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-  ckpt::get_vec(s, unit_next_rd_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-  ckpt::get_vec(s, unit_next_wr_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-  ckpt::get_vec_u32(s, bank_open_units_);
-  ckpt::get_vec_u32(s, rank_open_units_);
-  for (RankState& r : ranks_) {
-    r.next_act = s.u64();
-    r.ready = s.u64();
-    for (Cycle& a : r.act_ring) a = s.u64();
-    r.acts = s.u64();
-    r.power = static_cast<PowerState>(s.u8());
-    r.power_since = s.u64();
-    r.bg_accum = s.f64();
-  }
-  bus_next_rd_ = s.u64();
-  bus_next_wr_ = s.u64();
-  stats_.acts = s.u64();
-  stats_.pres = s.u64();
-  stats_.rds = s.u64();
-  stats_.wrs = s.u64();
-  stats_.charged_acts = s.u64();
-  stats_.refs = s.u64();
-  stats_.ref_rows = s.u64();
-  stats_.aaps = s.u64();
-  stats_.lisa_hops = s.u64();
-  stats_.tras = s.u64();
-  stats_.cmd_energy = s.f64();
-  stats_.bus_energy = s.f64();
-}
+IMA_CKPT_FIELDS(Channel);
 
 }  // namespace ima::dram

@@ -33,11 +33,6 @@ class StatRegistry;
 class TraceSink;
 }  // namespace ima::obs
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima::dram {
 
 /// Arguments for PUM commands that reference multiple rows of one bank.
@@ -198,6 +193,12 @@ class Channel {
     std::uint64_t aaps = 0, lisa_hops = 0, tras = 0;
     PicoJoule cmd_energy = 0;   // everything except background
     PicoJoule bus_energy = 0;   // included in cmd_energy; tracked separately
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(acts, pres, rds, wrs, charged_acts, refs, ref_rows, aaps, lisa_hops, tras, cmd_energy,
+         bus_energy);
+    }
   };
   const Stats& stats() const { return stats_; }
 
@@ -253,8 +254,8 @@ class Channel {
   /// Checkpoint the full SoA timing state (incl. SALP units and the tFAW
   /// ring), rank power/energy accounting, bus gates, and stats. Hooks and
   /// trace sinks are rewired by the owner, not serialized.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar);
 
  private:
   // tFAW constrains the fifth activation in any window of four: a 4-slot
@@ -270,6 +271,11 @@ class Channel {
     PowerState power = PowerState::Active;
     Cycle power_since = 0;            // start of the current power-state segment
     PicoJoule bg_accum = 0;           // background energy of finished segments
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(next_act, ready, act_ring, acts, power, power_since, bg_accum);
+    }
   };
 
   double power_scale(PowerState s) const {

@@ -55,6 +55,11 @@ struct Coord {
   }
 
   bool operator==(const Coord&) const = default;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(channel, rank, bank, row, column);
+  }
 };
 
 }  // namespace ima::dram

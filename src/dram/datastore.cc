@@ -1,7 +1,6 @@
 #include "dram/datastore.hh"
 
 #include <cassert>
-#include "common/ckpt.hh"
 #include <cstring>
 
 namespace ima::dram {
@@ -82,28 +81,6 @@ void DataStore::not_row(const Coord& src, const Coord& dst) {
 void DataStore::fill_row(const Coord& c, std::uint64_t pattern) {
   auto& r = ensure_row(c);
   std::fill(r.begin(), r.end(), pattern);
-}
-
-void DataStore::save_state(ckpt::Sink& s) const {
-  s.section("datastore");
-  s.u64(channels_.size());
-  s.u64(words_per_row_);
-  for (const auto& part : channels_)
-    ckpt::put_map(s, part, [](ckpt::Sink& k, const std::vector<std::uint64_t>& row) {
-      ckpt::put_vec_u64(k, row);
-    });
-}
-
-void DataStore::load_state(ckpt::Source& s) {
-  s.section("datastore");
-  s.match_u64(channels_.size(), "datastore channel count");
-  s.match_u64(words_per_row_, "datastore words per row");
-  for (auto& part : channels_)
-    ckpt::get_map(s, part, [](ckpt::Source& k) {
-      std::vector<std::uint64_t> row;
-      ckpt::get_vec_u64(k, row);
-      return row;
-    });
 }
 
 }  // namespace ima::dram

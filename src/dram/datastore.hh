@@ -24,11 +24,6 @@
 #include "dram/command.hh"
 #include "dram/config.hh"
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima::dram {
 
 class DataStore {
@@ -58,8 +53,13 @@ class DataStore {
 
   /// Checkpoint every lazily-allocated row, per channel, sorted by row key
   /// (hash-map iteration order never reaches the byte stream).
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("datastore");
+    ar.match(std::uint64_t{channels_.size()}, "datastore channel count");
+    ar.match(std::uint64_t{words_per_row_}, "datastore words per row");
+    for (auto& part : channels_) ar(part);
+  }
 
   std::size_t allocated_rows() const {
     std::size_t n = 0;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/bits.hh"
-#include "common/ckpt.hh"
 
 namespace ima::learn {
 
@@ -35,18 +34,6 @@ void Perceptron::train(const std::vector<std::uint64_t>& f, bool taken) {
     std::int32_t& w = weights_[index(i, f[i])];
     w = std::clamp(w + delta, -cfg_.weight_max - 1, cfg_.weight_max);
   }
-}
-
-void Perceptron::save_state(ckpt::Sink& s) const {
-  s.section("perceptron");
-  s.u64(weights_.size());
-  for (std::int32_t w : weights_) s.u32(static_cast<std::uint32_t>(w));
-}
-
-void Perceptron::load_state(ckpt::Source& s) {
-  s.section("perceptron");
-  s.match_u64(weights_.size(), "perceptron table size");
-  for (std::int32_t& w : weights_) w = static_cast<std::int32_t>(s.u32());
 }
 
 }  // namespace ima::learn

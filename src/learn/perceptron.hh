@@ -9,11 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima::learn {
 
 class Perceptron {
@@ -38,8 +33,11 @@ class Perceptron {
   const Config& config() const { return cfg_; }
 
   /// Checkpoint the weight table (config is fingerprinted, not restored).
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("perceptron");
+    ar.fixed(weights_, "perceptron table size");
+  }
 
  private:
   std::size_t index(std::uint32_t feature, std::uint64_t hash) const;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "common/bits.hh"
-#include "common/ckpt.hh"
 
 namespace ima::learn {
 
@@ -49,26 +48,6 @@ void QAgent::learn_terminal(std::uint64_t s, std::uint32_t a, double reward) {
   double& cell = table_[index(s, a)];
   cell += cfg_.alpha * (reward - cell);
   ++updates_;
-}
-
-void QAgent::save_state(ckpt::Sink& s) const {
-  s.section("qagent");
-  s.u32(cfg_.num_actions);
-  s.u64(cfg_.table_entries);
-  s.f64(cfg_.epsilon);
-  ckpt::put_vec_f64(s, table_);
-  rng_.save_state(s);
-  s.u64(updates_);
-}
-
-void QAgent::load_state(ckpt::Source& s) {
-  s.section("qagent");
-  if (s.u32() != cfg_.num_actions) s.fail(ckpt::ErrorKind::Config, "qagent action count mismatch");
-  s.match_u64(cfg_.table_entries, "qagent table entries");
-  cfg_.epsilon = s.f64();
-  ckpt::get_vec_f64(s, table_);
-  rng_.load_state(s);
-  updates_ = s.u64();
 }
 
 }  // namespace ima::learn

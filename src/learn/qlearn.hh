@@ -67,8 +67,13 @@ class QAgent {
 
   /// Checkpoint the learned table, exploration RNG, update count, and the
   /// (mutable) epsilon — enough to resume training bit-identically.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("qagent");
+    ar.match(cfg_.num_actions, "qagent action count");
+    ar.match(std::uint64_t{cfg_.table_entries}, "qagent table entries");
+    ar(cfg_.epsilon, table_, rng_, updates_);
+  }
 
  private:
   std::size_t index(std::uint64_t s, std::uint32_t a) const {

@@ -744,159 +744,36 @@ void Controller::tick(Cycle now) {
   try_issue_request(now);
 }
 
-void Controller::save_state(ckpt::Sink& s) const {
+template <class Ar>
+void Controller::fields(Ar& ar) {
   if (!idle())
-    throw ckpt::CheckpointError(ckpt::ErrorKind::State,
-                                "controller not quiescent: queued or inflight requests");
-  s.section("controller");
+    ar.fail(ckpt::ErrorKind::State, "controller not quiescent: queued or inflight requests");
+  ar.section("controller");
   // Config fingerprint: a restore target must be constructed identically
   // (same channel, core count, and installed policies).
-  s.u64(chan_.id());
-  s.u64(cfg_.num_cores);
-  s.str(sched_->name());
-  s.str(refresh_->name());
-  s.b(mitigation_ != nullptr);
-  if (mitigation_) s.str(mitigation_->name());
-  s.b(engine_ != nullptr);
-  s.b(cfg_.record_spans);
+  ar.match(std::uint64_t{chan_.id()}, "channel id");
+  ar.match(std::uint64_t{cfg_.num_cores}, "core count");
+  ar.match(sched_->name(), "scheduler");
+  ar.match(refresh_->name(), "refresh policy");
+  ar.match(mitigation_ != nullptr, "RowHammer mitigation present");
+  if (mitigation_) ar.match(mitigation_->name(), "RowHammer mitigation");
+  ar.match(engine_ != nullptr, "reliability engine present");
+  ar.match(cfg_.record_spans, "record_spans");
 
   // At a quiescent point the request queues, inflight heap, victim/PIM
   // rings and the per-core/per-rank occupancy counters derived from them
   // are all empty or zero — exactly the state a fresh construction holds —
   // so only the durable accounting below travels.
-  for (const CoreState& c : cores_) {
-    s.u64(c.attained_service);
-    s.u64(c.served);
-    s.u64(c.served_in_quantum);
-    s.u64(c.outstanding);
-    s.u32(c.consecutive_served);
-    s.b(c.blacklisted);
-    s.u8(c.cluster);
-    s.u32(c.shuffle_rank);
-  }
-  s.u64(next_req_id_);
-
-  s.u64(stats_.reads_done);
-  s.u64(stats_.writes_done);
-  s.u64(stats_.row_hits);
-  s.u64(stats_.row_misses);
-  s.u64(stats_.row_conflicts);
-  s.u64(stats_.pim_ops_done);
-  s.u64(stats_.victim_refreshes);
-  s.u64(stats_.enqueue_rejects);
-  s.u64(stats_.charge_cache_hits);
-  s.u64(stats_.charge_cache_misses);
-  s.u64(stats_.powerdowns);
-  s.u64(stats_.selfrefreshes);
-  s.u64(stats_.rank_wakes);
-  stats_.read_latency.save_state(s);
-  if (spans_) {
-    spans_->queue.save_state(s);
-    spans_->stall.save_state(s);
-    spans_->refresh.save_state(s);
-    spans_->xfer.save_state(s);
-  }
-
-  ckpt::put_map(s, charge_map_, [](ckpt::Sink& k, const ChargeEntry& e) {
-    k.u64(e.expiry);
-    k.u64(e.stamp);
-  });
-  s.u64(charge_fifo_.size());
-  for (std::size_t i = 0; i < charge_fifo_.size(); ++i) {
-    const auto& [key, stamp] = charge_fifo_.at(i);
-    s.u64(key);
-    s.u64(stamp);
-  }
-  s.u64(charge_stamp_);
-
-  ckpt::put_vec(s, rank_last_activity_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-  s.u32(refs_for_mitigation_);
-  s.b(draining_writes_);
-
-  sched_->save_state(s);
-  refresh_->save_state(s);
-  if (mitigation_) mitigation_->save_state(s);
-  if (engine_) engine_->save_state(s);
+  for (CoreState& c : cores_) ar(c);
+  ar(next_req_id_, stats_);
+  if (spans_) ar(*spans_);
+  ar(charge_map_, charge_fifo_, charge_stamp_);
+  ar.fixed(rank_last_activity_, "rank count");
+  ar(refs_for_mitigation_, draining_writes_, *sched_, *refresh_);
+  if (mitigation_) ar(*mitigation_);
+  if (engine_) ar(*engine_);
 }
-
-void Controller::load_state(ckpt::Source& s) {
-  if (!idle())
-    s.fail(ckpt::ErrorKind::State, "restore target not quiescent");
-  s.section("controller");
-  s.match_u64(chan_.id(), "channel id");
-  s.match_u64(cfg_.num_cores, "core count");
-  s.match_str(sched_->name(), "scheduler");
-  s.match_str(refresh_->name(), "refresh policy");
-  const bool had_mitigation = s.b();
-  if (had_mitigation != (mitigation_ != nullptr))
-    s.fail(ckpt::ErrorKind::Config, "RowHammer mitigation presence mismatch");
-  if (mitigation_) s.match_str(mitigation_->name(), "RowHammer mitigation");
-  const bool had_engine = s.b();
-  if (had_engine != (engine_ != nullptr))
-    s.fail(ckpt::ErrorKind::Config, "reliability engine presence mismatch");
-  const bool had_spans = s.b();
-  if (had_spans != cfg_.record_spans)
-    s.fail(ckpt::ErrorKind::Config, "record_spans mismatch");
-
-  for (CoreState& c : cores_) {
-    c.attained_service = s.u64();
-    c.served = s.u64();
-    c.served_in_quantum = s.u64();
-    c.outstanding = s.u64();
-    c.consecutive_served = s.u32();
-    c.blacklisted = s.b();
-    c.cluster = s.u8();
-    c.shuffle_rank = s.u32();
-  }
-  next_req_id_ = s.u64();
-
-  stats_.reads_done = s.u64();
-  stats_.writes_done = s.u64();
-  stats_.row_hits = s.u64();
-  stats_.row_misses = s.u64();
-  stats_.row_conflicts = s.u64();
-  stats_.pim_ops_done = s.u64();
-  stats_.victim_refreshes = s.u64();
-  stats_.enqueue_rejects = s.u64();
-  stats_.charge_cache_hits = s.u64();
-  stats_.charge_cache_misses = s.u64();
-  stats_.powerdowns = s.u64();
-  stats_.selfrefreshes = s.u64();
-  stats_.rank_wakes = s.u64();
-  stats_.read_latency.load_state(s);
-  if (spans_) {
-    spans_->queue.load_state(s);
-    spans_->stall.load_state(s);
-    spans_->refresh.load_state(s);
-    spans_->xfer.load_state(s);
-  }
-
-  ckpt::get_map(s, charge_map_, [](ckpt::Source& k) {
-    ChargeEntry e;
-    e.expiry = k.u64();
-    e.stamp = k.u64();
-    return e;
-  });
-  charge_fifo_.clear();
-  const std::uint64_t fifo_n = s.u64();
-  for (std::uint64_t i = 0; i < fifo_n; ++i) {
-    const std::uint64_t key = s.u64();
-    const std::uint64_t stamp = s.u64();
-    charge_fifo_.emplace_back(key, stamp);
-  }
-  charge_stamp_ = s.u64();
-
-  ckpt::get_vec(s, rank_last_activity_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-  if (rank_last_activity_.size() != chan_.config().geometry.ranks)
-    s.fail(ckpt::ErrorKind::Config, "rank count mismatch");
-  refs_for_mitigation_ = s.u32();
-  draining_writes_ = s.b();
-
-  sched_->load_state(s);
-  refresh_->load_state(s);
-  if (mitigation_) mitigation_->load_state(s);
-  if (engine_) engine_->load_state(s);
-}
+IMA_CKPT_FIELDS(Controller);
 
 void Controller::register_stats(obs::StatRegistry& reg, const std::string& prefix) const {
   reg.counter(obs::join_path(prefix, "reads_done"), &stats_.reads_done);

@@ -172,6 +172,13 @@ class Controller {
     // arrive -> data. TailRecorder embeds the RunningStat this used to be
     // (identical count/mean/min/max/stddev values) and adds p50..p999.
     obs::TailRecorder read_latency;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(reads_done, writes_done, row_hits, row_misses, row_conflicts, pim_ops_done,
+         victim_refreshes, enqueue_rejects, charge_cache_hits, charge_cache_misses, powerdowns,
+         selfrefreshes, rank_wakes, read_latency);
+    }
   };
   const Stats& stats() const { return stats_; }
 
@@ -183,6 +190,11 @@ class Controller {
     obs::TailRecorder stall;    // first command -> RD/WR, minus refresh block
     obs::TailRecorder refresh;  // cycles a due-REF blocked rank held the request
     obs::TailRecorder xfer;     // RD/WR -> data return (CL + burst + ECC)
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(queue, stall, refresh, xfer);
+    }
   };
   /// Null unless ControllerConfig::record_spans.
   const SpanRecorders* spans() const { return spans_.get(); }
@@ -212,8 +224,8 @@ class Controller {
   /// reliability engine). The borrowed victim model is serialized exactly
   /// once by its owner, not here. Restore targets must be constructed by
   /// the same factory path; policy names are fingerprinted.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar);
 
   /// Total energy including background standby up to `now` (plus ECC
   /// encode/decode energy when the reliability engine is enabled).
@@ -365,6 +377,11 @@ class Controller {
   struct ChargeEntry {
     Cycle expiry = 0;
     std::uint64_t stamp = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(expiry, stamp);
+    }
   };
   void charge_cache_insert(const dram::Coord& c, std::uint32_t row, Cycle now);
   bool charge_cache_hit(const dram::Coord& c, Cycle now);

@@ -412,70 +412,31 @@ std::uint64_t MemorySystem::progress_token() const {
   return t;
 }
 
-void MemorySystem::save_state(ckpt::Sink& s) const {
+template <class Ar>
+void MemorySystem::fields(Ar& ar) {
   if (!idle())
-    throw ckpt::CheckpointError(ckpt::ErrorKind::State,
-                                "memory system not quiescent: requests queued or inflight");
+    ar.fail(ckpt::ErrorKind::State, "memory system not quiescent: requests queued or inflight");
   for (const auto& box : mail_)
     if (!box.empty())
-      throw ckpt::CheckpointError(
-          ckpt::ErrorKind::State,
-          "undelivered barrier mailboxes: checkpoint only at an epoch barrier");
-  s.section("memsys");
-  s.u64(ctrls_.size());
-  s.b(last_drain_clipped_);
-  s.b(last_drain_quantized_);
-  s.u64(drain_clips_);
-  data_->save_state(s);
-  for (const auto& c : chans_) c->save_state(s);
-  for (const auto& c : ctrls_) c->save_state(s);
+      ar.fail(ckpt::ErrorKind::State,
+              "undelivered barrier mailboxes: checkpoint only at an epoch barrier");
+  ar.section("memsys");
+  ar.match(std::uint64_t{ctrls_.size()}, "channel count");
+  ar(last_drain_clipped_, last_drain_quantized_, drain_clips_, *data_);
+  for (auto& c : chans_) ar(*c);
+  for (auto& c : ctrls_) ar(*c);
   // Borrowed victim models, each distinct model exactly once in first-
   // controller order (sharing topology is construction-derived, so the
   // restore target walks the same sequence).
-  std::vector<const HammerVictimModel*> models;
-  for (const auto& c : ctrls_) {
-    const HammerVictimModel* m = c->victim_model();
-    if (m && std::find(models.begin(), models.end(), m) == models.end()) models.push_back(m);
-  }
-  s.u64(models.size());
-  for (const auto* m : models) m->save_state(s);
-}
-
-void MemorySystem::load_state(ckpt::Source& s) {
-  if (!idle())
-    s.fail(ckpt::ErrorKind::State, "restore target not quiescent");
-  s.section("memsys");
-  s.match_u64(ctrls_.size(), "channel count");
-  last_drain_clipped_ = s.b();
-  last_drain_quantized_ = s.b();
-  drain_clips_ = s.u64();
-  data_->load_state(s);
-  for (auto& c : chans_) c->load_state(s);
-  for (auto& c : ctrls_) c->load_state(s);
   std::vector<HammerVictimModel*> models;
   for (auto& c : ctrls_) {
     HammerVictimModel* m = c->victim_model();
     if (m && std::find(models.begin(), models.end(), m) == models.end()) models.push_back(m);
   }
-  s.match_u64(models.size(), "victim model count");
-  for (auto* m : models) m->load_state(s);
+  ar.match(std::uint64_t{models.size()}, "victim model count");
+  for (auto* m : models) ar(*m);
 }
-
-void MemorySystem::save(const std::string& path) const {
-  ckpt::Sink sink;
-  save_state(sink);
-  ckpt::Blob blob;
-  blob.payload = sink.take();
-  ckpt::write_file(path, ckpt::seal(blob));
-}
-
-void MemorySystem::restore(const std::string& path) {
-  const ckpt::Blob blob = ckpt::open(ckpt::read_file(path));
-  ckpt::Source src(blob.payload);
-  load_state(src);
-  if (!src.done())
-    src.fail(ckpt::ErrorKind::Format, "trailing bytes after memory system state");
-}
+IMA_CKPT_FIELDS(MemorySystem);
 
 void MemorySystem::dump(std::ostream& os, Cycle now) const {
   for (std::size_t i = 0; i < ctrls_.size(); ++i) {

@@ -230,14 +230,8 @@ class MemorySystem {
   /// Borrowed HammerVictimModels are included — each distinct model exactly
   /// once, in first-controller order — so a path-level checkpoint is
   /// self-contained; the restore target must share models identically.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
-
-  /// Sealed-file convenience wrappers around save_state/load_state
-  /// (magic + version + CRC; atomic tmp+rename write). restore() verifies
-  /// the whole image before touching any state.
-  void save(const std::string& path) const;
-  void restore(const std::string& path);
+  template <class Ar>
+  void fields(Ar& ar);
 
  private:
   // --- sharded-drain machinery (all coordinator-side unless noted) ---

@@ -132,19 +132,11 @@ class AllBankRefresh final : public RefreshPolicy {
 
   std::string name() const override { return "all-bank"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    s.u64(refs_issued_);
-    s.u64(prealls_forced_);
-    ckpt::put_vec(s, next_due_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-    ckpt::put_vec_bool(s, sr_at_last_tick_);
-    s.u64(last_seen_now_);
-  }
-  void load_state(ckpt::Source& s) override {
-    refs_issued_ = s.u64();
-    prealls_forced_ = s.u64();
-    ckpt::get_vec(s, next_due_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-    ckpt::get_vec_bool(s, sr_at_last_tick_);
-    last_seen_now_ = s.u64();
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(refs_issued_, prealls_forced_, next_due_, sr_at_last_tick_, last_seen_now_);
   }
 
  private:
@@ -257,17 +249,11 @@ class RaidrRefresh final : public RefreshPolicy {
 
   // rows_by_bin_/period_ are construction-derived from the profile; only
   // the pacing cursors and counters are mutable.
-  void save_state(ckpt::Sink& s) const override {
-    s.u64(row_refs_issued_);
-    s.u64(prealls_forced_);
-    ckpt::put_vec(s, cursor_, [](ckpt::Sink& k, std::size_t c) { k.u64(c); });
-    ckpt::put_vec_u64(s, issued_);
-  }
-  void load_state(ckpt::Source& s) override {
-    row_refs_issued_ = s.u64();
-    prealls_forced_ = s.u64();
-    ckpt::get_vec(s, cursor_, [](ckpt::Source& k) { return std::size_t{k.u64()}; });
-    ckpt::get_vec_u64(s, issued_);
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(row_refs_issued_, prealls_forced_, cursor_, issued_);
   }
 
   /// Row refreshes per base window — the paper's headline metric.

@@ -84,7 +84,8 @@ class RefreshPolicy {
 
   /// Checkpoint the pacing state (due times, cursors, issue counters). The
   /// restore target is built by the same factory from the same config and
-  /// profile, so only mutable schedule state travels.
+  /// profile, so only mutable schedule state travels. Implementations
+  /// forward both to their one fields() (common/ckpt.hh).
   virtual void save_state(ckpt::Sink&) const {}
   virtual void load_state(ckpt::Source&) {}
 

@@ -34,6 +34,12 @@ struct Request {
   bool is_prefetch = false;
   bool critical = true;         // data-aware criticality hint (X-Mem)
   bool poisoned = false;        // reliability: detected-uncorrectable data
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(addr, type, core, id, tag, arrive, complete, first_cmd, served, blocked_queue, blocked_prep,
+       blocked_mark, is_prefetch, critical, poisoned);
+  }
 };
 
 using CompletionCallback = std::function<void(const Request&)>;

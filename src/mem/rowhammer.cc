@@ -7,42 +7,6 @@
 
 namespace ima::mem {
 
-namespace {
-
-void put_coord(ckpt::Sink& s, const dram::Coord& c) {
-  s.u32(c.channel);
-  s.u32(c.rank);
-  s.u32(c.bank);
-  s.u32(c.row);
-  s.u32(c.column);
-}
-
-dram::Coord get_coord(ckpt::Source& s) {
-  dram::Coord c;
-  c.channel = s.u32();
-  c.rank = s.u32();
-  c.bank = s.u32();
-  c.row = s.u32();
-  c.column = s.u32();
-  return c;
-}
-
-}  // namespace
-
-void HammerVictimModel::save_state(ckpt::Sink& s) const {
-  s.section("victim_model");
-  ckpt::put_map(s, disturb_count_, [](ckpt::Sink& k, std::uint64_t v) { k.u64(v); });
-  s.u64(flips_);
-  s.u32(refs_seen_);
-}
-
-void HammerVictimModel::load_state(ckpt::Source& s) {
-  s.section("victim_model");
-  ckpt::get_map(s, disturb_count_, [](ckpt::Source& k) { return k.u64(); });
-  flips_ = s.u64();
-  refs_seen_ = s.u32();
-}
-
 void HammerVictimModel::register_stats(obs::StatRegistry& reg, const std::string& prefix) const {
   reg.counter(obs::join_path(prefix, "flips"), &flips_);
   reg.gauge(obs::join_path(prefix, "tracked_rows"),
@@ -114,13 +78,11 @@ class Para final : public RowHammerMitigation {
 
   std::string name() const override { return "PARA"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    rng_.save_state(s);
-    s.u64(victims_requested_);
-  }
-  void load_state(ckpt::Source& s) override {
-    rng_.load_state(s);
-    victims_requested_ = s.u64();
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_, victims_requested_);
   }
 
  private:
@@ -170,30 +132,11 @@ class TrrSample final : public RowHammerMitigation {
 
   std::string name() const override { return "TRR-sample"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    rng_.save_state(s);
-    s.u64(victims_requested_);
-    ckpt::put_map(s, samplers_, [](ckpt::Sink& k, const std::vector<Entry>& sampler) {
-      k.u64(sampler.size());
-      for (const Entry& e : sampler) {
-        k.u32(e.row);
-        k.u64(e.count);
-        put_coord(k, e.coord);
-      }
-    });
-  }
-  void load_state(ckpt::Source& s) override {
-    rng_.load_state(s);
-    victims_requested_ = s.u64();
-    ckpt::get_map(s, samplers_, [](ckpt::Source& k) {
-      std::vector<Entry> sampler(k.u64());
-      for (Entry& e : sampler) {
-        e.row = k.u32();
-        e.count = k.u64();
-        e.coord = get_coord(k);
-      }
-      return sampler;
-    });
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_, victims_requested_, samplers_);
   }
 
  private:
@@ -203,6 +146,11 @@ class TrrSample final : public RowHammerMitigation {
     std::uint32_t row;
     std::uint64_t count;
     dram::Coord coord;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(row, count, coord);
+    }
   };
   std::uint32_t size_;
   std::uint64_t act_threshold_;
@@ -258,21 +206,11 @@ class Graphene final : public RowHammerMitigation {
 
   std::string name() const override { return "Graphene"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    s.u64(victims_requested_);
-    ckpt::put_map(s, tables_, [](ckpt::Sink& k, const Table& t) {
-      ckpt::put_map(k, t.counts, [](ckpt::Sink& kk, std::uint64_t v) { kk.u64(v); });
-      k.u64(t.spillover);
-    });
-  }
-  void load_state(ckpt::Source& s) override {
-    victims_requested_ = s.u64();
-    ckpt::get_map(s, tables_, [](ckpt::Source& k) {
-      Table t;
-      ckpt::get_map(k, t.counts, [](ckpt::Source& kk) { return kk.u64(); });
-      t.spillover = k.u64();
-      return t;
-    });
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(victims_requested_, tables_);
   }
 
  private:
@@ -281,6 +219,11 @@ class Graphene final : public RowHammerMitigation {
   struct Table {
     std::unordered_map<std::uint32_t, std::uint64_t> counts;
     std::uint64_t spillover = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(counts, spillover);
+    }
   };
   std::uint32_t k_;
   std::uint64_t trigger_;

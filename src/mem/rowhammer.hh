@@ -79,8 +79,11 @@ class HammerVictimModel {
   /// Checkpoint disturbance counters and window progress. The model may be
   /// shared (borrowed) by several controllers; the owner serializes it
   /// exactly once. The flip sink is rewired, not serialized.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("victim_model");
+    ar(disturb_count_, flips_, refs_seen_);
+  }
 
  private:
   // Packing derived from the geometry, not a hard-coded 64-bank / 32-bit
@@ -116,6 +119,7 @@ class RowHammerMitigation {
   virtual void register_stats(obs::StatRegistry&, const std::string& /*prefix*/) const {}
 
   /// Checkpoint tracker state (samplers, Misra-Gries tables, RNG streams).
+  /// Implementations forward both to their one fields() (common/ckpt.hh).
   virtual void save_state(ckpt::Sink&) const {}
   virtual void load_state(ckpt::Source&) {}
 

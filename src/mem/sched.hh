@@ -65,6 +65,12 @@ struct CoreState {
   bool blacklisted = false;            // BLISS
   std::uint8_t cluster = 0;            // TCM: 0 = latency-sensitive, 1 = bandwidth
   std::uint32_t shuffle_rank = 0;      // TCM bandwidth-cluster shuffle order
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(attained_service, served, served_in_quantum, outstanding, consecutive_served, blacklisted,
+       cluster, shuffle_rank);
+  }
 };
 
 /// Per-rank memoization of the timing queries a scheduling decision makes.
@@ -289,7 +295,8 @@ class Scheduler {
   /// counters, RNG streams). The restore target is constructed by the same
   /// factory with the same arguments, so configuration is not serialized —
   /// the controller writes and verifies name() around these calls to catch
-  /// kind mismatches. Stateless policies keep the empty defaults.
+  /// kind mismatches. Stateless policies keep the empty defaults; the
+  /// others forward both to their one fields() (common/ckpt.hh).
   virtual void save_state(ckpt::Sink&) const {}
   virtual void load_state(ckpt::Source&) {}
 

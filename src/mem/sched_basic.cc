@@ -137,25 +137,22 @@ class FrFcfsCapScheduler final : public Scheduler {
 
   std::string name() const override { return "FR-FCFS-Cap" + std::to_string(cap_); }
 
-  void save_state(ckpt::Sink& s) const override {
-    ckpt::put_map(s, streaks_, [](ckpt::Sink& k, const Streak& st) {
-      k.u32(st.row);
-      k.u32(st.count);
-    });
-  }
-  void load_state(ckpt::Source& s) override {
-    ckpt::get_map(s, streaks_, [](ckpt::Source& k) {
-      Streak st;
-      st.row = k.u32();
-      st.count = k.u32();
-      return st;
-    });
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(streaks_);
   }
 
  private:
   struct Streak {
     std::uint32_t row = 0;
     std::uint32_t count = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(row, count);
+    }
   };
   static std::uint64_t bank_key(const dram::Coord& c) {
     // Full-width packing: bank in the low 32 bits, rank above. Injective
@@ -258,17 +255,11 @@ class BlissScheduler final : public Scheduler {
 
   std::string name() const override { return "BLISS"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    ckpt::put_vec_bool(s, blacklisted_);
-    s.u32(last_core_);
-    s.u32(streak_);
-    s.u64(next_clear_);
-  }
-  void load_state(ckpt::Source& s) override {
-    ckpt::get_vec_bool(s, blacklisted_);
-    last_core_ = s.u32();
-    streak_ = s.u32();
-    next_clear_ = s.u64();
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(blacklisted_, last_core_, streak_, next_clear_);
   }
 
  private:

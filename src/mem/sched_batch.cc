@@ -108,8 +108,12 @@ class ParBsScheduler final : public Scheduler {
 
   // Batch membership (the `marked` bits) lives on the queue entries and is
   // gone at the quiescent checkpoint point; only the core ranking persists.
-  void save_state(ckpt::Sink& s) const override { ckpt::put_vec_u32(s, core_rank_); }
-  void load_state(ckpt::Source& s) override { ckpt::get_vec_u32(s, core_rank_); }
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(core_rank_);
+  }
 
  private:
   static constexpr std::uint32_t kMarkCap = 5;
@@ -247,21 +251,11 @@ class TcmScheduler final : public Scheduler {
 
   std::string name() const override { return "TCM"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    ckpt::put_vec_u64(s, quantum_service_);
-    ckpt::put_vec_u8(s, cluster_);
-    ckpt::put_vec_u32(s, shuffle_rank_);
-    rng_.save_state(s);
-    s.u64(next_quantum_);
-    s.u64(next_shuffle_);
-  }
-  void load_state(ckpt::Source& s) override {
-    ckpt::get_vec_u64(s, quantum_service_);
-    ckpt::get_vec_u8(s, cluster_);
-    ckpt::get_vec_u32(s, shuffle_rank_);
-    rng_.load_state(s);
-    next_quantum_ = s.u64();
-    next_shuffle_ = s.u64();
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(quantum_service_, cluster_, shuffle_rank_, rng_, next_quantum_, next_shuffle_);
   }
 
  private:

@@ -121,19 +121,11 @@ class MiseScheduler final : public Scheduler {
     return out;
   }
 
-  void save_state(ckpt::Sink& s) const override {
-    ckpt::put_vec_u64(s, sampled_served_);
-    ckpt::put_vec_u64(s, sampled_cycles_);
-    ckpt::put_vec_u64(s, total_served_);
-    s.u64(total_cycles_);
-    s.u64(last_tick_);
-  }
-  void load_state(ckpt::Source& s) override {
-    ckpt::get_vec_u64(s, sampled_served_);
-    ckpt::get_vec_u64(s, sampled_cycles_);
-    ckpt::get_vec_u64(s, total_served_);
-    total_cycles_ = s.u64();
-    last_tick_ = s.u64();
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(sampled_served_, sampled_cycles_, total_served_, total_cycles_, last_tick_);
   }
 
  private:

@@ -112,27 +112,12 @@ class RlScheduler final : public Scheduler {
 
   // The stamped scratch (bank_count_/core_load_) is rebuilt from scratch on
   // every pick, so only the learning state and decision counters persist.
-  void save_state(ckpt::Sink& s) const override {
-    agent_->save_state(s);
-    s.u64(prev_state_);
-    s.u32(prev_action_);
-    s.b(have_prev_);
-    s.b(frozen_);
-    s.u64(served_since_decision_);
-    s.u64(decisions_);
-    for (std::uint64_t c : action_counts_) s.u64(c);
-    reward_.save_state(s);
-  }
-  void load_state(ckpt::Source& s) override {
-    agent_->load_state(s);
-    prev_state_ = s.u64();
-    prev_action_ = s.u32();
-    have_prev_ = s.b();
-    frozen_ = s.b();
-    served_since_decision_ = s.u64();
-    decisions_ = s.u64();
-    for (std::uint64_t& c : action_counts_) c = s.u64();
-    reward_.load_state(s);
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(*agent_, prev_state_, prev_action_, have_prev_, frozen_, served_since_decision_, decisions_,
+       action_counts_, reward_);
   }
 
  private:

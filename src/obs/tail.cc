@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/ckpt.hh"
-
 namespace ima::obs {
 
 TailRecorder::TailRecorder(unsigned precision_bits) : p_(precision_bits) {
@@ -43,33 +41,6 @@ double TailRecorder::percentile(double q) const {
 void TailRecorder::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
   stat_ = RunningStat{};
-}
-
-void TailRecorder::save_state(ckpt::Sink& s) const {
-  // Bucket occupancy is sparse; write only non-zero entries.
-  s.u64(counts_.size());
-  std::uint64_t nonzero = 0;
-  for (std::uint64_t c : counts_)
-    if (c) ++nonzero;
-  s.u64(nonzero);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (!counts_[i]) continue;
-    s.u64(i);
-    s.u64(counts_[i]);
-  }
-  stat_.save_state(s);
-}
-
-void TailRecorder::load_state(ckpt::Source& s) {
-  s.match_u64(counts_.size(), "tail recorder bucket count");
-  std::fill(counts_.begin(), counts_.end(), 0);
-  const std::uint64_t nonzero = s.u64();
-  for (std::uint64_t i = 0; i < nonzero; ++i) {
-    const std::uint64_t idx = s.u64();
-    if (idx >= counts_.size()) s.fail(ckpt::ErrorKind::Format, "tail bucket index out of range");
-    counts_[static_cast<std::size_t>(idx)] = s.u64();
-  }
-  stat_.load_state(s);
 }
 
 }  // namespace ima::obs

@@ -19,11 +19,6 @@
 
 #include "common/stats.hh"
 
-namespace ima::ckpt {
-class Sink;
-class Source;
-}  // namespace ima::ckpt
-
 namespace ima::obs {
 
 class TailRecorder {
@@ -66,8 +61,12 @@ class TailRecorder {
 
   void reset();
 
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  /// Bucket occupancy is sparse: only non-zero buckets travel.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.sparse(counts_, "tail recorder bucket count");
+    ar(stat_);
+  }
 
  private:
   std::size_t bucket_of(std::uint64_t v) const {

@@ -358,99 +358,12 @@ void Engine::register_stats(obs::StatRegistry& reg, const std::string& prefix) c
             [this] { return static_cast<double>(ecc_energy_); });
 }
 
-namespace {
-
-void put_set(ckpt::Sink& s, const std::unordered_set<std::uint64_t>& set) {
-  std::vector<std::uint64_t> keys(set.begin(), set.end());
-  std::sort(keys.begin(), keys.end());
-  ckpt::put_vec_u64(s, keys);
+template <class Ar>
+void Engine::fields(Ar& ar) {
+  ar.section("reliability");
+  ar(injector_, checks_, last_restore_, rank_epoch_, rank_refs_, poisoned_, retired_,
+     retired_list_, row_ce_, scrub_cursor_, scrub_issued_, stats_, ecc_energy_, last_now_);
 }
-
-void get_set(ckpt::Source& s, std::unordered_set<std::uint64_t>& set) {
-  std::vector<std::uint64_t> keys;
-  ckpt::get_vec_u64(s, keys);
-  set.clear();
-  set.insert(keys.begin(), keys.end());
-}
-
-}  // namespace
-
-void Engine::save_state(ckpt::Sink& s) const {
-  s.section("reliability");
-  injector_.save_state(s);
-  ckpt::put_map(s, checks_, [](ckpt::Sink& k, const std::array<std::uint8_t, 8>& c) {
-    k.bytes(c.data(), c.size());
-  });
-  ckpt::put_map(s, last_restore_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-  ckpt::put_vec(s, rank_epoch_, [](ckpt::Sink& k, Cycle c) { k.u64(c); });
-  ckpt::put_vec_u64(s, rank_refs_);
-  put_set(s, poisoned_);
-  put_set(s, retired_);
-  s.u64(retired_list_.size());
-  for (const dram::Coord& c : retired_list_) {
-    s.u32(c.channel);
-    s.u32(c.rank);
-    s.u32(c.bank);
-    s.u32(c.row);
-    s.u32(c.column);
-  }
-  ckpt::put_map(s, row_ce_, [](ckpt::Sink& k, std::uint64_t v) { k.u64(v); });
-  s.u64(scrub_cursor_);
-  s.u64(scrub_issued_);
-  s.u64(stats_.ce_words);
-  s.u64(stats_.due_events);
-  s.u64(stats_.sdc_reads);
-  s.u64(stats_.miscorrections);
-  s.u64(stats_.poisoned_reads);
-  s.u64(stats_.hammer_bits);
-  s.u64(stats_.retention_bits);
-  s.u64(stats_.read_ber_bits);
-  s.u64(stats_.scrub_rows);
-  s.u64(stats_.scrub_ce);
-  s.u64(stats_.scrub_due);
-  s.u64(stats_.rows_retired);
-  s.f64(ecc_energy_);
-  s.u64(last_now_);
-}
-
-void Engine::load_state(ckpt::Source& s) {
-  s.section("reliability");
-  injector_.load_state(s);
-  ckpt::get_map(s, checks_, [](ckpt::Source& k) {
-    std::array<std::uint8_t, 8> c;
-    k.bytes(c.data(), c.size());
-    return c;
-  });
-  ckpt::get_map(s, last_restore_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-  ckpt::get_vec(s, rank_epoch_, [](ckpt::Source& k) { return Cycle{k.u64()}; });
-  ckpt::get_vec_u64(s, rank_refs_);
-  get_set(s, poisoned_);
-  get_set(s, retired_);
-  retired_list_.resize(s.u64());
-  for (dram::Coord& c : retired_list_) {
-    c.channel = s.u32();
-    c.rank = s.u32();
-    c.bank = s.u32();
-    c.row = s.u32();
-    c.column = s.u32();
-  }
-  ckpt::get_map(s, row_ce_, [](ckpt::Source& k) { return k.u64(); });
-  scrub_cursor_ = s.u64();
-  scrub_issued_ = s.u64();
-  stats_.ce_words = s.u64();
-  stats_.due_events = s.u64();
-  stats_.sdc_reads = s.u64();
-  stats_.miscorrections = s.u64();
-  stats_.poisoned_reads = s.u64();
-  stats_.hammer_bits = s.u64();
-  stats_.retention_bits = s.u64();
-  stats_.read_ber_bits = s.u64();
-  stats_.scrub_rows = s.u64();
-  stats_.scrub_ce = s.u64();
-  stats_.scrub_due = s.u64();
-  stats_.rows_retired = s.u64();
-  ecc_energy_ = s.f64();
-  last_now_ = s.u64();
-}
+IMA_CKPT_FIELDS(Engine);
 
 }  // namespace ima::reliability

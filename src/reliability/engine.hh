@@ -182,6 +182,12 @@ class Engine {
     std::uint64_t scrub_ce = 0;
     std::uint64_t scrub_due = 0;
     std::uint64_t rows_retired = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(ce_words, due_events, sdc_reads, miscorrections, poisoned_reads, hammer_bits,
+         retention_bits, read_ber_bits, scrub_rows, scrub_ce, scrub_due, rows_retired);
+    }
   };
   const Stats& stats() const { return stats_; }
 
@@ -194,8 +200,8 @@ class Engine {
 
   /// Checkpoint check bits, restore epochs, degradation sets, scrub pacing,
   /// stats and the embedded fault injector. Hooks are rewired by the owner.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar);
 
  private:
   struct LineOutcome {

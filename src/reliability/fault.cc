@@ -1,7 +1,6 @@
 #include "reliability/fault.hh"
 
 #include <algorithm>
-#include "common/ckpt.hh"
 #include <cmath>
 
 namespace ima::reliability {
@@ -114,29 +113,6 @@ std::uint32_t FaultInjector::corrupt_word_bits(const dram::Coord& line,
     ++flipped;
   }
   return flipped;
-}
-
-void FaultInjector::save_state(ckpt::Sink& s) const {
-  s.section("fault_injector");
-  s.u64(seed_);
-  s.u64(total_bits_);
-  ckpt::put_map(s, nonce_, [](ckpt::Sink& k, std::uint64_t v) { k.u64(v); });
-  ckpt::put_map(s, ledger_, [](ckpt::Sink& k, const std::vector<std::uint16_t>& bits) {
-    k.u64(bits.size());
-    for (std::uint16_t b : bits) k.u16(b);
-  });
-}
-
-void FaultInjector::load_state(ckpt::Source& s) {
-  s.section("fault_injector");
-  s.match_u64(seed_, "fault injector seed");
-  total_bits_ = s.u64();
-  ckpt::get_map(s, nonce_, [](ckpt::Source& k) { return k.u64(); });
-  ckpt::get_map(s, ledger_, [](ckpt::Source& k) {
-    std::vector<std::uint16_t> bits(k.u64());
-    for (std::uint16_t& b : bits) b = k.u16();
-    return bits;
-  });
 }
 
 }  // namespace ima::reliability

@@ -94,8 +94,12 @@ class FaultInjector {
   /// Checkpoint the per-site nonces and the corruption ledger. The per-site
   /// streams themselves are stateless (derived from seed/site/nonce), so
   /// restoring the nonces restores the exact future flip sequence.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("fault_injector");
+    ar.match(seed_, "fault injector seed");
+    ar(total_bits_, nonce_, ledger_);
+  }
 
  private:
   /// Stateless per-event stream: mixes (seed, site, site-local nonce).

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/ckpt.hh"
-
 #include "harness/pool.hh"
 
 namespace ima::service {
@@ -106,75 +104,6 @@ mem::CompletionCallback MemoryService::on_complete(std::uint32_t ch) {
     resp_[ch].push_back(done);
     ++completed_;
   };
-}
-
-namespace {
-
-void put_request(ckpt::Sink& s, const mem::Request& r) {
-  s.u64(r.addr);
-  s.u8(static_cast<std::uint8_t>(r.type));
-  s.u32(r.core);
-  s.u64(r.id);
-  s.u64(r.tag);
-  s.u64(r.arrive);
-  s.u64(r.complete);
-  s.u64(r.first_cmd);
-  s.u64(r.served);
-  s.u64(r.blocked_queue);
-  s.u64(r.blocked_prep);
-  s.u64(r.blocked_mark);
-  s.b(r.is_prefetch);
-  s.b(r.critical);
-  s.b(r.poisoned);
-}
-
-mem::Request get_request(ckpt::Source& s) {
-  mem::Request r;
-  r.addr = s.u64();
-  r.type = static_cast<AccessType>(s.u8());
-  r.core = s.u32();
-  r.id = s.u64();
-  r.tag = s.u64();
-  r.arrive = s.u64();
-  r.complete = s.u64();
-  r.first_cmd = s.u64();
-  r.served = s.u64();
-  r.blocked_queue = s.u64();
-  r.blocked_prep = s.u64();
-  r.blocked_mark = s.u64();
-  r.is_prefetch = s.b();
-  r.critical = s.b();
-  r.poisoned = s.b();
-  return r;
-}
-
-}  // namespace
-
-void MemoryService::save_state(ckpt::Sink& s) const {
-  s.section("service");
-  s.u64(resp_.size());
-  for (const auto& q : resp_) {
-    s.u64(q.size());
-    for (const mem::Request& r : q) put_request(s, r);
-  }
-  s.u64(pushed_);
-  ckpt::put_vec(s, fed_, [](ckpt::Sink& k, std::uint64_t f) { k.u64(f); });
-  s.u64(completed_);
-}
-
-void MemoryService::load_state(ckpt::Source& s) {
-  s.section("service");
-  s.match_u64(resp_.size(), "service channel count");
-  for (auto& q : resp_) {
-    q.clear();
-    const std::uint64_t n = s.u64();
-    for (std::uint64_t i = 0; i < n; ++i) q.push_back(get_request(s));
-  }
-  pushed_ = s.u64();
-  ckpt::get_vec(s, fed_, [](ckpt::Source& k) { return k.u64(); });
-  if (fed_.size() != resp_.size())
-    s.fail(ckpt::ErrorKind::Config, "service fed counter width mismatch");
-  completed_ = s.u64();
 }
 
 }  // namespace ima::service

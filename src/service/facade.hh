@@ -110,8 +110,14 @@ class MemoryService {
   /// data) and the loss-accounting counters. The underlying MemorySystem is
   /// saved separately by the owner; quiescence is its contract, not ours —
   /// delivered-but-unpopped responses are valid checkpoint state.
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.section("service");
+    ar.fixed(resp_, "service channel count");
+    ar(pushed_);
+    ar.fixed(fed_, "service fed counter width");
+    ar(completed_);
+  }
 
  private:
   mem::CompletionCallback on_complete(std::uint32_t ch);

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <ostream>
 
+#include "common/ckpt.hh"
 #include "obs/stat_registry.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
@@ -353,5 +354,24 @@ std::vector<double> System::core_ipcs() const {
   for (const auto& c : cores_) out.push_back(c->stats().ipc(now_ ? now_ : 1));
   return out;
 }
+
+template <class Ar>
+void System::fields(Ar& ar) {
+  ar.section("system");
+  // Config fingerprint: a restore target built from a different wiring
+  // would otherwise deserialize garbage into the wrong components.
+  ar.match(std::uint64_t{cfg_.num_cores}, "core count");
+  ar.match(std::string(to_string(cfg_.prefetch)), "prefetcher kind");
+  ar(now_, *mem_);  // the memory system throws State unless quiescent
+  for (auto& l1 : l1s_) ar(*l1);
+  ar(*l2_);
+  for (auto& c : cores_) ar(*c);
+  ar(*prefetcher_, pending_writes_, prefetched_, prefetch_pc_, pf_stats_);
+}
+IMA_CKPT_FIELDS(System);
+
+void System::save(const std::string& path) const { ckpt::save(*this, path); }
+
+void System::restore(const std::string& path) { ckpt::restore(*this, path); }
 
 }  // namespace ima::sim

@@ -99,6 +99,11 @@ class System final : public core::MemoryPort {
     std::uint64_t useful = 0;
     std::uint64_t useless = 0;
     std::uint64_t dropped_by_filter = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(issued, useful, useless, dropped_by_filter);
+    }
   };
   const PrefetchStats& prefetch_stats() const { return pf_stats_; }
 
@@ -128,18 +133,19 @@ class System final : public core::MemoryPort {
   obs::Watchdog& arm_watchdog(std::uint64_t stall_cycles = 0);
   obs::Watchdog* watchdog() { return watchdog_.get(); }
 
-  // --- checkpoint/restore (sim/checkpoint.{hh,cc}) ---
+  // --- checkpoint/restore (common/ckpt.hh) ---
 
   /// Serializes the whole hierarchy — cores (incl. access streams and the
   /// runahead lookahead), both cache levels, the prefetcher, the pending
   /// writeback queue, prefetch bookkeeping, the clock, and the full memory
   /// system (which must be quiescent: ErrorKind::State otherwise).
-  void save_state(ckpt::Sink& s) const;
-  void load_state(ckpt::Source& s);
+  template <class Ar>
+  void fields(Ar& ar);
 
-  /// Sealed-file forms (magic + version + CRC, atomic write); restore
-  /// verifies the whole image before touching any state and requires a
-  /// target constructed with the identical configuration and stream set.
+  /// Sealed-file forms of ckpt::save / ckpt::restore (magic + version +
+  /// CRC, atomic write); restore checks the whole image before touching any
+  /// state and requires a target constructed with the identical
+  /// configuration and stream set.
   void save(const std::string& path) const;
   void restore(const std::string& path);
 

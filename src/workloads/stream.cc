@@ -27,13 +27,11 @@ class StreamingStream final : public AccessStream {
 
   std::string name() const override { return "streaming"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    s.u64(offset_);
-    rng_.save_state(s);
-  }
-  void load_state(ckpt::Source& s) override {
-    offset_ = s.u64();
-    rng_.load_state(s);
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(offset_, rng_);
   }
 
  private:
@@ -58,8 +56,12 @@ class RandomStream final : public AccessStream {
 
   std::string name() const override { return "random"; }
 
-  void save_state(ckpt::Sink& s) const override { rng_.save_state(s); }
-  void load_state(ckpt::Source& s) override { rng_.load_state(s); }
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_);
+  }
 
  private:
   StreamParams p_;
@@ -84,13 +86,11 @@ class ZipfStream final : public AccessStream {
 
   std::string name() const override { return "zipf"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    zipf_.save_state(s);
-    rng_.save_state(s);
-  }
-  void load_state(ckpt::Source& s) override {
-    zipf_.load_state(s);
-    rng_.load_state(s);
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(zipf_, rng_);
   }
 
  private:
@@ -119,17 +119,11 @@ class RowLocalStream final : public AccessStream {
 
   std::string name() const override { return "row-local"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    rng_.save_state(s);
-    s.u64(region_base_);
-    s.u64(in_region_);
-    s.u32(count_);
-  }
-  void load_state(ckpt::Source& s) override {
-    rng_.load_state(s);
-    region_base_ = s.u64();
-    in_region_ = s.u64();
-    count_ = s.u32();
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_, region_base_, in_region_, count_);
   }
 
  private:
@@ -170,13 +164,11 @@ class PointerChaseStream final : public AccessStream {
 
   std::string name() const override { return "pointer-chase"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    rng_.save_state(s);
-    s.u64(cur_);
-  }
-  void load_state(ckpt::Source& s) override {
-    rng_.load_state(s);
-    cur_ = s.u64();
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(rng_, cur_);
   }
 
  private:
@@ -210,21 +202,16 @@ class MixStream final : public AccessStream {
 
   std::string name() const override { return "mix"; }
 
-  void save_state(ckpt::Sink& s) const override {
-    s.u64(parts_.size());
-    for (const auto& part : parts_) {
-      s.str(part->name());
-      part->save_state(s);
-    }
-    rng_.save_state(s);
-  }
-  void load_state(ckpt::Source& s) override {
-    s.match_u64(parts_.size(), "mix part count");
+  void save_state(ckpt::Sink& s) const override { s(*this); }
+  void load_state(ckpt::Source& s) override { s(*this); }
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar.match(std::uint64_t{parts_.size()}, "mix part count");
     for (auto& part : parts_) {
-      s.match_str(part->name(), "mix part");
-      part->load_state(s);
+      ar.match(part->name(), "mix part");
+      ar(*part);
     }
-    rng_.load_state(s);
+    ar(rng_);
   }
 
  private:

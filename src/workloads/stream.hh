@@ -32,6 +32,11 @@ struct TraceEntry {
   // True if the address depends on the previous load's value (pointer
   // chase): speculative mechanisms (runahead) cannot compute it early.
   bool dependent = false;
+
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(compute, addr, type, pc, dependent);
+  }
 };
 
 class AccessStream {
@@ -43,7 +48,8 @@ class AccessStream {
   /// Checkpoint generator position/RNG state so a restored stream resumes
   /// the exact future access sequence. The restore target must be built by
   /// the same factory with the same parameters (names are fingerprinted by
-  /// callers that serialize heterogeneous stream sets).
+  /// callers that serialize heterogeneous stream sets). Implementations
+  /// forward both to their one fields() (common/ckpt.hh).
   virtual void save_state(ckpt::Sink&) const {}
   virtual void load_state(ckpt::Source&) {}
 };

@@ -133,6 +133,18 @@ foreach(metric ckpt_warmup_wall_seconds ckpt_restore_wall_seconds ckpt_warm_star
   endif()
 endforeach()
 
+# Image format pin: the checkpoint layout is the field list of every
+# component's fields(), and the smoke image is deterministic (the same bytes
+# in every build type, clock mode, shard and job width). A layout change
+# must bump ckpt::kVersion on purpose and re-record this hash of the
+# 648,405-byte version-1 image.
+set(ckpt_sha256_recorded 87c4f6e430d835bd0f700398f62056d2fce4b8ba7a1fc0a5dd3f949934d95e9b)
+file(SHA256 "${out_dir}/CKPT_smoke.ckpt" ckpt_sha256)
+if(NOT ckpt_sha256 STREQUAL ckpt_sha256_recorded)
+  message(FATAL_ERROR "CKPT_smoke.ckpt layout changed: sha256 ${ckpt_sha256}, recorded "
+                      "${ckpt_sha256_recorded}. Bump ckpt::kVersion and re-record the hash.")
+endif()
+
 # Serving phase: the open-loop facade pump is loss-free by contract —
 # arrivals and completions must agree exactly, the span decomposition must
 # stay exact under serving traffic, and the tail percentile must be there

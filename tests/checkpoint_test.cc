@@ -13,8 +13,11 @@
 //
 // The corruption suite proves a damaged image can never half-restore: the
 // sealed blob's magic, version, length and CRC are verified before any
-// component load begins, so every kind of file damage is a typed
-// CheckpointError and the target system is left exactly as constructed.
+// component load begins, and ckpt::restore checks every section, config
+// fingerprint and container length before it loads anything. Every kind of
+// file damage, a config mismatch deep in the image and a crafted oversized
+// length are therefore typed CheckpointErrors, and the target system is
+// left exactly as constructed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -26,13 +29,13 @@
 
 #include "common/ckpt.hh"
 #include "harness/sweep.hh"
+#include "learn/qlearn.hh"
 #include "mem/memsys.hh"
 #include "mem/refresh.hh"
 #include "mem/rowhammer.hh"
 #include "obs/stat_registry.hh"
 #include "reliability/engine.hh"
 #include "service/facade.hh"
-#include "sim/checkpoint.hh"
 #include "sim/system.hh"
 #include "workloads/stream.hh"
 
@@ -121,14 +124,9 @@ Outcome run_two_segments(const Factory& make, std::uint64_t seed, unsigned shard
   mem::MemorySystem* target = a.get();
   std::unique_ptr<mem::MemorySystem> b;
   if (through_checkpoint) {
-    ckpt::Sink sink;
-    a->save_state(sink);
-    ckpt::Blob blob;
-    blob.payload = sink.take();
+    const ckpt::Blob blob = ckpt::capture(*a);
     b = make();
-    ckpt::Source src(blob.payload);
-    b->load_state(src);
-    EXPECT_TRUE(src.done());
+    EXPECT_NO_THROW(ckpt::restore(*b, blob));  // incl. no trailing bytes
     target = b.get();
     a.reset();  // the original is gone; only the image survives
   }
@@ -225,13 +223,9 @@ TEST(CkptMatrix, BorrowedVictimModelTravelsWithTheImage) {
     Rig b;
     Rig* tgt = &a;
     if (through_checkpoint) {
-      ckpt::Sink sink;
-      a.sys->save_state(sink);
+      const ckpt::Blob blob = ckpt::capture(*a.sys);
       b = make_rig();
-      const std::vector<std::uint8_t> payload = sink.take();
-      ckpt::Source src(payload);
-      b.sys->load_state(src);
-      EXPECT_TRUE(src.done());
+      EXPECT_NO_THROW(ckpt::restore(*b.sys, blob));
       tgt = &b;
     }
     std::vector<std::uint64_t> cur2(tgt->sys->num_channels(), 0);
@@ -275,13 +269,9 @@ TEST(CkptMatrix, ReliabilityLedgerAndDataPagesRestore) {
     mem::MemorySystem* tgt = a.get();
     std::unique_ptr<mem::MemorySystem> b;
     if (through_checkpoint) {
-      ckpt::Sink sink;
-      a->save_state(sink);
+      const ckpt::Blob blob = ckpt::capture(*a);
       b = make();
-      const std::vector<std::uint8_t> payload = sink.take();
-      ckpt::Source src(payload);
-      b->load_state(src);
-      EXPECT_TRUE(src.done());
+      EXPECT_NO_THROW(ckpt::restore(*b, blob));
       tgt = b.get();
       a.reset();
     }
@@ -347,16 +337,12 @@ TEST(CkptMatrix, ServingFacadeResponseQueuesRestore) {
     std::unique_ptr<mem::MemorySystem> sysb;
     std::unique_ptr<service::MemoryService> svcb;
     if (through_checkpoint) {
-      ckpt::Sink sink;
-      sysa->save_state(sink);
-      svca->save_state(sink);
+      const ckpt::Blob sys_image = ckpt::capture(*sysa);
+      const ckpt::Blob svc_image = ckpt::capture(*svca);
       sysb = make();
       svcb = std::make_unique<service::MemoryService>(*sysb);
-      const std::vector<std::uint8_t> payload = sink.take();
-      ckpt::Source src(payload);
-      sysb->load_state(src);
-      svcb->load_state(src);
-      EXPECT_TRUE(src.done());
+      EXPECT_NO_THROW(ckpt::restore(*sysb, sys_image));
+      EXPECT_NO_THROW(ckpt::restore(*svcb, svc_image));
       sys = sysb.get();
       svc = svcb.get();
     }
@@ -426,9 +412,9 @@ std::string run_system(sim::PrefetchKind pf, bool through_checkpoint) {
   sim::System* tgt = a.get();
   std::unique_ptr<sim::System> b;
   if (through_checkpoint) {
-    const ckpt::Blob blob = sim::checkpoint(*a);
+    const ckpt::Blob blob = ckpt::capture(*a);
     b = std::make_unique<sim::System>(cfg, matrix_streams(cfg.num_cores));
-    sim::restore(*b, blob);
+    ckpt::restore(*b, blob);
     tgt = b.get();
     a.reset();
   }
@@ -498,7 +484,7 @@ TEST(CkptCorruption, DamageIsTypedAndNeverHalfRestores) {
   sim::System sys(cfg, matrix_streams(cfg.num_cores));
   sys.run(20'000);
   sys.memory().drain(sys.now());
-  const std::vector<std::uint8_t> good = ckpt::seal(sim::checkpoint(sys));
+  const std::vector<std::uint8_t> good = ckpt::seal(ckpt::capture(sys));
 
   // Truncation: header intact, payload cut short.
   std::vector<std::uint8_t> truncated(good.begin(), good.end() - good.size() / 3);
@@ -535,18 +521,78 @@ TEST(CkptCorruption, ConfigMismatchIsTyped) {
   sim::System small(cfg2, matrix_streams(cfg2.num_cores));
   small.run(10'000);
   small.memory().drain(small.now());
-  const ckpt::Blob blob = sim::checkpoint(small);
+  const ckpt::Blob blob = ckpt::capture(small);
 
   auto cfg4 = cfg2;
   cfg4.num_cores = 4;
   cfg4.ctrl.num_cores = 4;
   sim::System big(cfg4, matrix_streams(cfg4.num_cores));
   try {
-    sim::restore(big, blob);
+    ckpt::restore(big, blob);
     FAIL() << "cross-config restore succeeded";
   } catch (const ckpt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), ckpt::ErrorKind::Config);
   }
+}
+
+TEST(CkptCorruption, DeepConfigMismatchNeverHalfRestores) {
+  // The scheduler fingerprint sits deep in the image, after the clock, the
+  // data store and every channel's timing state. Restore checks the whole
+  // image before loading any of it, so the mismatched twin is left exactly
+  // as constructed.
+  const auto cfg = matrix_system_config(sim::PrefetchKind::None);
+  sim::System frfcfs(cfg, matrix_streams(cfg.num_cores));
+  frfcfs.run(20'000);
+  frfcfs.memory().drain(frfcfs.now());
+  const ckpt::Blob blob = ckpt::capture(frfcfs);
+
+  auto bliss_cfg = cfg;
+  bliss_cfg.ctrl.sched = mem::SchedKind::Bliss;
+  sim::System twin(bliss_cfg, matrix_streams(bliss_cfg.num_cores));
+  try {
+    ckpt::restore(twin, blob);
+    FAIL() << "cross-scheduler restore succeeded";
+  } catch (const ckpt::CheckpointError& e) {
+    EXPECT_EQ(e.kind(), ckpt::ErrorKind::Config);
+  }
+  sim::System pristine(bliss_cfg, matrix_streams(bliss_cfg.num_cores));
+  EXPECT_EQ(render_system(twin), render_system(pristine));
+  EXPECT_EQ(twin.now(), pristine.now());
+}
+
+TEST(CkptCorruption, OversizedLengthIsTypedFormatError) {
+  // A crafted image passes the CRC, so a container length read from it is
+  // bounded by the bytes left in the payload before anything is allocated.
+  const auto expect_format = [](auto& target, ckpt::Sink& crafted) {
+    ckpt::Blob blob;
+    blob.payload = crafted.take();
+    try {
+      ckpt::restore(target, ckpt::open(ckpt::seal(blob)));
+      FAIL() << "oversized length restored";
+    } catch (const ckpt::CheckpointError& e) {
+      EXPECT_EQ(e.kind(), ckpt::ErrorKind::Format);
+    }
+  };
+
+  // Unordered map: the victim model's disturbance counters.
+  mem::HammerVictimModel vm(matrix_dram(2).geometry, 50);
+  ckpt::Sink map_image;
+  map_image.section("victim_model");
+  map_image.u64(std::uint64_t{1} << 61);
+  expect_format(vm, map_image);
+  EXPECT_EQ(vm.flips(), 0u);
+
+  // Vector: the Q-agent's value table, behind its config fingerprint.
+  const learn::QAgent::Config qcfg;
+  learn::QAgent agent(qcfg);
+  ckpt::Sink vec_image;
+  vec_image.section("qagent");
+  vec_image.u32(qcfg.num_actions);
+  vec_image.u64(qcfg.table_entries);
+  vec_image.f64(qcfg.epsilon);
+  vec_image.u64(std::uint64_t{1} << 61);
+  expect_format(agent, vec_image);
+  EXPECT_EQ(agent.updates(), 0u);
 }
 
 TEST(CkptCorruption, MidEpochSaveRefusesWithStateError) {
@@ -555,9 +601,8 @@ TEST(CkptCorruption, MidEpochSaveRefusesWithStateError) {
   r.addr = 0;
   ASSERT_TRUE(sys.enqueue(r));
   // Queued work, no drain: the machine is not quiescent.
-  ckpt::Sink sink;
   try {
-    sys.save_state(sink);
+    ckpt::capture(sys);
     FAIL() << "mid-flight save succeeded";
   } catch (const ckpt::CheckpointError& e) {
     EXPECT_EQ(e.kind(), ckpt::ErrorKind::State);
@@ -592,9 +637,7 @@ TEST(CkptSweep, TimeoutKilledJobRetriedFromCheckpointIsByteIdentical) {
     std::vector<std::uint64_t> cur(sys->num_channels(), 0);
     const auto src = make_source(*sys, cur, 200, 0xCAFEull, scratch);
     warm_cycle = sys->drain_sourced(src, 0);
-    ckpt::Sink sink;
-    sys->save_state(sink);
-    warm.payload = sink.take();
+    warm = ckpt::capture(*sys);
   }
 
   const std::vector<std::uint64_t> points = {1, 2, 3, 4};
@@ -603,8 +646,7 @@ TEST(CkptSweep, TimeoutKilledJobRetriedFromCheckpointIsByteIdentical) {
     if (fail_first && ctx.attempt == 0)
       throw harness::SweepTimeout("injected wall-clock kill");
     auto sys = make();
-    ckpt::Source src(warm.payload);
-    sys->load_state(src);
+    ckpt::restore(*sys, warm);
     Outcome out;
     std::vector<std::uint64_t> cur(sys->num_channels(), 0);
     const auto src2 = make_source(*sys, cur, 100, 0xBEEF00ull + point, out);
