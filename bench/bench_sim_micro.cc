@@ -256,7 +256,13 @@ void BM_SchedulerPick(benchmark::State& state) {
     r.req.arrive = static_cast<Cycle>(i);
     q.push_back(r);
   }
-  mem::SchedView view{&chan, 100, &cores};
+  // Built as the controller builds its view: the same meta builder plus a
+  // timing cache; arrivals ascend, as the controller would track.
+  std::vector<mem::QueueScanMeta> meta;
+  for (const auto& r : q) meta.push_back(mem::scan_meta(chan, r));
+  mem::SchedTimingCache cache(chan);
+  cache.begin(100);
+  const mem::SchedView view{100, &cores, &cache, meta.data(), /*arrive_sorted=*/true};
   for (auto _ : state) {
     sched->tick(view, q);
     benchmark::DoNotOptimize(sched->pick(q, view));

@@ -45,8 +45,10 @@ std::optional<std::vector<std::uint8_t>> try_base_delta(const std::uint8_t* raw,
   for (std::uint32_t i = 0; i < kElems; ++i) {
     const auto sv = static_cast<std::int64_t>(static_cast<std::make_signed_t<Elem>>(e[i]));
     const std::int64_t d_zero = sv;
-    const std::int64_t d_base =
-        static_cast<std::int64_t>(e[i]) - static_cast<std::int64_t>(base);
+    // Modular 64-bit difference: exact whenever it fits, and never a
+    // signed overflow for 8-byte elements.
+    const auto d_base = static_cast<std::int64_t>(static_cast<std::uint64_t>(e[i]) -
+                                                  static_cast<std::uint64_t>(base));
     std::int64_t d;
     if (fits(d_zero)) {
       d = d_zero;  // implicit zero base (mask bit stays 0)

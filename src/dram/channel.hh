@@ -117,6 +117,10 @@ class Channel {
   std::uint32_t unit_rank(std::size_t u) const {
     return static_cast<std::uint32_t>(u >> rank_shift_);
   }
+  /// Flat bank id (rank * banks + bank) of unit `u`.
+  std::uint32_t bank_of_unit(std::size_t u) const {
+    return static_cast<std::uint32_t>(u >> sub_shift_);
+  }
 
   /// Rank-level gates shared by every unit of a rank, folded once per scan:
   /// `t` = max(now, rank ready), the ACT-class gate (tRRD + tFAW), the bus
@@ -155,21 +159,6 @@ class Channel {
   }
   Cycle earliest_wr_at(std::size_t u, const ScanGates& g) const {
     return std::max(g.bus_wr, unit_next_wr_[u]);
-  }
-
-  /// All four class-earliest values of one unit in a single pass (the
-  /// SchedTimingCache refill kernel). Slots whose state precondition does
-  /// not hold carry the unchecked arithmetic value; callers only consult
-  /// legal slots (the cache keys the slot off open/open_row itself).
-  struct UnitTimes {
-    Cycle act, pre, rd, wr;
-  };
-  UnitTimes unit_times(const Coord& c, Cycle now) const {
-    const ScanGates g = scan_gates(c.rank, now);
-    const std::size_t u = unit_of(c);
-    if (!g.active) return UnitTimes{kCycleNever, kCycleNever, kCycleNever, kCycleNever};
-    return UnitTimes{earliest_act_at(u, g), earliest_pre_at(u, g), earliest_rd_at(u, g),
-                     earliest_wr_at(u, g)};
   }
 
   /// Bulk kernel behind earliest(Ref): the cycle every unit of `rank` has
@@ -294,9 +283,6 @@ class Channel {
 
   void record_act(const Coord& c, std::uint32_t row, Cycle now);
 
-  std::uint32_t bank_of_unit(std::size_t u) const {
-    return static_cast<std::uint32_t>(u >> sub_shift_);
-  }
   void open_unit(std::size_t u, std::uint32_t row) {
     if (!unit_open_[u]) {
       unit_open_[u] = 1;

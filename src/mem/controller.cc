@@ -39,7 +39,6 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
   read_q_count_.assign(cfg.num_cores, 0);
   rank_last_activity_.assign(chan.config().geometry.ranks, 0);
   rank_work_.assign(chan.config().geometry.ranks, 0);
-  if (cfg.memoize_timing) timing_cache_.attach(chan);
   if (cfg.record_spans) spans_ = std::make_unique<SpanRecorders>();
   sched_ = make_scheduler(cfg.sched, cfg.num_cores, cfg.seed);
   sched_pick_pure_ = sched_->pick_is_pure();
@@ -138,10 +137,7 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   ++live;
   q.push_back(std::move(qr));
   auto& meta = is_read ? read_meta_ : write_meta_;
-  meta.push_back(QueueScanMeta{static_cast<std::uint32_t>(chan_.unit_of(q.back().coord)),
-                               q.back().coord.row,
-                               QueueScanMeta::kLive |
-                                   (is_read ? 0u : QueueScanMeta::kWrite)});
+  meta.push_back(scan_meta(chan_, q.back()));
   UnitOcc& oc = occ_[is_read ? 0 : 1];
   const std::uint32_t u = meta.back().unit;
   if (!oc.listed[u]) {
@@ -276,7 +272,8 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
             .arg1 = qr.coord.row,
             .name = cmd == dram::Cmd::Rd ? "serve-rd" : "serve-wr");
 
-  sched_->on_service(qr, view(now));
+  const bool is_read = &q == &read_q_;
+  sched_->on_service(qr, view(now, is_read));
   if (qr.req.core < cores_.size()) {
     cores_[qr.req.core].attained_service += tm.bl;
     ++cores_[qr.req.core].served_in_quantum;
@@ -288,14 +285,13 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
   qr.req.served = now;
   inflight_.push(Inflight{done, qr.req, std::move(qr.cb)});
   // Tombstone in place instead of a middle-of-vector erase: the slot keeps
-  // its index (oldest_where ties break by index, so survivors must not
+  // its index (scheduler ties break by index, so survivors must not
   // shift until a *stable* compaction) and the hot path stops paying
   // O(queue) element moves per served request.
   qr.live = false;
   qr.marked = false;
   qr.cb = nullptr;
   --rank_work_[qr.coord.rank];
-  const bool is_read = &q == &read_q_;
   std::vector<QueueScanMeta>& meta = is_read ? read_meta_ : write_meta_;
   meta[idx].flags = 0;
   // A RD/WR only ever serves a row hit at an open unit, so the entry is
@@ -439,10 +435,8 @@ bool Controller::try_issue_request(Cycle now) {
 bool Controller::try_issue_from(std::vector<QueuedRequest>& q, std::size_t live, Cycle now) {
   if (live == 0) return false;
 
-  SchedView v = view(now);
   const bool is_read = &q == &read_q_;
-  v.arrive_sorted = is_read ? read_q_sorted_ : write_q_sorted_;
-  v.meta = (is_read ? read_meta_ : write_meta_).data();
+  const SchedView v = view(now, is_read);
   sched_->tick(v, q);
   // Proven-idle skip: while the stashed queue-kernel min (which covers
   // BOTH queues) lies in the future, no queued command is legal, so a pick
@@ -458,8 +452,8 @@ bool Controller::try_issue_from(std::vector<QueuedRequest>& q, std::size_t live,
   QueuedRequest& qr = q[idx];
   if (refresh_->rank_blocked(qr.coord.rank)) return false;
 
-  const dram::Cmd cmd = v.required_cmd(qr);
-  if (!v.issuable(qr)) return false;
+  const dram::Cmd cmd = v.required_cmd(idx);
+  if (!v.issuable(idx)) return false;
   classify_first_touch(qr);
   if (qr.req.first_cmd == kCycleNever) qr.req.first_cmd = now;
   rank_last_activity_[qr.coord.rank] = now;

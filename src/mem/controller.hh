@@ -61,12 +61,6 @@ struct ControllerConfig {
   std::size_t charge_cache_entries = 128;
   Cycle charge_retention = 1'200'000;  // ~1ms
 
-  // Per-cycle timing memoization (SchedTimingCache, sched.hh). On by
-  // default; the differential scheduler test forces it off to check the
-  // memoized picks against the direct-query reference. Self-disables under
-  // SALP regardless of this flag.
-  bool memoize_timing = true;
-
   // Request lifecycle spans: attribute each read's end-to-end latency into
   // queueing / timing-stall / refresh-blocked / transfer stages, recorded
   // into per-stage TailRecorders (p50..p999). Off by default: when off the
@@ -249,15 +243,12 @@ class Controller {
   void classify_first_touch(QueuedRequest& qr);
   std::uint64_t charge_key(const dram::Coord& c, std::uint32_t row) const;
 
-  /// Builds the per-decision scheduler view, entering the timing-memo epoch
-  /// for `now` when memoization is enabled.
-  SchedView view(Cycle now) const {
-    SchedView v{&chan_, now, &cores_};
-    if (timing_cache_.enabled()) {
-      timing_cache_.begin(now);
-      v.cache = &timing_cache_;
-    }
-    return v;
+  /// Builds the per-decision scheduler view over the read or write queue,
+  /// entering the timing cache's epoch for `now`.
+  SchedView view(Cycle now, bool is_read) const {
+    timing_cache_.begin(now);
+    return SchedView{now, &cores_, &timing_cache_, (is_read ? read_meta_ : write_meta_).data(),
+                     is_read ? read_q_sorted_ : write_q_sorted_};
   }
 
   dram::Channel& chan_;
@@ -274,8 +265,9 @@ class Controller {
   std::vector<QueuedRequest> read_q_;
   std::vector<QueuedRequest> write_q_;
   // Live (unserved) entries per queue. Served requests tombstone in place
-  // (stable index order preserves oldest_where tie-breaks) and compact in
-  // batches, so q.size() overstates occupancy between compactions.
+  // (stable index order preserves the schedulers' lowest-index tie-breaks)
+  // and compact in batches, so q.size() overstates occupancy between
+  // compactions.
   std::size_t read_q_live_ = 0;
   std::size_t write_q_live_ = 0;
   // Per-queue arrive monotonicity (SchedView::arrive_sorted): requests are
@@ -334,7 +326,7 @@ class Controller {
   // enqueue/dequeue — replaces manage_power's per-tick occupancy vector and
   // feeds next_event's power-threshold terms.
   std::vector<std::uint32_t> rank_work_;
-  mutable SchedTimingCache timing_cache_;
+  mutable SchedTimingCache timing_cache_{chan_};
   std::vector<dram::Coord> victims_buf_;  // reused act-hook scratch
   // Issue lower-bound stash: the queue kernel's min over both request
   // queues, computed by next_event and reused while nothing that feeds it

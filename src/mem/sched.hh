@@ -83,30 +83,17 @@ struct CoreState {
 /// scan_gates() once per rank per epoch and answers every query as two or
 /// three dense loads plus a max() against the cached gates — exactly the
 /// values Channel::earliest() computes, by shared construction
-/// (earliest_*_at IS earliest()'s arithmetic). Validity is keyed on
-/// (cycle, Channel::state_version()): `begin()` bumps the epoch whenever
-/// either moved, so the cache can never serve a value the channel would
-/// not return itself this cycle.
-///
-/// An earlier incarnation cached per-bank entries (open/open_row plus all
-/// four class-earliest slots). With the SoA arrays those per-bank values
-/// are plain loads, and refilling entries on every epoch — every issued
-/// command — cost more than it saved; only the rank gates survived.
-///
-/// Disabled under SALP: historically one entry per bank was not a sound
-/// granularity there. The gates rewrite would be sound under SALP too
-/// (gates are per rank, unit_of resolves the subarray), but the dense
-/// uncached path is just as fast, so it stays self-disabled rather than
-/// re-validating every SALP golden for zero win.
+/// (earliest_*_at IS earliest()'s arithmetic, and QueueScanMeta::unit is
+/// Channel::unit_of, which resolves the subarray under SALP). Validity is
+/// keyed on (cycle, Channel::state_version()): `begin()` bumps the epoch
+/// whenever either moved, so the cache can never serve a value the
+/// channel would not return itself this cycle.
 class SchedTimingCache {
  public:
-  void attach(const dram::Channel& chan) {
-    chan_ = &chan;
-    enabled_ = !chan.config().timings.salp;
-    gates_.assign(chan.config().geometry.ranks, dram::Channel::ScanGates{});
-    gate_epoch_.assign(chan.config().geometry.ranks, 0);
-  }
-  bool enabled() const { return chan_ != nullptr && enabled_; }
+  explicit SchedTimingCache(const dram::Channel& chan)
+      : chan_(&chan),
+        gates_(chan.config().geometry.ranks),
+        gate_epoch_(chan.config().geometry.ranks, 0) {}
 
   /// Enter the decision epoch for `now`. Cheap when nothing changed since
   /// the last call; otherwise invalidates every rank's gates (lazily).
@@ -123,41 +110,20 @@ class SchedTimingCache {
     const std::size_t u = chan_->unit_of(c);
     return chan_->unit_open(u) && chan_->unit_row(u) == c.row;
   }
-  dram::Cmd required_cmd(const dram::Coord& c, AccessType type) const {
-    return chan_->required_cmd(c, type);
+  bool row_hit(const QueueScanMeta& m) const {
+    return chan_->unit_open(m.unit) && chan_->unit_row(m.unit) == m.row;
   }
-  /// Earliest legal cycle of this access's required command (kCycleNever
-  /// when the rank is asleep, matching Channel::earliest()).
-  Cycle earliest_required(const dram::Coord& c, AccessType type) const {
-    const dram::Channel::ScanGates& g = gates(c.rank);
-    if (!g.active) return kCycleNever;
-    const std::size_t u = chan_->unit_of(c);
-    if (!chan_->unit_open(u)) return chan_->earliest_act_at(u, g);
-    if (chan_->unit_row(u) == c.row)
-      return type == AccessType::Read ? chan_->earliest_rd_at(u, g)
-                                      : chan_->earliest_wr_at(u, g);
-    return chan_->earliest_pre_at(u, g);
+  /// The command this entry needs next (Channel::required_cmd off the meta).
+  dram::Cmd required_cmd(const QueueScanMeta& m) const {
+    if (!chan_->unit_open(m.unit)) return dram::Cmd::Act;
+    if (chan_->unit_row(m.unit) != m.row) return dram::Cmd::Pre;
+    return (m.flags & QueueScanMeta::kWrite) ? dram::Cmd::Wr : dram::Cmd::Rd;
   }
-  /// Fused legality + row-hit classification: 0 = the required command is
-  /// not legal at now_, 1 = legal, 2 = legal and a row hit. One unit lookup
-  /// where the issuable()/row_hit() pair cost two.
-  int issue_class(const dram::Coord& c, AccessType type) const {
-    const dram::Channel::ScanGates& g = gates(c.rank);
-    if (!g.active) return 0;
-    const std::size_t u = chan_->unit_of(c);
-    if (!chan_->unit_open(u)) return chan_->earliest_act_at(u, g) <= now_ ? 1 : 0;
-    if (chan_->unit_row(u) == c.row) {
-      const Cycle e = type == AccessType::Read ? chan_->earliest_rd_at(u, g)
-                                               : chan_->earliest_wr_at(u, g);
-      return e <= now_ ? 2 : 0;
-    }
-    return chan_->earliest_pre_at(u, g) <= now_ ? 1 : 0;
-  }
-  /// issue_class off a QueueScanMeta entry: identical classification (the
-  /// meta carries this request's precomputed unit_of, row and direction)
-  /// without touching the QueuedRequest itself. Force-inlined: this runs
-  /// per queue entry inside every scheduler's pick scan, and the call
-  /// frame otherwise costs as much as the classification.
+  /// Fused legality + row-hit classification of one entry: 0 = the
+  /// required command is not legal at now_ (including a sleeping rank),
+  /// 1 = legal, 2 = legal and a row hit. Force-inlined: this runs per queue
+  /// entry inside every scheduler's pick scan, and the call frame
+  /// otherwise costs as much as the classification.
   [[gnu::always_inline]] inline int issue_class(const QueueScanMeta& m) const {
     const std::size_t u = m.unit;
     const dram::Channel::ScanGates& g = gates(chan_->unit_rank(u));
@@ -170,6 +136,8 @@ class SchedTimingCache {
     }
     return chan_->earliest_pre_at(u, g) <= now_ ? 1 : 0;
   }
+  /// The channel this cache reads (SchedView's geometry queries use it).
+  const dram::Channel& channel() const { return *chan_; }
 
  private:
   const dram::Channel::ScanGates& gates(std::uint32_t rank) const {
@@ -180,8 +148,7 @@ class SchedTimingCache {
     return gates_[rank];
   }
 
-  const dram::Channel* chan_ = nullptr;
-  bool enabled_ = false;
+  const dram::Channel* chan_;
   Cycle now_ = kCycleNever;
   std::uint64_t version_ = ~std::uint64_t{0};
   std::uint64_t epoch_ = 1;  // gate slots start at 0 => initially stale
@@ -189,61 +156,55 @@ class SchedTimingCache {
   mutable std::vector<std::uint64_t> gate_epoch_;
 };
 
+/// The scan-meta entry of one queued request (tombstones carry no flags).
+/// The controller appends one per enqueue; hand-built queues use the same
+/// builder.
+inline QueueScanMeta scan_meta(const dram::Channel& chan, const QueuedRequest& r) {
+  const std::uint32_t flags =
+      r.live ? QueueScanMeta::kLive |
+                   (r.req.type == AccessType::Read ? 0u : QueueScanMeta::kWrite)
+             : 0u;
+  return QueueScanMeta{static_cast<std::uint32_t>(chan.unit_of(r.coord)), r.coord.row, flags};
+}
+
 /// Read-only view of controller state offered to a scheduler each decision.
+/// Every query answers off the active queue's QueueScanMeta through the
+/// controller's SchedTimingCache, whose epoch has begun at `now`.
 struct SchedView {
-  const dram::Channel* chan = nullptr;
   Cycle now = 0;
   const std::vector<CoreState>* cores = nullptr;
-  SchedTimingCache* cache = nullptr;  // optional per-cycle timing memo
+  const SchedTimingCache* cache = nullptr;
+  // Index-parallel scan metadata for the active queue, tombstones included.
+  const QueueScanMeta* meta = nullptr;
   // True when the active queue's live entries have non-decreasing
   // req.arrive (the controller tracks this per queue on enqueue; requests
   // are stamped with the enqueue cycle, so it holds in practice). Then
   // "oldest in class" = "first in class", and first-ready schedulers may
   // return at the first match instead of completing an argmin scan.
-  // Hand-built views default to false and take the order-agnostic path.
   bool arrive_sorted = false;
-  // Index-parallel scan metadata for the active queue (null for hand-built
-  // views; the controller wires its per-queue array in). When present with
-  // the cache, live(i)/issue_class_at(i) answer off 12-byte entries without
-  // touching the queue structs — byte-identical results by construction.
-  const QueueScanMeta* meta = nullptr;
 
-  [[gnu::always_inline]] inline bool live(std::size_t i,
-                                          const std::vector<QueuedRequest>& q) const {
-    return meta ? (meta[i].flags & QueueScanMeta::kLive) != 0 : q[i].live;
+  [[gnu::always_inline]] inline bool live(std::size_t i) const {
+    return (meta[i].flags & QueueScanMeta::kLive) != 0;
   }
-  [[gnu::always_inline]] inline int issue_class_at(
-      std::size_t i, const std::vector<QueuedRequest>& q) const {
-    if (meta && cache) return cache->issue_class(meta[i]);
-    return issue_class(q[i]);
+  /// 0 = entry i's next command cannot issue this cycle, 1 = it can,
+  /// 2 = it can and is a row hit (see SchedTimingCache::issue_class).
+  [[gnu::always_inline]] inline int issue_class(std::size_t i) const {
+    return cache->issue_class(meta[i]);
   }
-
-  bool row_hit(const QueuedRequest& q) const {
-    if (cache) return cache->row_hit(q.coord);
-    return chan->bank_open(q.coord) && chan->open_row(q.coord) == q.coord.row;
+  bool issuable(std::size_t i) const { return issue_class(i) != 0; }
+  bool row_hit(std::size_t i) const { return cache->row_hit(meta[i]); }
+  /// The command entry i needs next (Act / Pre / Rd / Wr).
+  dram::Cmd required_cmd(std::size_t i) const { return cache->required_cmd(meta[i]); }
+  /// Flat (rank, bank) id of entry i, in [0, bank_count()): its unit with
+  /// the SALP subarray bits dropped.
+  std::uint32_t bank(std::size_t i) const { return cache->channel().bank_of_unit(meta[i].unit); }
+  std::size_t bank_count() const {
+    const auto& g = cache->channel().config().geometry;
+    return static_cast<std::size_t>(g.ranks) * g.banks;
   }
-  /// The command this request needs next (Act / Pre / Rd / Wr).
-  dram::Cmd required_cmd(const QueuedRequest& q) const {
-    if (cache) return cache->required_cmd(q.coord, q.req.type);
-    return chan->required_cmd(q.coord, q.req.type);
-  }
-  /// Earliest legal cycle of that command (kCycleNever if the rank is in a
-  /// low-power state — the controller must wake it first).
-  Cycle earliest(const QueuedRequest& q) const {
-    if (cache) return cache->earliest_required(q.coord, q.req.type);
-    return chan->earliest(chan->required_cmd(q.coord, q.req.type), q.coord, now);
-  }
-  /// True if the next command this request needs can issue this cycle.
-  bool issuable(const QueuedRequest& q) const { return earliest(q) <= now; }
-  /// Fused issuable()/row_hit() truth table in one bank lookup:
-  /// 0 = not issuable this cycle, 1 = issuable, 2 = issuable row hit.
-  /// (Row hits on non-issuable requests classify as 0 — the first-ready
-  /// scan loops only ever consult row_hit after issuable passes.)
-  int issue_class(const QueuedRequest& q) const {
-    if (cache) return cache->issue_class(q.coord, q.req.type);
-    if (earliest(q) > now) return 0;
-    return row_hit(q) ? 2 : 1;
-  }
+  /// Row hit of a request outside the active queue's index space (the
+  /// request just served, in on_service).
+  bool row_hit(const QueuedRequest& q) const { return cache->row_hit(q.coord); }
 };
 
 inline constexpr std::size_t kNoPick = static_cast<std::size_t>(-1);
@@ -333,21 +294,5 @@ std::unique_ptr<Scheduler> make_mise(std::uint32_t num_cores, Cycle epoch = 50'0
 
 /// Reads the estimates off a scheduler created by make_mise.
 std::vector<double> mise_estimated_slowdowns(const Scheduler& sched);
-
-// --- shared helpers for scheduler implementations ---
-
-/// Oldest live request by arrival among those satisfying `pred`; kNoPick if
-/// none. Ties resolve to the lowest index (= insertion order), so served
-/// tombstones must be compacted stably — reordering survivors would change
-/// picks.
-template <typename Pred>
-std::size_t oldest_where(const std::vector<QueuedRequest>& q, Pred&& pred) {
-  std::size_t best = kNoPick;
-  for (std::size_t i = 0; i < q.size(); ++i) {
-    if (!q[i].live || !pred(q[i])) continue;
-    if (best == kNoPick || q[i].req.arrive < q[best].req.arrive) best = i;
-  }
-  return best;
-}
 
 }  // namespace ima::mem

@@ -23,18 +23,18 @@ class FcfsScheduler final : public Scheduler {
     if (v.arrive_sorted) {
       std::size_t any = kNoPick;
       for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i, q)) continue;
+        if (!v.live(i)) continue;
         if (any == kNoPick) any = i;
-        if (v.issue_class_at(i, q) != 0) return i;
+        if (v.issue_class(i) != 0) return i;
       }
       return any;
     }
     std::size_t ready = kNoPick, any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i, q)) continue;
+      if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
       if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
-      if (v.issue_class_at(i, q) != 0 &&
+      if (v.issue_class(i) != 0 &&
           (ready == kNoPick || r.req.arrive < q[ready].req.arrive))
         ready = i;
     }
@@ -53,15 +53,15 @@ class FrFcfsScheduler final : public Scheduler {
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     // Fused hit/ready/any scan: each priority class is a subset of the
     // next, so one pass tracking three argmins returns exactly what the
-    // three oldest_where passes did — at a third of the queue walks (this
+    // three oldest-in-class passes did — at a third of the queue walks (this
     // is the single hottest loop in a loaded simulation). On a sorted
     // queue the scan returns at the first issuable row hit.
     if (v.arrive_sorted) {
       std::size_t ready = kNoPick, any = kNoPick;
       for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i, q)) continue;
+        if (!v.live(i)) continue;
         if (any == kNoPick) any = i;
-        const int cls = v.issue_class_at(i, q);
+        const int cls = v.issue_class(i);
         if (cls == 0) continue;
         if (cls == 2) return i;
         if (ready == kNoPick) ready = i;
@@ -70,10 +70,10 @@ class FrFcfsScheduler final : public Scheduler {
     }
     std::size_t hit = kNoPick, ready = kNoPick, any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i, q)) continue;
+      if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
       if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
-      const int cls = v.issue_class_at(i, q);
+      const int cls = v.issue_class(i);
       if (cls == 0) continue;
       if (ready == kNoPick || r.req.arrive < q[ready].req.arrive) ready = i;
       if (cls == 2 && (hit == kNoPick || r.req.arrive < q[hit].req.arrive))
@@ -98,9 +98,9 @@ class FrFcfsCapScheduler final : public Scheduler {
     if (v.arrive_sorted) {
       std::size_t ready = kNoPick, any = kNoPick;
       for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i, q)) continue;
+        if (!v.live(i)) continue;
         if (any == kNoPick) any = i;
-        const int cls = v.issue_class_at(i, q);
+        const int cls = v.issue_class(i);
         if (cls == 0) continue;
         if (cls == 2 && streak_for(q[i].coord) < cap_) return i;
         if (ready == kNoPick) ready = i;
@@ -109,10 +109,10 @@ class FrFcfsCapScheduler final : public Scheduler {
     }
     std::size_t hit = kNoPick, ready = kNoPick, any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i, q)) continue;
+      if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
       if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
-      const int cls = v.issue_class_at(i, q);
+      const int cls = v.issue_class(i);
       if (cls == 0) continue;
       if (ready == kNoPick || r.req.arrive < q[ready].req.arrive) ready = i;
       if (cls == 2 && streak_for(r.coord) < cap_ &&
@@ -188,10 +188,10 @@ class BlissScheduler final : public Scheduler {
     if (v.arrive_sorted) {
       std::size_t wl_ready = kNoPick, hit = kNoPick, ready = kNoPick, any = kNoPick;
       for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i, q)) continue;
+        if (!v.live(i)) continue;
         const QueuedRequest& r = q[i];
         if (any == kNoPick) any = i;
-        const int cls = v.issue_class_at(i, q);
+        const int cls = v.issue_class(i);
         if (cls == 0) continue;
         const bool rh = cls == 2;
         if (blacklist_ok(r, /*allow=*/false)) {
@@ -211,10 +211,10 @@ class BlissScheduler final : public Scheduler {
       return best == kNoPick || q[i].req.arrive < q[best].req.arrive;
     };
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i, q)) continue;
+      if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
       if (older(i, any)) any = i;
-      const int cls = v.issue_class_at(i, q);
+      const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const bool wl = blacklist_ok(r, /*allow=*/false);
       const bool rh = cls == 2;

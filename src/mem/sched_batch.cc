@@ -72,10 +72,10 @@ class ParBsScheduler final : public Scheduler {
     std::uint32_t b_rank = 0;
     Cycle b_arrive = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i, q)) continue;
+      if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
       if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
-      const int cls = v.issue_class_at(i, q);
+      const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const bool hit = cls == 2;
       const std::uint32_t rank = rank_of(r.req.core);
@@ -143,10 +143,10 @@ class AtlasScheduler final : public Scheduler {
     bool b_hit = false;
     Cycle b_arrive = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i, q)) continue;
+      if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
       if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
-      const int cls = v.issue_class_at(i, q);
+      const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const std::uint64_t s = service(r.req.core);
       const bool hit = cls == 2;
@@ -213,10 +213,10 @@ class TcmScheduler final : public Scheduler {
     bool b_hit = false;
     Cycle b_arrive = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i, q)) continue;
+      if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
       if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
-      const int cls = v.issue_class_at(i, q);
+      const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const std::uint8_t c = cluster_of(r.req.core);
       const std::uint32_t s = c == 1 ? shuffle_of(r.req.core) : 0;

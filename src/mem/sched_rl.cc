@@ -49,7 +49,7 @@ class RlScheduler final : public Scheduler {
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     if (q.empty()) return kNoPick;
-    const std::uint64_t s = state_hash(q, v);
+    const std::uint64_t s = scan(q, v);
 
     if (have_prev_) {
       const double reward = static_cast<double>(served_since_decision_);
@@ -72,13 +72,11 @@ class RlScheduler final : public Scheduler {
               .tid = static_cast<std::uint16_t>(a), .arg0 = a, .arg1 = s,
               .name = kActionNames[a]);
 
-    std::size_t i = select(q, v, static_cast<RlAction>(a));
+    const std::size_t i = select(q, v, static_cast<RlAction>(a));
     if (i != kNoPick) return i;
     // Fallback chain keeps the controller busy even when the chosen class
     // is empty — the agent still pays/earns via the reward signal.
-    i = oldest_where(q, [&](const QueuedRequest& r) { return v.issuable(r); });
-    if (i != kNoPick) return i;
-    return oldest_where(q, [](const QueuedRequest&) { return true; });
+    return oldest_ready_ != kNoPick ? oldest_ready_ : oldest_live_;
   }
 
   void on_service(const QueuedRequest&, const SchedView&) override {
@@ -110,7 +108,7 @@ class RlScheduler final : public Scheduler {
 
   const learn::QAgent& agent() const { return *agent_; }
 
-  // The stamped scratch (bank_count_/core_load_) is rebuilt from scratch on
+  // The scan scratch (bank histogram, core loads, candidates) is rebuilt on
   // every pick, so only the learning state and decision counters persist.
   void save_state(ckpt::Sink& s) const override { s(*this); }
   void load_state(ckpt::Source& s) override { s(*this); }
@@ -121,40 +119,55 @@ class RlScheduler final : public Scheduler {
   }
 
  private:
-  // pick() runs every scheduling decision, so the state features and the
-  // loaded-bank histogram use stamped flat scratch instead of per-call
-  // unordered containers: a slot is "present" iff its stamp matches the
-  // current token, so clearing is one counter bump. Slots grow on first
-  // sight of a key and are reused forever after — steady state allocates
-  // nothing. Values are identical to the container versions (distinct-key
-  // count, per-key increment counts).
-  std::uint32_t& bank_slot(std::uint64_t key) const {
-    if (key >= bank_count_.size()) {
-      bank_count_.resize(key + 1, 0);
-      bank_stamp_.resize(key + 1, 0);
+  // One pass over the active queue: the state features, the per-bank load
+  // histogram, the oldest issuable row hit / issuable / live entry (strict
+  // `<` on arrival, so equal arrivals keep the lowest index) and the
+  // issuable indices in queue order — everything select() and the fallback
+  // chain read. The histogram is a slab over flat bank ids, sized from the
+  // geometry; a slot counts only while its stamp matches the current token,
+  // so clearing it is one counter bump.
+  std::uint64_t scan(const std::vector<QueuedRequest>& q, const SchedView& v) {
+    const std::size_t banks = v.bank_count();
+    if (bank_load_.size() != banks) {
+      bank_load_.assign(banks, 0);
+      bank_stamp_.assign(banks, 0);
     }
-    if (bank_stamp_[key] != stamp_token_) {
-      bank_stamp_[key] = stamp_token_;
-      bank_count_[key] = 0;
-    }
-    return bank_count_[key];
-  }
-
-  std::uint64_t state_hash(const std::vector<QueuedRequest>& q, const SchedView& v) const {
-    std::uint32_t live = 0, hits = 0, issuable = 0, distinct_banks = 0;
-    std::uint32_t max_core_load = 0;
     ++stamp_token_;
     core_load_.assign(num_cores_, 0);
-    for (const auto& r : q) {
-      if (!r.live) continue;
+    ready_.clear();
+    oldest_hit_ = oldest_ready_ = oldest_live_ = kNoPick;
+    Cycle hit_arrive = 0, ready_arrive = 0, live_arrive = 0;
+    std::uint32_t live = 0, hits = 0, distinct_banks = 0, max_core_load = 0;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      if (!v.live(i)) continue;
+      const Request& r = q[i].req;
       ++live;
-      if (v.row_hit(r)) ++hits;
-      if (v.issuable(r)) ++issuable;
-      std::uint32_t& seen =
-          bank_slot((static_cast<std::uint64_t>(r.coord.rank) << 8) | r.coord.bank);
-      if (seen == 0) ++distinct_banks;
-      seen = 1;
-      if (r.req.core < num_cores_) max_core_load = std::max(max_core_load, ++core_load_[r.req.core]);
+      if (oldest_live_ == kNoPick || r.arrive < live_arrive) {
+        oldest_live_ = i;
+        live_arrive = r.arrive;
+      }
+      // Class 1 is never a row hit; class 0 may be one not yet legal.
+      const int cls = v.issue_class(i);
+      if (cls == 2 || (cls == 0 && v.row_hit(i))) ++hits;
+      if (cls != 0) {
+        ready_.push_back(static_cast<std::uint32_t>(i));
+        if (oldest_ready_ == kNoPick || r.arrive < ready_arrive) {
+          oldest_ready_ = i;
+          ready_arrive = r.arrive;
+        }
+        if (cls == 2 && (oldest_hit_ == kNoPick || r.arrive < hit_arrive)) {
+          oldest_hit_ = i;
+          hit_arrive = r.arrive;
+        }
+      }
+      const std::uint32_t b = v.bank(i);
+      if (bank_stamp_[b] != stamp_token_) {
+        bank_stamp_[b] = stamp_token_;
+        bank_load_[b] = 0;
+        ++distinct_banks;
+      }
+      ++bank_load_[b];
+      if (r.core < num_cores_) max_core_load = std::max(max_core_load, ++core_load_[r.core]);
     }
     auto bucket = [](std::uint32_t x) -> std::uint64_t {  // log2-ish buckets
       std::uint64_t b = 0;
@@ -167,42 +180,41 @@ class RlScheduler final : public Scheduler {
     learn::StateHash h;
     h.add(bucket(live))
         .add(bucket(hits))
-        .add(bucket(issuable))
+        .add(bucket(static_cast<std::uint32_t>(ready_.size())))
         .add(bucket(distinct_banks))
         .add(bucket(max_core_load));
     return h.value();
   }
 
+  // Reads the candidates scan() left for this pick; kNoPick when the
+  // chosen class is empty.
   std::size_t select(const std::vector<QueuedRequest>& q, const SchedView& v, RlAction a) const {
     switch (a) {
       case kServeRowHit:
-        return oldest_where(q, [&](const QueuedRequest& r) { return v.row_hit(r) && v.issuable(r); });
+        return oldest_hit_;
       case kServeOldest:
-        return oldest_where(q, [&](const QueuedRequest& r) { return v.issuable(r); });
+        return oldest_ready_;
       case kServeLeastServed: {
-        std::size_t best = kNoPick;
         auto service = [&](std::uint32_t core) -> std::uint64_t {
           if (!v.cores || core >= v.cores->size()) return 0;
           return (*v.cores)[core].attained_service;
         };
-        for (std::size_t i = 0; i < q.size(); ++i) {
-          if (!q[i].live || !v.issuable(q[i])) continue;
-          if (best == kNoPick || service(q[i].req.core) < service(q[best].req.core)) best = i;
+        std::size_t best = kNoPick;
+        std::uint64_t best_service = 0;
+        for (const std::uint32_t i : ready_) {
+          const std::uint64_t sv = service(q[i].req.core);
+          if (best == kNoPick || sv < best_service) {
+            best = i;
+            best_service = sv;
+          }
         }
         return best;
       }
       case kServeLoadedBank: {
-        ++stamp_token_;
-        for (const auto& r : q) {
-          if (!r.live) continue;
-          ++bank_slot((static_cast<std::uint64_t>(r.coord.rank) << 8) | r.coord.bank);
-        }
         std::size_t best = kNoPick;
         std::uint32_t best_load = 0;
-        for (std::size_t i = 0; i < q.size(); ++i) {
-          if (!q[i].live || !v.issuable(q[i])) continue;
-          const auto load =
-              bank_slot((static_cast<std::uint64_t>(q[i].coord.rank) << 8) | q[i].coord.bank);
+        for (const std::uint32_t i : ready_) {
+          const std::uint32_t load = bank_load_[v.bank(i)];
           if (best == kNoPick || load > best_load) {
             best = i;
             best_load = load;
@@ -226,11 +238,15 @@ class RlScheduler final : public Scheduler {
   std::uint64_t action_counts_[kNumActions] = {};
   RunningStat reward_;
   obs::TraceSink* trace_ = nullptr;
-  // Stamped scratch for state_hash/select — see bank_slot().
-  mutable std::vector<std::uint32_t> bank_count_;
-  mutable std::vector<std::uint64_t> bank_stamp_;
-  mutable std::uint64_t stamp_token_ = 0;
-  mutable std::vector<std::uint32_t> core_load_;
+  // Per-pick scratch filled by scan() — see there.
+  std::vector<std::uint32_t> bank_load_;
+  std::vector<std::uint64_t> bank_stamp_;
+  std::uint64_t stamp_token_ = 0;
+  std::vector<std::uint32_t> core_load_;
+  std::vector<std::uint32_t> ready_;
+  std::size_t oldest_hit_ = kNoPick;
+  std::size_t oldest_ready_ = kNoPick;
+  std::size_t oldest_live_ = kNoPick;
 };
 
 }  // namespace

@@ -2,12 +2,13 @@
 // hand-built queues against a real channel.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/clock.hh"
 #include "common/rng.hh"
 #include "dram/channel.hh"
 #include "mem/memsys.hh"
 #include "mem/sched.hh"
-#include "obs/stat_registry.hh"
 #include "workloads/stream.hh"
 
 namespace ima::mem {
@@ -18,7 +19,17 @@ struct SchedFixture : ::testing::Test {
   dram::Channel chan{cfg, 0, nullptr};
   std::vector<CoreState> cores{std::vector<CoreState>(4)};
 
-  SchedView view(Cycle now) { return SchedView{&chan, now, &cores}; }
+  SchedTimingCache cache{chan};
+  std::vector<QueueScanMeta> meta;
+
+  // The view the controller would hand a scheduler over queue `q`: the
+  // controller's meta builder plus the timing cache, begun at `now`.
+  SchedView view(const std::vector<QueuedRequest>& q, Cycle now) {
+    meta.clear();
+    for (const auto& r : q) meta.push_back(scan_meta(chan, r));
+    cache.begin(now);
+    return SchedView{now, &cores, &cache, meta.data()};
+  }
 
   QueuedRequest make(Addr row, std::uint32_t bank, std::uint32_t core, Cycle arrive,
                      AccessType t = AccessType::Read) {
@@ -44,7 +55,7 @@ TEST_F(SchedFixture, FactoryProducesAllKinds) {
 TEST_F(SchedFixture, FcfsPicksOldest) {
   auto s = make_scheduler(SchedKind::Fcfs, 4);
   std::vector<QueuedRequest> q{make(1, 0, 0, 100), make(2, 1, 1, 50), make(3, 2, 2, 75)};
-  EXPECT_EQ(s->pick(q, view(200)), 1u);
+  EXPECT_EQ(s->pick(q, view(q, 200)), 1u);
 }
 
 TEST_F(SchedFixture, FrFcfsPrefersRowHitOverAge) {
@@ -54,13 +65,13 @@ TEST_F(SchedFixture, FrFcfsPrefersRowHitOverAge) {
   const Cycle now = cfg.timings.rcd;  // row hit is issuable now
   std::vector<QueuedRequest> q{make(7, 1, 0, 10),   // older, bank 1 (closed)
                                make(5, 0, 1, 50)};  // newer but row hit
-  EXPECT_EQ(s->pick(q, view(now)), 1u);
+  EXPECT_EQ(s->pick(q, view(q, now)), 1u);
 }
 
 TEST_F(SchedFixture, FrFcfsFallsBackToOldestWhenNoHit) {
   auto s = make_scheduler(SchedKind::FrFcfs, 4);
   std::vector<QueuedRequest> q{make(7, 1, 0, 10), make(9, 2, 1, 5)};
-  EXPECT_EQ(s->pick(q, view(100)), 1u);
+  EXPECT_EQ(s->pick(q, view(q, 100)), 1u);
 }
 
 TEST_F(SchedFixture, FrFcfsCapBreaksStreak) {
@@ -70,11 +81,11 @@ TEST_F(SchedFixture, FrFcfsCapBreaksStreak) {
   std::vector<QueuedRequest> q{make(5, 0, 0, 50), make(7, 1, 1, 10)};
   // Serve row hits up to the cap (streak counter trails services by one).
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(s->pick(q, view(now)), 0u) << "iteration " << i;
-    s->on_service(q[0], view(now));
+    EXPECT_EQ(s->pick(q, view(q, now)), 0u) << "iteration " << i;
+    s->on_service(q[0], view(q, now));
   }
   // Past the cap the oldest non-hit wins.
-  EXPECT_EQ(s->pick(q, view(now)), 1u);
+  EXPECT_EQ(s->pick(q, view(q, now)), 1u);
 }
 
 TEST_F(SchedFixture, BlissBlacklistsStreakyCore) {
@@ -83,8 +94,8 @@ TEST_F(SchedFixture, BlissBlacklistsStreakyCore) {
   const Cycle now = cfg.timings.rcd;
   std::vector<QueuedRequest> q{make(5, 0, 0, 1), make(7, 1, 1, 2)};
   // Core 0 gets 4 consecutive services -> blacklisted.
-  for (int i = 0; i < 4; ++i) s->on_service(q[0], view(now));
-  EXPECT_EQ(s->pick(q, view(now)), 1u);
+  for (int i = 0; i < 4; ++i) s->on_service(q[0], view(q, now));
+  EXPECT_EQ(s->pick(q, view(q, now)), 1u);
 }
 
 TEST_F(SchedFixture, BlissClearsBlacklistPeriodically) {
@@ -92,10 +103,10 @@ TEST_F(SchedFixture, BlissClearsBlacklistPeriodically) {
   chan.issue(dram::Cmd::Act, dram::Coord{0, 0, 0, 5, 0}, 0);
   const Cycle now = cfg.timings.rcd;
   std::vector<QueuedRequest> q{make(5, 0, 0, 1), make(7, 1, 1, 2)};
-  for (int i = 0; i < 4; ++i) s->on_service(q[0], view(now));
+  for (int i = 0; i < 4; ++i) s->on_service(q[0], view(q, now));
   // After the clearing interval, core 0's row hit wins again.
-  s->tick(view(20000), q);
-  EXPECT_EQ(s->pick(q, view(20000)), 0u);
+  s->tick(view(q, 20000), q);
+  EXPECT_EQ(s->pick(q, view(q, 20000)), 0u);
 }
 
 TEST_F(SchedFixture, AtlasPrefersLeastAttainedService) {
@@ -103,14 +114,14 @@ TEST_F(SchedFixture, AtlasPrefersLeastAttainedService) {
   cores[0].attained_service = 1000;
   cores[1].attained_service = 10;
   std::vector<QueuedRequest> q{make(5, 0, 0, 1), make(7, 1, 1, 50)};
-  EXPECT_EQ(s->pick(q, view(100)), 1u);
+  EXPECT_EQ(s->pick(q, view(q, 100)), 1u);
 }
 
 TEST_F(SchedFixture, ParBsMarksBatchAndServesItFirst) {
   auto s = make_scheduler(SchedKind::ParBs, 4);
   std::vector<QueuedRequest> q;
   for (int i = 0; i < 8; ++i) q.push_back(make(5 + i, 0, 0, i));
-  s->tick(view(0), q);  // forms a batch
+  s->tick(view(q, 0), q);  // forms a batch
   std::size_t marked = 0;
   for (const auto& r : q) marked += r.marked ? 1 : 0;
   EXPECT_EQ(marked, 5u);  // mark cap per (core, bank)
@@ -118,7 +129,7 @@ TEST_F(SchedFixture, ParBsMarksBatchAndServesItFirst) {
   // A newer request from another core in another bank is NOT preferred over
   // marked ones even if it would be a row hit.
   q.push_back(make(9, 1, 1, 100));
-  const auto pick = s->pick(q, view(200));
+  const auto pick = s->pick(q, view(q, 200));
   ASSERT_NE(pick, kNoPick);
   EXPECT_TRUE(q[pick].marked);
 }
@@ -129,10 +140,10 @@ TEST_F(SchedFixture, ParBsShortestJobFirstRanking) {
   // Core 0: heavy (5 requests to one bank); core 1: light (1 request).
   for (int i = 0; i < 5; ++i) q.push_back(make(5 + i, 0, 0, i));
   q.push_back(make(3, 1, 1, 10));
-  s->tick(view(0), q);
+  s->tick(view(q, 0), q);
   // Both marked; light core (1) should rank higher -> picked first when
   // neither is a row hit.
-  const auto pick = s->pick(q, view(100));
+  const auto pick = s->pick(q, view(q, 100));
   ASSERT_NE(pick, kNoPick);
   EXPECT_EQ(q[pick].req.core, 1u);
 }
@@ -141,10 +152,10 @@ TEST_F(SchedFixture, TcmFavoursLatencySensitiveCluster) {
   auto s = make_scheduler(SchedKind::Tcm, 2, 1);
   // Core 0 consumed massive bandwidth in the last quantum; core 1 little.
   std::vector<QueuedRequest> q{make(5, 0, 0, 1), make(7, 1, 1, 50)};
-  for (int i = 0; i < 100; ++i) s->on_service(q[0], view(0));
-  s->on_service(q[1], view(0));
-  s->tick(view(100001), q);  // quantum boundary -> recluster
-  EXPECT_EQ(s->pick(q, view(100002)), 1u);
+  for (int i = 0; i < 100; ++i) s->on_service(q[0], view(q, 0));
+  s->on_service(q[1], view(q, 0));
+  s->tick(view(q, 100001), q);  // quantum boundary -> recluster
+  EXPECT_EQ(s->pick(q, view(q, 100002)), 1u);
 }
 
 TEST_F(SchedFixture, RlSchedulerPicksValidIndexAndLearns) {
@@ -153,10 +164,10 @@ TEST_F(SchedFixture, RlSchedulerPicksValidIndexAndLearns) {
   const Cycle now = cfg.timings.rcd;
   std::vector<QueuedRequest> q{make(5, 0, 0, 1), make(7, 1, 1, 2), make(9, 2, 2, 3)};
   for (int i = 0; i < 200; ++i) {
-    const auto pick = s->pick(q, view(now + i));
+    const auto pick = s->pick(q, view(q, now + i));
     ASSERT_NE(pick, kNoPick);
     ASSERT_LT(pick, q.size());
-    if (i % 3 == 0) s->on_service(q[pick], view(now + i));
+    if (i % 3 == 0) s->on_service(q[pick], view(q, now + i));
   }
 }
 
@@ -173,8 +184,8 @@ TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
       if (q.size() < 16 && rng.chance(0.3))
         q.push_back(make(rng.next_below(64), static_cast<std::uint32_t>(rng.next_below(8)),
                          static_cast<std::uint32_t>(rng.next_below(4)), now));
-      s->tick(view(now), q);
-      const auto pick = s->pick(q, view(now));
+      s->tick(view(q, now), q);
+      const auto pick = s->pick(q, view(q, now));
       if (q.empty()) {
         EXPECT_EQ(pick, kNoPick) << to_string(kind);
         continue;
@@ -182,7 +193,7 @@ TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
       if (pick != kNoPick) {
         ASSERT_LT(pick, q.size()) << to_string(kind);
         if (rng.chance(0.5)) {
-          s->on_service(q[pick], view(now));
+          s->on_service(q[pick], view(q, now));
           q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
         }
       }
@@ -190,20 +201,39 @@ TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
   }
 }
 
-// Forwards every Scheduler call to the wrapped policy, logging each pick
-// as (cycle, request id) — the probe for the memoization differential.
+// Forwards every Scheduler call to the wrapped policy and, on every pick,
+// checks each queue entry's view answers against the channel itself: the
+// test-only reference for the one query path (SchedTimingCache over
+// QueueScanMeta). Mismatches are counted; the first is described.
 class RecordingScheduler final : public Scheduler {
  public:
-  RecordingScheduler(std::unique_ptr<Scheduler> inner, std::vector<std::uint64_t>* log)
-      : inner_(std::move(inner)), log_(log) {}
+  RecordingScheduler(std::unique_ptr<Scheduler> inner, const dram::Channel& chan)
+      : inner_(std::move(inner)), chan_(chan) {}
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
-    const std::size_t idx = inner_->pick(q, v);
-    log_->push_back(v.now);
-    log_->push_back(idx == kNoPick ? ~std::uint64_t{0} : q[idx].req.id);
-    return idx;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      ++checked;
+      if (v.live(i) != q[i].live) mismatch(v.now, i, "live");
+      if (!q[i].live) continue;
+      const dram::Coord& c = q[i].coord;
+      const dram::Cmd cmd = chan_.required_cmd(c, q[i].req.type);
+      const bool issuable = chan_.earliest(cmd, c, v.now) <= v.now;
+      const bool hit = chan_.bank_open(c) && chan_.open_row(c) == c.row;
+      const int cls = issuable ? (hit ? 2 : 1) : 0;
+      ++classes[cls];
+      if (v.issue_class(i) != cls) mismatch(v.now, i, "issue_class");
+      if (v.issuable(i) != issuable) mismatch(v.now, i, "issuable");
+      if (v.row_hit(i) != hit) mismatch(v.now, i, "row_hit");
+      if (v.required_cmd(i) != cmd) mismatch(v.now, i, "required_cmd");
+      const auto& g = chan_.config().geometry;
+      if (v.bank(i) != c.rank * g.banks + c.bank || v.bank(i) >= v.bank_count())
+        mismatch(v.now, i, "bank");
+    }
+    return inner_->pick(q, v);
   }
   void on_service(const QueuedRequest& r, const SchedView& v) override {
+    const bool hit = chan_.bank_open(r.coord) && chan_.open_row(r.coord) == r.coord.row;
+    if (v.row_hit(r) != hit) mismatch(v.now, 0, "row_hit(served)");
     inner_->on_service(r, v);
   }
   void tick(const SchedView& v, std::vector<QueuedRequest>& q) override {
@@ -212,31 +242,41 @@ class RecordingScheduler final : public Scheduler {
   Cycle next_event(Cycle now) const override { return inner_->next_event(now); }
   std::string name() const override { return inner_->name(); }
 
+  std::uint64_t checked = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t classes[3] = {};
+  std::string first;
+
  private:
+  void mismatch(Cycle now, std::size_t i, const char* what) {
+    if (mismatches++ == 0)
+      first = std::string(what) + " at cycle " + std::to_string(now) + ", entry " +
+              std::to_string(i);
+  }
+
   std::unique_ptr<Scheduler> inner_;
-  std::vector<std::uint64_t>* log_;
+  const dram::Channel& chan_;
 };
 
-// Differential check for the per-cycle timing memo (SchedTimingCache): with
-// ControllerConfig::memoize_timing on vs off, every policy must make the
-// *identical* pick sequence and end with identical stats on the same
-// saturated multi-core injection — the cache must be invisible except in
-// host time. Saturation matters: only full queues produce the repeated
-// same-cycle timing queries the memo actually serves.
-TEST(SchedMemoDifferential, AllKindsPickIdentically) {
+// Every policy, SALP off and on, on a saturated multi-core injection: every
+// live entry's view answer must equal Channel::earliest(required_cmd(...)),
+// the channel's open-row state and the entry's flat (rank, bank) id at
+// every pick. Saturation matters: only
+// full queues produce the repeated same-cycle queries the cache serves.
+TEST(SchedViewReference, EveryQueryMatchesChannel) {
   // `sel` is a SchedKind, or -1 for MISE (not a factory kind).
-  const auto run_world = [](int sel, bool memoize) {
+  const auto run_world = [](int sel, bool salp) {
     auto dram_cfg = dram::DramConfig::ddr4_2400();
+    dram_cfg.timings.salp = salp;
     ControllerConfig ctrl;
     ctrl.num_cores = 4;
-    ctrl.memoize_timing = memoize;
     if (sel >= 0) ctrl.sched = static_cast<SchedKind>(sel);
     MemorySystem sys(dram_cfg, ctrl);
-    std::vector<std::uint64_t> log;
-    sys.controller(0).set_scheduler(std::make_unique<RecordingScheduler>(
-        sel < 0 ? make_mise(4) : make_scheduler(static_cast<SchedKind>(sel), 4, 7), &log));
-    obs::StatRegistry reg;
-    sys.register_stats(reg, "mem");
+    auto rec = std::make_unique<RecordingScheduler>(
+        sel < 0 ? make_mise(4) : make_scheduler(static_cast<SchedKind>(sel), 4, 7),
+        sys.controller(0).channel());
+    RecordingScheduler& r = *rec;
+    sys.controller(0).set_scheduler(std::move(rec));
 
     struct Injector {
       std::unique_ptr<workloads::AccessStream> stream;
@@ -260,14 +300,14 @@ TEST(SchedMemoDifferential, AllKindsPickIdentically) {
             auto& c = cores[i];
             while (c.outstanding < c.mlp) {
               const auto e = c.stream->next();
-              Request r;
-              r.addr = e.addr;
-              r.type = e.type;
-              r.core = static_cast<std::uint32_t>(i);
-              r.arrive = now;
-              if (!sys.can_accept(r.addr, r.type, r.core)) break;
+              Request req;
+              req.addr = e.addr;
+              req.type = e.type;
+              req.core = static_cast<std::uint32_t>(i);
+              req.arrive = now;
+              if (!sys.can_accept(req.addr, req.type, req.core)) break;
               ++c.outstanding;
-              if (!sys.enqueue(r, [&c](const Request&) { --c.outstanding; })) {
+              if (!sys.enqueue(req, [&c](const Request&) { --c.outstanding; })) {
                 --c.outstanding;
                 break;
               }
@@ -281,21 +321,16 @@ TEST(SchedMemoDifferential, AllKindsPickIdentically) {
             if (c.outstanding < c.mlp) return now + 1;
           return sys.next_event(now);
         });
-    return std::pair<std::vector<std::uint64_t>, obs::StatRegistry::Snapshot>(
-        std::move(log), reg.snapshot());
+    EXPECT_EQ(r.mismatches, 0u) << "first: " << r.first;
+    EXPECT_GT(r.checked, 0u);
+    for (const std::uint64_t n : r.classes) EXPECT_GT(n, 0u) << "a class never occurred";
   };
 
-  for (int sel = -1; sel <= static_cast<int>(SchedKind::Rl); ++sel) {
-    SCOPED_TRACE(sel < 0 ? "MISE" : to_string(static_cast<SchedKind>(sel)));
-    const auto memo = run_world(sel, /*memoize=*/true);
-    const auto direct = run_world(sel, /*memoize=*/false);
-    ASSERT_FALSE(memo.first.empty());
-    ASSERT_EQ(memo.first, direct.first) << "pick sequence diverges with memoization";
-    ASSERT_EQ(memo.second.size(), direct.second.size());
-    for (std::size_t i = 0; i < memo.second.values.size(); ++i) {
-      EXPECT_EQ(memo.second.values[i].path, direct.second.values[i].path);
-      EXPECT_EQ(memo.second.values[i].value, direct.second.values[i].value)
-          << "stat diverges with memoization: " << memo.second.values[i].path;
+  for (const bool salp : {false, true}) {
+    for (int sel = -1; sel <= static_cast<int>(SchedKind::Rl); ++sel) {
+      SCOPED_TRACE(std::string(salp ? "SALP " : "") +
+                   (sel < 0 ? "MISE" : to_string(static_cast<SchedKind>(sel))));
+      run_world(sel, salp);
     }
   }
 }

@@ -756,6 +756,14 @@ constexpr Golden kGoldens[] = {
     {"sched_MISE", 8192ull, 6014573777183764025ull},
     {"salp_FR-FCFS", 8192ull, 1737616015861007931ull},
     {"salp_PAR-BS", 8192ull, 2071883151684555792ull},
+    // Captured before SALP runs moved onto the timing cache.
+    {"salp_FCFS", 8192ull, 7602631483676465789ull},
+    {"salp_FR-FCFS-Cap", 8192ull, 8577248063979222566ull},
+    {"salp_ATLAS", 8192ull, 774244215740413735ull},
+    {"salp_TCM", 8192ull, 642780686669437589ull},
+    {"salp_BLISS", 8192ull, 7508893401731838475ull},
+    {"salp_RL", 8192ull, 3287240746265523103ull},
+    {"salp_MISE", 8192ull, 2123134245064941624ull},
     {"raidr_para", 24576ull, 6201781618125693068ull},
     {"power", 57400ull, 1170436512058155966ull},
     {"reliability_scrub", 108192ull, 7102296324428830124ull},
@@ -778,26 +786,25 @@ void check_point(const char* name, const Outcome& w1, const Outcome& w8) {
   FAIL() << "no golden entry for " << name;
 }
 
-TEST(SoaGoldenMatrix, SchedulersAndMise) {
+// All 8 factory kinds plus MISE, each named `<prefix><kind>`.
+void check_all_kinds(const char* prefix, bool salp) {
   const mem::SchedKind kinds[] = {
       mem::SchedKind::Fcfs,  mem::SchedKind::FrFcfs, mem::SchedKind::FrFcfsCap,
       mem::SchedKind::ParBs, mem::SchedKind::Atlas,  mem::SchedKind::Tcm,
       mem::SchedKind::Bliss, mem::SchedKind::Rl};
   for (const auto kind : kinds) {
-    const std::string name = std::string("sched_") + mem::to_string(kind);
-    check_point(name.c_str(), run_sched_point(kind, false, false, 1),
-                run_sched_point(kind, false, false, 8));
+    const std::string name = std::string(prefix) + mem::to_string(kind);
+    check_point(name.c_str(), run_sched_point(kind, salp, false, 1),
+                run_sched_point(kind, salp, false, 8));
   }
-  check_point("sched_MISE", run_sched_point(mem::SchedKind::FrFcfs, false, true, 1),
-              run_sched_point(mem::SchedKind::FrFcfs, false, true, 8));
+  const std::string mise = std::string(prefix) + "MISE";
+  check_point(mise.c_str(), run_sched_point(mem::SchedKind::FrFcfs, salp, true, 1),
+              run_sched_point(mem::SchedKind::FrFcfs, salp, true, 8));
 }
 
-TEST(SoaGoldenMatrix, Salp) {
-  check_point("salp_FR-FCFS", run_sched_point(mem::SchedKind::FrFcfs, true, false, 1),
-              run_sched_point(mem::SchedKind::FrFcfs, true, false, 8));
-  check_point("salp_PAR-BS", run_sched_point(mem::SchedKind::ParBs, true, false, 1),
-              run_sched_point(mem::SchedKind::ParBs, true, false, 8));
-}
+TEST(SoaGoldenMatrix, SchedulersAndMise) { check_all_kinds("sched_", false); }
+
+TEST(SoaGoldenMatrix, Salp) { check_all_kinds("salp_", true); }
 
 TEST(SoaGoldenMatrix, RaidrRefreshWithPara) {
   check_point("raidr_para", run_refresh_point(1), run_refresh_point(8));
