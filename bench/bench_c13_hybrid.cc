@@ -11,6 +11,7 @@
 // formats its own row into a report fragment, merged in submission order.
 #include "bench/bench_util.hh"
 #include "hybrid/hybrid.hh"
+#include "sim/closed_loop.hh"
 #include "workloads/stream.hh"
 
 using namespace ima;
@@ -52,32 +53,12 @@ class PageZipfStream final : public workloads::AccessStream {
 
 Out run(hybrid::HybridConfig cfg, double zipf_theta, Cycle cycles) {
   hybrid::HybridMemory mem(cfg);
-  auto stream = std::make_unique<PageZipfStream>(128ull << 20, zipf_theta, 11);
-
-  std::uint32_t outstanding = 0;
-  double latency_sum = 0;
-  std::uint64_t reads = 0;
-  for (Cycle now = 0; now < cycles; ++now) {
-    while (outstanding < 8) {
-      const auto e = stream->next();
-      if (!mem.can_accept(e.addr, e.type)) break;
-      mem::Request r;
-      r.addr = e.addr;
-      r.type = e.type;
-      r.arrive = now;
-      ++outstanding;
-      bench::enqueue_or_die(mem, r, [&](const mem::Request& done) {
-        --outstanding;
-        if (done.type == AccessType::Read) {
-          latency_sum += static_cast<double>(done.complete - done.arrive);
-          ++reads;
-        }
-      });
-    }
-    mem.tick(now);
-  }
+  std::vector<sim::Injector> core;
+  core.push_back({std::make_unique<PageZipfStream>(128ull << 20, zipf_theta, 11), 8});
+  sim::ClosedLoop loop(std::move(core));
+  loop.run(mem, 0, cycles);
   Out o;
-  o.mean_read_latency = reads ? latency_sum / reads : 0;
+  o.mean_read_latency = loop.injectors()[0].mean_read_latency();
   o.dram_fraction = mem.stats().dram_fraction();
   o.pcm_writes = mem.stats().pcm_writes;
   o.energy = mem.total_energy(cycles);

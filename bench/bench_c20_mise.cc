@@ -36,35 +36,8 @@ int main() {
   const mem::Scheduler* mise_view = mise.get();
   sys.controller(0).set_scheduler(std::move(mise));
 
-  struct Core {
-    std::unique_ptr<workloads::AccessStream> stream;
-    std::uint32_t mlp;
-    std::uint32_t outstanding = 0;
-    std::uint64_t served = 0;
-  };
-  std::vector<Core> cores;
-  for (auto& spec : bench::hetero_mix(51)) cores.push_back({std::move(spec.stream), spec.mlp});
-
-  for (Cycle now = 0; now < kCycles; ++now) {
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      auto& c = cores[i];
-      while (c.outstanding < c.mlp) {
-        const auto e = c.stream->next();
-        if (!sys.can_accept(e.addr, e.type, static_cast<std::uint32_t>(i))) break;
-        mem::Request r;
-        r.addr = e.addr;
-        r.type = e.type;
-        r.core = static_cast<std::uint32_t>(i);
-        r.arrive = now;
-        ++c.outstanding;
-        bench::enqueue_or_die(sys, r, [&c](const mem::Request&) {
-          --c.outstanding;
-          ++c.served;
-        });
-      }
-    }
-    sys.tick(now);
-  }
+  sim::ClosedLoop loop(bench::hetero_mix(51));
+  loop.run(sys, 0, kCycles);
 
   const auto est = mem::mise_estimated_slowdowns(*mise_view);
   const char* names[] = {"streaming (mlp16)", "random (mlp2)", "row-local (mlp8)",
@@ -73,7 +46,7 @@ int main() {
   double err_sum = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     const double shared_rate =
-        1000.0 * static_cast<double>(cores[i].served) / static_cast<double>(kCycles);
+        1000.0 * static_cast<double>(loop.injectors()[i].served) / static_cast<double>(kCycles);
     const double actual = alone[i] / shared_rate;
     const double error = std::abs(est[i] - actual) / actual;
     err_sum += error;

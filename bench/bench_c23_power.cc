@@ -13,6 +13,7 @@
 // sequential (each reward depends on the arm the bandit just picked) and
 // stays serial.
 #include "bench/bench_util.hh"
+#include "common/clock.hh"
 #include "learn/bandit.hh"
 #include "mem/memsys.hh"
 
@@ -44,7 +45,9 @@ Out run(Cycle pd_timeout, Cycle sr_timeout, Cycle gap, int bursts = 20) {
       sys.tick(now++);
     }
     now = sys.drain(now);
-    for (Cycle end = now + gap; now < end; ++now) sys.tick(now);
+    now = sim::run_event_loop(
+        sim::default_clock_mode(), now, now + gap, [&](Cycle t) { sys.tick(t); },
+        [] { return false; }, [&](Cycle t) { return sys.next_event(t); });
   }
   Out o;
   o.energy = sys.total_energy(now);

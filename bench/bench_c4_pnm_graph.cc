@@ -68,8 +68,8 @@ int main() {
   }
   bench::print_table(t);
 
-  // Scale phase: past ~16 vaults the closed per-cycle stack loop stops
-  // being the interesting regime — Tesseract-class deployments are many
+  // Scale phase: past ~16 vaults the single-threaded closed-loop stack
+  // stops being the interesting regime — Tesseract-class deployments are many
   // stacks of 32 vaults each. VaultFabric models that aggregate as one
   // sharded MemorySystem (vault == channel) driven open-loop with
   // interleaved AapFpm in-situ ops, so 64-256 vault points run wide

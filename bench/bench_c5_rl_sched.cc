@@ -48,23 +48,24 @@ int main() {
   std::cout << "\nRL learning curve (throughput measured per training window)\n\n";
   Table lc({"window (kcycles)", "served/kcycle"});
   {
-    // One long run, reporting incremental throughput: the agent's policy
-    // should improve across windows.
-    auto sched = mem::make_rl(4, 11, 0.1, 0.05);
-    // run_mc owns the scheduler, so run windows as separate phases with the
-    // same seed but increasing horizon and report the marginal rate.
-    double prev_served_total = 0;
-    Cycle prev_cycles = 0;
+    // One long run on one system, reporting each window's throughput:
+    // the agent's policy should improve across windows.
+    auto rl_ctrl = ctrl;
+    rl_ctrl.num_cores = 4;
+    mem::MemorySystem sys(dram_cfg, rl_ctrl);
+    sys.controller(0).set_scheduler(mem::make_rl(4, 11, 0.1, 0.05));
+    sim::ClosedLoop loop(bench::hetero_mix(7));
+    Cycle prev_horizon = 0;
+    std::uint64_t prev_served = 0;
     for (Cycle horizon : {100'000ull, 200'000ull, 400'000ull, 800'000ull}) {
-      const auto r = bench::run_mc(dram_cfg, ctrl, mem::make_rl(4, 11, 0.1, 0.05),
-                                   bench::hetero_mix(7), horizon);
-      const double total_served = r.total_served_per_kcycle * horizon / 1000.0;
-      const double window_served = total_served - prev_served_total;
-      const double window_cycles = static_cast<double>(horizon - prev_cycles);
+      loop.run(sys, prev_horizon, horizon);
+      const std::uint64_t served = loop.total_served();
       lc.add_row({Table::fmt(horizon / 1000.0, 0),
-                  Table::fmt(1000.0 * window_served / window_cycles, 2)});
-      prev_served_total = total_served;
-      prev_cycles = horizon;
+                  Table::fmt(1000.0 * static_cast<double>(served - prev_served) /
+                                 static_cast<double>(horizon - prev_horizon),
+                             2)});
+      prev_served = served;
+      prev_horizon = horizon;
     }
   }
   bench::print_table(lc);

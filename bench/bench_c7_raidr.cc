@@ -5,6 +5,7 @@
 // window, analytic from the binned profile, plus simulated issue counts).
 // Part 2: performance/energy impact under live traffic.
 #include "bench/bench_util.hh"
+#include "common/clock.hh"
 #include "mem/memsys.hh"
 #include "sim/system.hh"
 
@@ -40,7 +41,9 @@ int main() {
     dram::Channel chan(cfg, 0, nullptr);
     auto raidr = mem::make_raidr(cfg, profile);
     const Cycle window = static_cast<Cycle>(cfg.timings.refi) * 8192;
-    for (Cycle now = 0; now < window; ++now) raidr->tick(chan, now);
+    sim::run_event_loop(
+        sim::default_clock_mode(), 0, window, [&](Cycle now) { raidr->tick(chan, now); },
+        [] { return false; }, [&](Cycle now) { return raidr->next_event(now); });
 
     const double baseline = static_cast<double>(total_rows);
     const double measured = static_cast<double>(chan.stats().ref_rows);

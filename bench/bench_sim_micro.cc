@@ -116,55 +116,11 @@ void BM_IdleHeavyClocking(benchmark::State& state, sim::ClockMode mode) {
 BENCHMARK_CAPTURE(BM_IdleHeavyClocking, per_cycle, sim::ClockMode::PerCycle);
 BENCHMARK_CAPTURE(BM_IdleHeavyClocking, skip_ahead, sim::ClockMode::SkipAhead);
 
-// Shared driver for the loaded-controller benchmarks: MLP-window injectors
+// Loaded-controller benchmarks: sim::ClosedLoop MLP-window injectors
 // (bench::hetero_mix) keep the read+write queues saturated so host time is
 // dominated by the issue loop — scheduler passes and command-legality
-// queries — not by idle gaps. `mode` selects the clocking kernel;
-// `advance` mirrors run_mc's next-cycle rule (inject every cycle while any
-// window has room, else trust the controller's next_event bound).
-Cycle run_loaded(mem::MemorySystem& sys, std::vector<bench::InjectorSpec>& cores,
-                 std::vector<std::uint32_t>& outstanding, sim::ClockMode mode,
-                 Cycle from, Cycle to, std::uint32_t& below_mlp) {
-  // below_mlp counts cores with window room (run_mc keeps the same
-  // aggregate): the injection pass and the advance hook become one compare
-  // while every window is full, with injection order unchanged.
-  return sim::run_event_loop(
-      mode, from, to,
-      [&](Cycle now) {
-        if (below_mlp > 0) {
-          for (std::size_t i = 0; i < cores.size(); ++i) {
-            const std::uint32_t mlp = cores[i].mlp;
-            while (outstanding[i] < mlp) {
-              const auto e = cores[i].stream->next();
-              mem::Request r;
-              r.addr = e.addr;
-              r.type = e.type;
-              r.core = static_cast<std::uint32_t>(i);
-              r.arrive = now;
-              if (!sys.can_accept(r.addr, r.type, r.core)) break;
-              ++outstanding[i];
-              if (outstanding[i] == mlp) --below_mlp;
-              const bool ok =
-                  sys.enqueue(r, [&outstanding, &below_mlp, i, mlp](const mem::Request&) {
-                    if (outstanding[i] > 0) {
-                      if (outstanding[i] == mlp) ++below_mlp;
-                      --outstanding[i];
-                    }
-                  });
-              if (!ok) {
-                if (outstanding[i] == mlp) ++below_mlp;
-                --outstanding[i];
-                break;
-              }
-            }
-          }
-        }
-        sys.tick(now);
-      },
-      [] { return false; },
-      [&](Cycle now) { return below_mlp > 0 ? now + 1 : sys.next_event(now); });
-}
-
+// queries — not by idle gaps.
+//
 // The anti-BM_IdleHeavyClocking: queues saturated the whole run, so the
 // pre-PR controller visited every single cycle and paid O(queue) timing
 // walks per scheduler pass. Runs under the default clock mode — the
@@ -173,18 +129,13 @@ Cycle run_loaded(mem::MemorySystem& sys, std::vector<bench::InjectorSpec>& cores
 // win. FR-FCFS is the common case; TCM adds ranking-heavy pick loops.
 void BM_LoadedIssueLoop(benchmark::State& state, mem::SchedKind kind) {
   const auto dram_cfg = dram::DramConfig::ddr4_2400();
-  auto cores = bench::hetero_mix(11);
+  sim::ClosedLoop cores(bench::hetero_mix(11));
   mem::ControllerConfig ctrl;
-  ctrl.num_cores = static_cast<std::uint32_t>(cores.size());
+  ctrl.num_cores = static_cast<std::uint32_t>(cores.injectors().size());
   mem::MemorySystem sys(dram_cfg, ctrl);
   sys.controller(0).set_scheduler(mem::make_scheduler(kind, ctrl.num_cores, 7));
-  std::vector<std::uint32_t> outstanding(cores.size(), 0);
-  std::uint32_t below_mlp = static_cast<std::uint32_t>(cores.size());
   Cycle now = 0;
-  for (auto _ : state) {
-    now = run_loaded(sys, cores, outstanding, sim::default_clock_mode(), now, now + 10'000,
-                     below_mlp);
-  }
+  for (auto _ : state) now = cores.run(sys, now, now + 10'000);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10'000);
 }
 BENCHMARK_CAPTURE(BM_LoadedIssueLoop, fr_fcfs, mem::SchedKind::FrFcfs);
@@ -196,16 +147,12 @@ BENCHMARK_CAPTURE(BM_LoadedIssueLoop, tcm, mem::SchedKind::Tcm);
 // waits even under load, cycle-exactly (tests/clock_test.cc LoadedMatrix).
 void BM_SkipAheadLoaded(benchmark::State& state, sim::ClockMode mode) {
   const auto dram_cfg = dram::DramConfig::ddr4_2400();
-  auto cores = bench::hetero_mix(23);
+  sim::ClosedLoop cores(bench::hetero_mix(23));
   mem::ControllerConfig ctrl;
-  ctrl.num_cores = static_cast<std::uint32_t>(cores.size());
+  ctrl.num_cores = static_cast<std::uint32_t>(cores.injectors().size());
   mem::MemorySystem sys(dram_cfg, ctrl);
-  std::vector<std::uint32_t> outstanding(cores.size(), 0);
-  std::uint32_t below_mlp = static_cast<std::uint32_t>(cores.size());
   Cycle now = 0;
-  for (auto _ : state) {
-    now = run_loaded(sys, cores, outstanding, mode, now, now + 10'000, below_mlp);
-  }
+  for (auto _ : state) now = cores.run(sys, now, now + 10'000, mode);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10'000);
 }
 BENCHMARK_CAPTURE(BM_SkipAheadLoaded, per_cycle, sim::ClockMode::PerCycle);

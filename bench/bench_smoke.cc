@@ -17,6 +17,10 @@
 #include <sstream>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "bench/bench_util.hh"
 #include "bench/mc_harness.hh"
 #include "common/rng.hh"
@@ -38,6 +42,53 @@ int main() {
       "smoke: telemetry pipeline",
       "Claim: a short run produces consistent StatRegistry numbers, a valid "
       "machine-readable report and a loadable Chrome trace.");
+
+  // Loaded-controller throughput: MLP injectors keep the queues saturated,
+  // so this measures the issue-loop fast path (memoized timing checks +
+  // busy skip-ahead), not idle-gap skipping. The number lands in
+  // BENCH_smoke.json as host_cycles_per_sec_loaded, where
+  // bench_smoke_check.cmake holds a regression floor against it. A shared
+  // CPU only ever slows the code, so repetition times are bimodal: the
+  // phase runs seven times, spread over this whole binary and rotated over
+  // the allowed CPUs (a neighbour contends for one CPU at a time), so one
+  // busy spell or busy CPU cannot slow them all, and the rate comes from
+  // the fastest repetition (the fast mode: the code's own speed).
+  const Cycle loaded_cycles = 300'000;
+  int loaded_reps = 0;
+  double loaded_secs = 0;  // fastest repetition
+  bench::McResult loaded;
+  const auto loaded_rep = [&] {
+#ifdef __linux__
+    cpu_set_t allowed;
+    const bool pin = sched_getaffinity(0, sizeof allowed, &allowed) == 0;
+    if (pin) {
+      std::vector<int> cpus;
+      for (int c = 0; c < CPU_SETSIZE; ++c)
+        if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpus[static_cast<std::size_t>(loaded_reps) % cpus.size()], &one);
+      sched_setaffinity(0, sizeof one, &one);
+    }
+#endif
+    auto dram_cfg = dram::DramConfig::ddr4_2400();
+    mem::ControllerConfig ctrl;
+    const auto start = std::chrono::steady_clock::now();
+    auto res = bench::run_mc(dram_cfg, ctrl, mem::make_scheduler(mem::SchedKind::FrFcfs, 4, 17),
+                             bench::hetero_mix(31), loaded_cycles);
+    const double secs =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+#ifdef __linux__
+    if (pin) sched_setaffinity(0, sizeof allowed, &allowed);
+#endif
+    if (loaded_reps > 0 && res.served_per_kcycle != loaded.served_per_kcycle) {
+      std::cerr << "loaded phase: repetition " << loaded_reps << " diverges from the first\n";
+      std::exit(1);
+    }
+    if (loaded_reps++ == 0 || secs < loaded_secs) loaded_secs = secs;
+    loaded = std::move(res);
+  };
+  loaded_rep();
 
   sim::SystemConfig cfg;
   cfg.num_cores = 2;
@@ -138,6 +189,8 @@ int main() {
     return 1;
   }
 
+  loaded_rep();
+
   // Sweep-engine smoke: the 8-scheduler matrix serial vs parallel. Beyond
   // recording the speedup, this is the in-binary determinism check — any
   // cross-width divergence fails CI here.
@@ -184,33 +237,14 @@ int main() {
     bench::record_metric("sweep_speedup", speedup);
   }
 
-  // Loaded-controller throughput: MLP injectors keep the queues saturated,
-  // so this measures the issue-loop fast path (memoized timing checks +
-  // busy skip-ahead), not idle-gap skipping. The number lands in
-  // BENCH_smoke.json as host_cycles_per_sec_loaded, where
-  // bench_smoke_check.cmake holds a regression floor against it.
+  // Loaded-controller throughput; its host rate is reported last.
+  loaded_rep();
   {
-    auto dram_cfg = dram::DramConfig::ddr4_2400();
-    mem::ControllerConfig ctrl;
-    const Cycle loaded_cycles = 300'000;
-    const auto loaded_start = std::chrono::steady_clock::now();
-    const auto res = bench::run_mc(dram_cfg, ctrl,
-                                   mem::make_scheduler(mem::SchedKind::FrFcfs, 4, 17),
-                                   bench::hetero_mix(31), loaded_cycles);
-    const double loaded_secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - loaded_start)
-            .count();
-    const double loaded_rate =
-        loaded_secs > 0 ? static_cast<double>(loaded_cycles) / loaded_secs : 0;
-
     Table lt({"metric", "value"});
     lt.add_row({"loaded cycles", Table::fmt_si(static_cast<double>(loaded_cycles), 0)});
-    lt.add_row({"served/kcycle", Table::fmt(res.total_served_per_kcycle, 1)});
-    lt.add_row({"host cycles/sec (loaded)", Table::fmt_si(loaded_rate, 1)});
+    lt.add_row({"served/kcycle", Table::fmt(loaded.total_served_per_kcycle, 1)});
     bench::print_table(lt, "loaded-controller throughput (saturated queues)");
-
-    bench::record_metric("loaded_served_per_kcycle", res.total_served_per_kcycle);
-    bench::record_metric("host_cycles_per_sec_loaded", loaded_rate);
+    bench::record_metric("loaded_served_per_kcycle", loaded.total_served_per_kcycle);
   }
 
   // Sharded intra-sim execution smoke: one 8-channel machine drained by the
@@ -302,6 +336,8 @@ int main() {
     bench::record_metric("shard_speedup", shard_speedup);
   }
 
+  loaded_rep();
+
   // Reliability pipeline smoke: deterministic direct injection through the
   // full corrupt -> demand-read -> decode path. A SECDED system must correct
   // four single-bit lines and flag one double-bit word as DUE; an
@@ -361,6 +397,8 @@ int main() {
     bench::record_metric("reliability_sdc_unprotected",
                          static_cast<double>(bare.sdc_reads));
   }
+
+  loaded_rep();
 
   // Serving smoke: open-loop Poisson tensor traffic through the service
   // facade (the C25 path in miniature). The loss contract is exact —
@@ -450,6 +488,8 @@ int main() {
     bench::record_metric("serving_span_stage_sum_error", span_sum - e2e_sum);
   }
 
+  loaded_rep();
+
   // Checkpoint/restore smoke: warm a small full-hierarchy system to a
   // quiescent point, seal the image to CKPT_smoke.ckpt, restore it into a
   // freshly built twin and continue both — the continuations must be
@@ -534,6 +574,10 @@ int main() {
     bench::record_metric("ckpt_restore_wall_seconds", restore_secs);
     bench::record_metric("ckpt_warm_start_speedup", warm_speedup);
   }
+
+  loaded_rep();
+  bench::record_metric("host_cycles_per_sec_loaded",
+                       loaded_secs > 0 ? static_cast<double>(loaded_cycles) / loaded_secs : 0);
 
   bench::print_shape(
       "non-zero instructions, DRAM reads and trace events; reliability phase "

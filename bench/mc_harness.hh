@@ -1,32 +1,20 @@
-// Controller-level multi-core injection harness for the scheduler
-// experiments (C5, C10).
-//
-// Each simulated core has a memory-level-parallelism budget (an OoO
-// window's worth of outstanding misses) and keeps `mlp` requests in flight
-// from its access stream. This stresses the request queue the way
-// scheduler studies require — a blocking-core model would never expose
-// policy differences because the queue would hold one request per core.
+// Controller-level multi-core harness for the scheduler experiments (C5,
+// C10, C20): sim::ClosedLoop MLP-window injectors on one memory system.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
-#include "common/clock.hh"
 #include "mem/memsys.hh"
+#include "sim/closed_loop.hh"
 #include "workloads/stream.hh"
 
 namespace ima::bench {
 
-struct InjectorSpec {
-  std::unique_ptr<workloads::AccessStream> stream;
-  std::uint32_t mlp = 8;
-};
-
 struct McResult {
-  std::vector<double> served_per_kcycle;   // per core
-  std::vector<double> mean_read_latency;   // per core
+  std::vector<double> served_per_kcycle;  // per core
   double total_served_per_kcycle = 0;
-  PicoJoule energy = 0;
 
   double min_core_throughput() const {
     double m = 1e300;
@@ -37,83 +25,19 @@ struct McResult {
 
 inline McResult run_mc(const dram::DramConfig& dram_cfg, mem::ControllerConfig ctrl_cfg,
                        std::unique_ptr<mem::Scheduler> sched,
-                       std::vector<InjectorSpec> cores, Cycle cycles) {
+                       std::vector<sim::Injector> cores, Cycle cycles) {
   ctrl_cfg.num_cores = static_cast<std::uint32_t>(cores.size());
   mem::MemorySystem sys(dram_cfg, ctrl_cfg);
   if (sched) sys.controller(0).set_scheduler(std::move(sched));
-
-  struct CoreState {
-    std::uint32_t outstanding = 0;
-    std::uint64_t served = 0;
-    double latency_sum = 0;
-    std::uint64_t reads_done = 0;
-  };
-  std::vector<CoreState> state(cores.size());
-
-  // Count of cores whose MLP window has room: both the injection pass and
-  // the advance hook reduce to one compare while every window is full,
-  // instead of rescanning all cores each visited cycle. Transitions are
-  // exact (enqueue success filling the window, completion reopening it),
-  // so the skip fires precisely on the cycles where the scans were no-ops
-  // — injection order and stream draws are unchanged.
-  std::uint32_t below_mlp = 0;
-  for (const auto& c : cores)
-    if (c.mlp > 0) ++below_mlp;
-
-  // Injection then tick each active cycle, driven by the shared event
-  // kernel. A core below its MLP budget injects every cycle, so the loop
-  // can only skip while every window is full — exactly the cycles where
-  // the per-cycle loop's injection pass was a no-op.
-  sim::run_event_loop(
-      sim::default_clock_mode(), 0, cycles,
-      [&](Cycle now) {
-        if (below_mlp > 0) {
-          for (std::size_t i = 0; i < cores.size(); ++i) {
-            auto& cs = state[i];
-            const std::uint32_t mlp = cores[i].mlp;
-            while (cs.outstanding < mlp) {
-              const auto e = cores[i].stream->next();
-              mem::Request r;
-              r.addr = e.addr;
-              r.type = e.type;
-              r.core = static_cast<std::uint32_t>(i);
-              r.arrive = now;
-              if (!sys.can_accept(r.addr, r.type, static_cast<std::uint32_t>(i))) break;
-              ++cs.outstanding;
-              if (cs.outstanding == mlp) --below_mlp;
-              const bool ok =
-                  sys.enqueue(r, [&cs, &below_mlp, mlp](const mem::Request& done) {
-                    if (cs.outstanding > 0) {
-                      if (cs.outstanding == mlp) ++below_mlp;
-                      --cs.outstanding;
-                    }
-                    ++cs.served;
-                    if (done.type == AccessType::Read) {
-                      cs.latency_sum += static_cast<double>(done.complete - done.arrive);
-                      ++cs.reads_done;
-                    }
-                  });
-              if (!ok) {
-                if (cs.outstanding == mlp) ++below_mlp;
-                --cs.outstanding;
-                break;
-              }
-            }
-          }
-        }
-        sys.tick(now);
-      },
-      [] { return false; },
-      [&](Cycle now) { return below_mlp > 0 ? now + 1 : sys.next_event(now); });
+  sim::ClosedLoop loop(std::move(cores));
+  loop.run(sys, 0, cycles);
 
   McResult res;
-  for (const auto& cs : state) {
-    res.served_per_kcycle.push_back(1000.0 * static_cast<double>(cs.served) /
+  for (const auto& in : loop.injectors()) {
+    res.served_per_kcycle.push_back(1000.0 * static_cast<double>(in.served) /
                                     static_cast<double>(cycles));
-    res.mean_read_latency.push_back(cs.reads_done ? cs.latency_sum / cs.reads_done : 0.0);
     res.total_served_per_kcycle += res.served_per_kcycle.back();
   }
-  res.energy = sys.total_energy(cycles);
   return res;
 }
 
@@ -121,8 +45,8 @@ inline McResult run_mc(const dram::DramConfig& dram_cfg, mem::ControllerConfig c
 /// is deliberately asymmetric — a deep-window streaming hog vs
 /// shallow-window latency-sensitive cores — because that is the regime
 /// where scheduling policy separates (cf. PAR-BS/TCM evaluations).
-inline std::vector<InjectorSpec> hetero_mix(std::uint64_t seed) {
-  std::vector<InjectorSpec> v;
+inline std::vector<sim::Injector> hetero_mix(std::uint64_t seed) {
+  std::vector<sim::Injector> v;
   workloads::StreamParams p;
   p.footprint = 48ull << 20;
   p.seed = seed;
@@ -143,9 +67,9 @@ inline std::vector<InjectorSpec> hetero_mix(std::uint64_t seed) {
 }
 
 /// One stream of the hetero mix, alone (for fairness baselines).
-inline std::vector<InjectorSpec> hetero_single(std::uint64_t seed, int which) {
+inline std::vector<sim::Injector> hetero_single(std::uint64_t seed, int which) {
   auto all = hetero_mix(seed);
-  std::vector<InjectorSpec> one;
+  std::vector<sim::Injector> one;
   one.push_back(std::move(all[static_cast<std::size_t>(which)]));
   return one;
 }

@@ -7,55 +7,24 @@
 #include <iostream>
 
 #include "mem/memsys.hh"
+#include "sim/closed_loop.hh"
 #include "workloads/stream.hh"
 
 using namespace ima;
 
 namespace {
 
-/// Four injection cores with different behaviours keep requests in flight.
-struct Injector {
-  std::unique_ptr<workloads::AccessStream> stream;
-  std::uint32_t mlp;
-  std::uint32_t outstanding = 0;
-  std::uint64_t served = 0;
-};
-
-double run_window(mem::MemorySystem& sys, std::vector<Injector>& cores, Cycle from,
-                  Cycle until) {
-  std::uint64_t served_before = 0;
-  for (const auto& c : cores) served_before += c.served;
-  for (Cycle now = from; now < until; ++now) {
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      auto& c = cores[i];
-      while (c.outstanding < c.mlp) {
-        const auto e = c.stream->next();
-        if (!sys.can_accept(e.addr, e.type)) break;
-        mem::Request r;
-        r.addr = e.addr;
-        r.type = e.type;
-        r.core = static_cast<std::uint32_t>(i);
-        r.arrive = now;
-        ++c.outstanding;
-        if (!sys.enqueue(r, [&c](const mem::Request&) {
-              --c.outstanding;
-              ++c.served;
-            })) {
-          --c.outstanding;  // rejected: the window slot stays free
-          break;
-        }
-      }
-    }
-    sys.tick(now);
-  }
-  std::uint64_t served_after = 0;
-  for (const auto& c : cores) served_after += c.served;
-  return 1000.0 * static_cast<double>(served_after - served_before) /
+/// Requests served per kilocycle over [from, until).
+double run_window(mem::MemorySystem& sys, sim::ClosedLoop& cores, Cycle from, Cycle until) {
+  const std::uint64_t served_before = cores.total_served();
+  cores.run(sys, from, until);
+  return 1000.0 * static_cast<double>(cores.total_served() - served_before) /
          static_cast<double>(until - from);
 }
 
-std::vector<Injector> make_cores() {
-  std::vector<Injector> cores;
+/// Four injection cores with different behaviours keep requests in flight.
+std::vector<sim::Injector> make_cores() {
+  std::vector<sim::Injector> cores;
   workloads::StreamParams p;
   p.footprint = 48ull << 20;
   cores.push_back({workloads::make_streaming(p), 16});
@@ -82,7 +51,7 @@ int main() {
   double frfcfs_rate = 0;
   {
     mem::MemorySystem sys(dram_cfg, ctrl);
-    auto cores = make_cores();
+    sim::ClosedLoop cores(make_cores());
     frfcfs_rate = run_window(sys, cores, 0, 600'000);
   }
   std::cout << "FR-FCFS steady state: " << frfcfs_rate << " requests/kcycle\n\n";
@@ -92,7 +61,7 @@ int main() {
   mem::MemorySystem sys(dram_cfg, ctrl);
   sys.controller(0).set_scheduler(mem::make_rl(4, /*seed=*/1, /*alpha=*/0.1,
                                                /*epsilon=*/0.1));
-  auto cores = make_cores();
+  sim::ClosedLoop cores(make_cores());
 
   std::cout << "RL controller learning online:\n";
   Cycle t = 0;

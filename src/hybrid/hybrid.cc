@@ -55,14 +55,14 @@ HybridMemory::HybridMemory(const HybridConfig& cfg) : cfg_(cfg) {
   }
 }
 
-bool HybridMemory::can_accept(Addr addr, AccessType type) const {
+bool HybridMemory::can_accept(Addr addr, AccessType type, std::uint32_t core) const {
   const std::uint64_t page = addr / cfg_.page_bytes;
   const auto it = page_table_.find(page);
   if (it != page_table_.end()) {
     const Addr daddr = it->second * cfg_.page_bytes + addr % cfg_.page_bytes;
-    return dram_->can_accept(daddr, type);
+    return dram_->can_accept(daddr, type, core);
   }
-  return pcm_->can_accept(addr % cfg_.pcm.geometry.total_bytes(), type);
+  return pcm_->can_accept(addr % cfg_.pcm.geometry.total_bytes(), type, core);
 }
 
 bool HybridMemory::enqueue(mem::Request req, mem::CompletionCallback cb) {

@@ -54,7 +54,10 @@ class HybridMemory {
   /// False = not admitted, `cb` never fires (same contract as
   /// mem::MemorySystem::enqueue — gate on can_accept or retry).
   [[nodiscard]] bool enqueue(mem::Request req, mem::CompletionCallback cb = nullptr);
-  bool can_accept(Addr addr, AccessType type) const;
+  /// True if the tier the page maps to can accept the request now (`core`
+  /// as in mem::MemorySystem::can_accept).
+  bool can_accept(Addr addr, AccessType type,
+                  std::uint32_t core = mem::Controller::kAnyCore) const;
 
   void tick(Cycle now);
 

@@ -1,8 +1,9 @@
 // Vault fabric: one huge PNM stack as a single sharded MemorySystem.
 //
 // PnmStack (stack.hh) models a modest stack faithfully — per-vault cores,
-// NoC hops, host link — with a closed per-cycle loop that cannot be split
-// across host threads without changing its interleaving. The fabric is the
+// NoC hops, host link — as one closed loop on the event kernel whose cores
+// and vaults interleave every cycle, so it cannot be split across host
+// threads without changing that interleaving. The fabric is the
 // scale-out complement: vault = channel inside ONE MemorySystem (HBM-like
 // per-vault timing), driven open-loop by per-vault offload streams through
 // MemorySystem::drain_sourced. That puts 64–256 vaults on the epoch-barrier

@@ -1,7 +1,10 @@
 #include "pnm/stack.hh"
 
-#include <cassert>
+#include <algorithm>
+#include <stdexcept>
+#include <string>
 
+#include "common/clock.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 
@@ -18,12 +21,15 @@ void PnmStack::register_stats(obs::StatRegistry& reg, const std::string& prefix)
 }
 
 PnmStack::RunResult PnmStack::run_pnm(const std::vector<VaultTrace>& traces, Cycle max_cycles) {
-  assert(traces.size() == cfg_.vaults);
+  if (traces.size() != cfg_.vaults)
+    throw std::invalid_argument("PnmStack::run_pnm: " + std::to_string(traces.size()) +
+                                " traces for " + std::to_string(cfg_.vaults) + " vaults");
   return run_traces(traces, /*near_memory=*/true, max_cycles);
 }
 
 PnmStack::RunResult PnmStack::run_host(const std::vector<VaultTrace>& traces,
                                        std::uint32_t host_cores, Cycle max_cycles) {
+  if (host_cores == 0) throw std::invalid_argument("PnmStack::run_host: no host cores");
   // Merge the per-vault work and deal it round-robin to the host cores —
   // same total work, executed from across the off-package link.
   std::vector<VaultTrace> per_core(host_cores);
@@ -35,6 +41,13 @@ PnmStack::RunResult PnmStack::run_host(const std::vector<VaultTrace>& traces,
 
 PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core,
                                          bool near_memory, Cycle max_cycles) {
+  for (const auto& t : per_core)
+    for (const auto& a : t)
+      if (a.addr >= total_bytes())
+        throw std::invalid_argument("PnmStack: access at address " + std::to_string(a.addr) +
+                                    " beyond the " + std::to_string(total_bytes()) +
+                                    "-byte stack");
+
   // Fresh vault state per run.
   std::vector<std::unique_ptr<mem::MemorySystem>> vaults;
   for (std::uint32_t v = 0; v < cfg_.vaults; ++v)
@@ -42,6 +55,7 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
 
   const std::uint32_t width = near_memory ? cfg_.core_width : cfg_.host_core_width;
   const std::uint32_t mlp = near_memory ? cfg_.pnm_mlp : cfg_.host_mlp;
+  const sim::ClockMode mode = sim::default_clock_mode();
 
   struct CoreState {
     std::size_t idx = 0;           // next trace entry
@@ -62,107 +76,126 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
   std::uint64_t noc_lines = 0;
   std::uint64_t host_lines = 0;
   Cycle link_free = 0;  // off-package link occupancy (host mode)
+  const Cycle link_window = cfg_.host_link_cycles_per_line * 4;
+  bool all_done = false;
+  Cycle core_wake = 0;  // earliest cycle at which some core's step can act
 
-  Cycle now = 0;
-  for (; now < max_cycles; ++now) {
-    for (auto& v : vaults) v->tick(now);
+  // Per-vault event calendar: vault v is ticked only from cycle due[v] on.
+  // A tick re-arms it at the vault's own next_event, an enqueue at the next
+  // cycle; PerCycle ticks every vault every cycle.
+  std::vector<Cycle> due(cfg_.vaults, 0);
 
-    bool all_done = true;
-    for (std::size_t i = 0; i < cores.size(); ++i) {
-      CoreState& cs = cores[i];
-      // Retire reads whose data (including link/NoC transit) has arrived.
-      for (std::size_t r = 0; r < cs.releases.size();) {
-        if (cs.releases[r] <= now) {
-          cs.releases[r] = cs.releases.back();
-          cs.releases.pop_back();
-          if (cs.outstanding > 0) --cs.outstanding;
-        } else {
-          ++r;
-        }
-      }
-      const VaultTrace& trace = per_core[i];
-      if (cs.idx >= trace.size()) {
-        if (cs.outstanding > 0) all_done = false;
-        continue;
-      }
-      all_done = false;
-
-      const PnmAccess& a = trace[cs.idx];
-      if (!cs.primed) {
-        cs.compute_left = a.compute;
-        cs.primed = true;
-      }
-      if (cs.compute_left > 0) {
-        const std::uint32_t n = std::min(cs.compute_left, width);
-        cs.compute_left -= n;
-        res.instructions += n;
-        continue;
-      }
-
-      // Miss window full: stall until a completion drains.
-      if (cs.outstanding >= mlp) continue;
-
-      const std::uint32_t target_vault = vault_of(a.addr) % cfg_.vaults;
-      mem::MemorySystem& vmem = *vaults[target_vault];
-      const Addr laddr = local_addr(a.addr);
-      if (!vmem.can_accept(laddr, a.type)) continue;  // controller queue full
-
-      Cycle extra = 0;
-      if (!near_memory) {
-        // Off-package link is a shared, bandwidth-limited resource.
-        if (link_free > now + cfg_.host_link_cycles_per_line * 4) continue;
-        link_free = std::max(link_free, now) + cfg_.host_link_cycles_per_line;
-        ++host_lines;
-        ++res.remote_accesses;
-        extra = cfg_.host_link_latency;
+  // One core's work at `now`; returns the earliest cycle at which its next
+  // step can do anything (a vault tick that frees queue space or fires a
+  // completion is an event of its own).
+  const auto step = [&](std::size_t i, Cycle now) -> Cycle {
+    CoreState& cs = cores[i];
+    // Retire reads whose data (including link/NoC transit) has arrived.
+    Cycle first_release = kCycleNever;
+    for (std::size_t r = 0; r < cs.releases.size();) {
+      if (cs.releases[r] <= now) {
+        cs.releases[r] = cs.releases.back();
+        cs.releases.pop_back();
+        if (cs.outstanding > 0) --cs.outstanding;
       } else {
-        const bool local = target_vault == (i % cfg_.vaults);
-        if (local) {
-          ++res.local_accesses;
-        } else {
-          ++res.remote_accesses;
-          ++noc_lines;
-          extra = cfg_.remote_hop_latency;
-        }
+        first_release = std::min(first_release, cs.releases[r]);
+        ++r;
       }
+    }
+    const VaultTrace& trace = per_core[i];
+    if (cs.idx >= trace.size()) {
+      if (cs.outstanding > 0) all_done = false;
+      return first_release;
+    }
+    all_done = false;
 
-      mem::Request req;
-      req.addr = laddr;
-      req.type = a.type;
-      req.core = static_cast<std::uint32_t>(i % 64);
-      req.arrive = now;
-      const bool is_read = a.type == AccessType::Read;
-      if (is_read) {
-        ++cs.outstanding;
-        const bool ok = vmem.enqueue(req, [&cs, extra](const mem::Request& done) {
-          cs.releases.push_back(done.complete + extra);
-        });
-        if (!ok) {
-          --cs.outstanding;
-          continue;
-        }
-      } else {
-        if (!vmem.enqueue(req)) continue;
-      }
-
-      ++res.instructions;
-      ++cs.idx;
-      cs.primed = false;
+    const PnmAccess& a = trace[cs.idx];
+    if (!cs.primed) {
+      cs.compute_left = a.compute;
+      cs.primed = true;
+    }
+    if (cs.compute_left > 0) {
+      const std::uint32_t n = std::min(cs.compute_left, width);
+      cs.compute_left -= n;
+      res.instructions += n;
+      return now + 1;
     }
 
-    if (all_done) break;
-  }
+    // Miss window full: stall until a completion drains.
+    if (cs.outstanding >= mlp) return first_release;
 
-  res.cycles = now;
-  IMA_TRACE(trace_, .cycle = now, .kind = obs::EventKind::OffloadComplete,
+    const std::uint32_t target_vault = vault_of(a.addr);
+    mem::MemorySystem& vmem = *vaults[target_vault];
+    const Addr laddr = local_addr(a.addr);
+    if (!vmem.can_accept(laddr, a.type)) return kCycleNever;  // queue full until a vault tick
+
+    Cycle extra = 0;
+    if (!near_memory) {
+      // Off-package link is a shared, bandwidth-limited resource.
+      if (link_free > now + link_window) return link_free - link_window;
+      link_free = std::max(link_free, now) + cfg_.host_link_cycles_per_line;
+      ++host_lines;
+      ++res.remote_accesses;
+      extra = cfg_.host_link_latency;
+    } else if (target_vault == i) {
+      ++res.local_accesses;
+    } else {
+      ++res.remote_accesses;
+      ++noc_lines;
+      extra = cfg_.remote_hop_latency;
+    }
+
+    mem::Request req;
+    req.addr = laddr;
+    req.type = a.type;
+    req.core = static_cast<std::uint32_t>(i % 64);
+    req.arrive = now;
+    if (a.type == AccessType::Read) {
+      ++cs.outstanding;
+      const bool ok = vmem.enqueue(req, [&cs, extra](const mem::Request& done) {
+        cs.releases.push_back(done.complete + extra);
+      });
+      if (!ok) {
+        --cs.outstanding;
+        return now + 1;
+      }
+    } else if (!vmem.enqueue(req)) {
+      return now + 1;
+    }
+    due[target_vault] = std::min(due[target_vault], now + 1);
+
+    ++res.instructions;
+    ++cs.idx;
+    cs.primed = false;
+    return now + 1;
+  };
+
+  const Cycle end = sim::run_event_loop(
+      mode, 0, max_cycles,
+      [&](Cycle now) {
+        for (std::uint32_t v = 0; v < cfg_.vaults; ++v) {
+          if (now < due[v]) continue;
+          vaults[v]->tick(now);
+          due[v] = mode == sim::ClockMode::PerCycle ? now + 1 : vaults[v]->next_event(now);
+        }
+        all_done = true;
+        core_wake = kCycleNever;
+        for (std::size_t i = 0; i < cores.size(); ++i)
+          core_wake = std::min(core_wake, step(i, now));
+      },
+      [&] { return all_done; },
+      [&](Cycle) { return std::min(core_wake, *std::min_element(due.begin(), due.end())); });
+
+  res.cycles = end;
+  IMA_TRACE(trace_, .cycle = end, .kind = obs::EventKind::OffloadComplete,
             .tid = static_cast<std::uint16_t>(near_memory ? 1 : 0),
-            .arg0 = res.instructions, .arg1 = now,
+            .arg0 = res.instructions, .arg1 = end,
             .name = near_memory ? "run-pnm-done" : "run-host-done");
   ++(near_memory ? stats_.runs_pnm : stats_.runs_host);
   stats_.instructions += res.instructions;
   stats_.local_accesses += res.local_accesses;
   stats_.remote_accesses += res.remote_accesses;
-  for (auto& v : vaults) res.energy += v->total_energy(now);
+  for (auto& v : vaults) res.energy += v->total_energy(end);
   res.energy += static_cast<double>(noc_lines) * cfg_.e_noc_per_line;
   res.energy += static_cast<double>(host_lines) * cfg_.e_host_link_per_line;
   res.energy += static_cast<double>(res.instructions) *

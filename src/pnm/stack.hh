@@ -6,6 +6,12 @@
 // accesses (Tesseract-style [9]). Host access to the same stack pays the
 // off-package link latency and energy; PNM cores access their vault
 // directly — that asymmetry is the entire PNM argument.
+//
+// A run is one closed loop on the shared event kernel (sim::run_event_loop):
+// each vault is ticked only at its own next_event or right after a core
+// enqueues into it (a per-vault calendar), and the cores are stepped at
+// every visited cycle. IMA_CLOCK=percycle ticks every vault every cycle and
+// gives identical results.
 #pragma once
 
 #include <functional>
@@ -84,11 +90,15 @@ class PnmStack {
     std::uint64_t remote_accesses = 0;
     PicoJoule energy = 0;
   };
+  /// Throws std::invalid_argument unless there is one trace per vault and
+  /// every address is below total_bytes().
   RunResult run_pnm(const std::vector<VaultTrace>& traces, Cycle max_cycles = 2'000'000'000);
 
   /// Runs the union of the traces on `host_cores` host-side cores through
   /// the off-package link (round-robin interleaved), no caches — the
-  /// stream-through baseline. Returns the same metrics.
+  /// stream-through baseline. Returns the same metrics. Throws
+  /// std::invalid_argument for zero `host_cores` or an address at or beyond
+  /// total_bytes().
   RunResult run_host(const std::vector<VaultTrace>& traces, std::uint32_t host_cores,
                      Cycle max_cycles = 2'000'000'000);
 

@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/clock.hh"
@@ -19,6 +20,7 @@
 #include "mem/rowhammer.hh"
 #include "obs/stat_registry.hh"
 #include "obs/timeseries.hh"
+#include "sim/closed_loop.hh"
 #include "sim/system.hh"
 #include "workloads/stream.hh"
 
@@ -229,6 +231,26 @@ mem::Request make_req(Addr addr, AccessType type, Cycle arrive) {
   return r;
 }
 
+// Four MLP-window injectors (bandwidth hog, latency-sensitive, row-local,
+// Zipf): the scheduler benches' mix.
+std::vector<sim::Injector> hetero_mix(std::uint64_t seed) {
+  std::vector<sim::Injector> cores;
+  workloads::StreamParams p;
+  p.footprint = 48ull << 20;
+  p.seed = seed;
+  cores.push_back({workloads::make_streaming(p), 16});
+  p.base = 1ull << 30;
+  ++p.seed;
+  cores.push_back({workloads::make_random(p), 2});
+  p.base = 2ull << 30;
+  ++p.seed;
+  cores.push_back({workloads::make_row_local(p, 24, 8192), 8});
+  p.base = 3ull << 30;
+  ++p.seed;
+  cores.push_back({workloads::make_zipf(p, 0.9), 4});
+  return cores;
+}
+
 // Saturated-queue golden rows: MLP-window injectors keep the controller
 // queues full, the regime where the precise busy-controller next_event
 // bound (rather than the old blanket now + 1) decides which cycles are
@@ -251,51 +273,8 @@ std::pair<Cycle, obs::StatRegistry::Snapshot> run_loaded(sim::ClockMode mode, in
   obs::StatRegistry reg;
   sys.register_stats(reg, "mem");
 
-  struct Injector {
-    std::unique_ptr<workloads::AccessStream> stream;
-    std::uint32_t mlp = 0;
-    std::uint32_t outstanding = 0;
-  };
-  std::vector<Injector> cores;
-  workloads::StreamParams p;
-  p.footprint = 48ull << 20;
-  p.seed = 101;
-  cores.push_back({workloads::make_streaming(p), 16, 0});  // bandwidth hog
-  p.base = 1ull << 30;
-  ++p.seed;
-  cores.push_back({workloads::make_random(p), 2, 0});  // latency-sensitive
-  p.base = 2ull << 30;
-  ++p.seed;
-  cores.push_back({workloads::make_row_local(p, 24, 8192), 8, 0});
-  p.base = 3ull << 30;
-  ++p.seed;
-  cores.push_back({workloads::make_zipf(p, 0.9), 4, 0});
-
-  Cycle now = sim::run_event_loop(
-      mode, 0, 120'000,
-      [&](Cycle t) {
-        for (std::size_t i = 0; i < cores.size(); ++i) {
-          auto& c = cores[i];
-          while (c.outstanding < c.mlp) {
-            const auto e = c.stream->next();
-            mem::Request r = make_req(e.addr, e.type, t);
-            r.core = static_cast<std::uint32_t>(i);
-            if (!sys.can_accept(r.addr, r.type, r.core)) break;
-            ++c.outstanding;
-            if (!sys.enqueue(r, [&c](const mem::Request&) { --c.outstanding; })) {
-              --c.outstanding;
-              break;
-            }
-          }
-        }
-        sys.tick(t);
-      },
-      [] { return false; },
-      [&](Cycle t) {
-        for (const auto& c : cores)
-          if (c.outstanding < c.mlp) return t + 1;
-        return sys.next_event(t);
-      });
+  sim::ClosedLoop cores(hetero_mix(101));
+  Cycle now = cores.run(sys, 0, 120'000, mode);
 
   // Stop injecting and drain, then cross an idle gap and issue a short
   // burst: the refresh catch-up and rank power-state accounting deferred
@@ -322,6 +301,71 @@ TEST(ClockExact, LoadedQueueAllSchedulers) {
     EXPECT_GT(sa.second.at("mem.ctrl0.reads_done").value_or(0), 1000.0);
     EXPECT_GT(sa.second.at("mem.ctrl0.victim_refreshes").value_or(0), 0.0);
   }
+}
+
+// sim::ClosedLoop drives the MLP-window benches (C5, C10, C13, C20) and the
+// self-optimizing controller example. Its per-core results must not depend
+// on the clock mode, nor on cutting one run into consecutive windows: C5's
+// learning curve and the example report per-window deltas of a single run.
+static_assert(!std::is_copy_constructible_v<sim::ClosedLoop> &&
+                  !std::is_move_constructible_v<sim::ClosedLoop>,
+              "in-flight completion callbacks point at the ClosedLoop");
+
+struct LoopOutcome {
+  std::vector<std::uint64_t> served;
+  std::vector<double> latency_sum;
+};
+
+template <typename MakeMem>
+void expect_closed_loop_exact(const MakeMem& make_mem, Cycle until) {
+  const auto run = [&](sim::ClockMode mode, Cycle split) {
+    auto mem = make_mem();
+    sim::ClosedLoop loop(hetero_mix(31));
+    EXPECT_EQ(loop.run(*mem, 0, split, mode), split);
+    EXPECT_EQ(loop.run(*mem, split, until, mode), until);
+    LoopOutcome out;
+    for (const auto& in : loop.injectors()) {
+      out.served.push_back(in.served);
+      out.latency_sum.push_back(in.read_latency_sum);
+    }
+    return out;
+  };
+  const LoopOutcome ref = run(sim::ClockMode::PerCycle, until);
+  for (const std::uint64_t s : ref.served) EXPECT_GT(s, 0u);
+  for (const auto mode : {sim::ClockMode::PerCycle, sim::ClockMode::SkipAhead}) {
+    for (const Cycle split : {until / 2, until}) {
+      SCOPED_TRACE(std::string(sim::to_string(mode)) + (split < until ? ", split" : ", whole"));
+      const LoopOutcome got = run(mode, split);
+      EXPECT_EQ(got.served, ref.served);
+      EXPECT_EQ(got.latency_sum, ref.latency_sum);
+    }
+  }
+}
+
+TEST(ClosedLoop, MemorySystemFrFcfsAndRl) {
+  for (const auto kind : {mem::SchedKind::FrFcfs, mem::SchedKind::Rl}) {
+    SCOPED_TRACE(mem::to_string(kind));
+    expect_closed_loop_exact(
+        [kind] {
+          mem::ControllerConfig ctrl;
+          ctrl.num_cores = 4;
+          ctrl.sched = kind;
+          return std::make_unique<mem::MemorySystem>(dram::DramConfig::ddr4_2400(), ctrl);
+        },
+        40'000);
+  }
+}
+
+TEST(ClosedLoop, HybridMemory) {
+  expect_closed_loop_exact(
+      [] {
+        hybrid::HybridConfig cfg;
+        cfg.dram_bytes = 1ull << 20;
+        cfg.epoch = 5'000;
+        cfg.hot_threshold = 2;
+        return std::make_unique<hybrid::HybridMemory>(cfg);
+      },
+      40'000);
 }
 
 TEST(Spans, StagesSumExactlyToEndToEnd) {

@@ -2,6 +2,8 @@
 // PNM-vs-host comparisons, offload cost model.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "pnm/kernels.hh"
 #include "pnm/offload.hh"
 #include "pnm/stack.hh"
@@ -71,6 +73,64 @@ TEST(Stack, RemoteAccessesCostMore) {
   EXPECT_GT(remote.cycles, local.cycles);
   EXPECT_EQ(remote.remote_accesses, 300u);
   EXPECT_EQ(local.local_accesses, 300u);
+}
+
+// Compute bursts, local and remote reads and posted writes; with `hot`,
+// every access goes to vault 0 and half are writes, so its queues fill.
+std::vector<VaultTrace> mixed_traces(const PnmStack& stack, bool hot) {
+  std::vector<VaultTrace> traces(4);
+  for (std::uint32_t v = 0; v < 4; ++v) {
+    for (std::uint32_t i = 0; i < 160; ++i) {
+      const std::uint32_t target = hot ? 0 : i % 4 == 0 ? (v + 1) % 4 : v;
+      const bool write = hot ? i % 2 == 0 : i % 5 == 0;
+      traces[v].push_back({hot ? 0 : i % 3,
+                           target * stack.vault_bytes() + (i * 7 % 512 + v) * kLineBytes,
+                           write ? AccessType::Write : AccessType::Read});
+    }
+  }
+  return traces;
+}
+
+void expect_result(const PnmStack::RunResult& r, Cycle cycles, std::uint64_t instructions,
+                   std::uint64_t local, std::uint64_t remote, double energy) {
+  EXPECT_EQ(r.cycles, cycles);
+  EXPECT_EQ(r.instructions, instructions);
+  EXPECT_EQ(r.local_accesses, local);
+  EXPECT_EQ(r.remote_accesses, remote);
+  EXPECT_DOUBLE_EQ(r.energy, energy);
+}
+
+// Exact results of the stack's cycle model, compute bursts, full miss
+// windows, full vault queues and a saturated host link included. ctest
+// runs this binary a second time under IMA_CLOCK=percycle, which ticks
+// every vault every cycle, against the same numbers.
+TEST(Stack, PinnedRunResults) {
+  PnmStack stack(small_stack());
+  const auto traces = mixed_traces(stack, false);
+  expect_result(stack.run_pnm(traces), 1474, 1276, 480, 160, 934030);
+  expect_result(stack.run_host(traces, 3), 2283, 1276, 0, 640, 2541790);
+  expect_result(stack.run_pnm(mixed_traces(stack, true)), 2112, 640, 160, 480, 949220);
+}
+
+TEST(StackInput, HostRunNeedsACore) {
+  PnmStack stack(small_stack());
+  EXPECT_THROW(stack.run_host(mixed_traces(stack, false), 0), std::invalid_argument);
+}
+
+TEST(StackInput, PnmRunNeedsOneTracePerVault) {
+  PnmStack stack(small_stack());
+  auto traces = mixed_traces(stack, false);
+  traces.pop_back();
+  EXPECT_THROW(stack.run_pnm(traces), std::invalid_argument);
+}
+
+TEST(StackInput, AccessBeyondTheStackThrows) {
+  PnmStack stack(small_stack());
+  std::vector<VaultTrace> traces(4);
+  traces[2] = sequential_trace(4, stack.total_bytes() - 2 * kLineBytes, 1);
+  EXPECT_THROW(stack.run_pnm(traces), std::invalid_argument);
+  EXPECT_THROW(stack.run_host(traces, 2), std::invalid_argument);
+  EXPECT_EQ(stack.stats().runs_pnm + stack.stats().runs_host, 0u);
 }
 
 TEST(Kernels, ScanGeneratesOneAccessPerLine) {
