@@ -12,6 +12,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "bench/mc_harness.hh"
 #include "common/clock.hh"
 #include "common/rng.hh"
 #include "hybrid/hybrid.hh"
@@ -20,7 +21,6 @@
 #include "mem/rowhammer.hh"
 #include "obs/stat_registry.hh"
 #include "obs/timeseries.hh"
-#include "sim/closed_loop.hh"
 #include "sim/system.hh"
 #include "workloads/stream.hh"
 
@@ -231,26 +231,6 @@ mem::Request make_req(Addr addr, AccessType type, Cycle arrive) {
   return r;
 }
 
-// Four MLP-window injectors (bandwidth hog, latency-sensitive, row-local,
-// Zipf): the scheduler benches' mix.
-std::vector<sim::Injector> hetero_mix(std::uint64_t seed) {
-  std::vector<sim::Injector> cores;
-  workloads::StreamParams p;
-  p.footprint = 48ull << 20;
-  p.seed = seed;
-  cores.push_back({workloads::make_streaming(p), 16});
-  p.base = 1ull << 30;
-  ++p.seed;
-  cores.push_back({workloads::make_random(p), 2});
-  p.base = 2ull << 30;
-  ++p.seed;
-  cores.push_back({workloads::make_row_local(p, 24, 8192), 8});
-  p.base = 3ull << 30;
-  ++p.seed;
-  cores.push_back({workloads::make_zipf(p, 0.9), 4});
-  return cores;
-}
-
 // Saturated-queue golden rows: MLP-window injectors keep the controller
 // queues full, the regime where the precise busy-controller next_event
 // bound (rather than the old blanket now + 1) decides which cycles are
@@ -273,7 +253,7 @@ std::pair<Cycle, obs::StatRegistry::Snapshot> run_loaded(sim::ClockMode mode, in
   obs::StatRegistry reg;
   sys.register_stats(reg, "mem");
 
-  sim::ClosedLoop cores(hetero_mix(101));
+  sim::ClosedLoop cores(bench::hetero_mix(101));
   Cycle now = cores.run(sys, 0, 120'000, mode);
 
   // Stop injecting and drain, then cross an idle gap and issue a short
@@ -320,7 +300,7 @@ template <typename MakeMem>
 void expect_closed_loop_exact(const MakeMem& make_mem, Cycle until) {
   const auto run = [&](sim::ClockMode mode, Cycle split) {
     auto mem = make_mem();
-    sim::ClosedLoop loop(hetero_mix(31));
+    sim::ClosedLoop loop(bench::hetero_mix(31));
     EXPECT_EQ(loop.run(*mem, 0, split, mode), split);
     EXPECT_EQ(loop.run(*mem, split, until, mode), until);
     LoopOutcome out;
