@@ -11,7 +11,6 @@
 
 #include "bench/bench_util.hh"
 #include "harness/pool.hh"
-#include "pnm/fabric.hh"
 #include "pnm/kernels.hh"
 #include "pnm/stack.hh"
 
@@ -68,12 +67,12 @@ int main() {
   }
   bench::print_table(t);
 
-  // Scale phase: past ~16 vaults the single-threaded closed-loop stack
-  // stops being the interesting regime — Tesseract-class deployments are many
-  // stacks of 32 vaults each. VaultFabric models that aggregate as one
-  // sharded MemorySystem (vault == channel) driven open-loop with
-  // interleaved AapFpm in-situ ops, so 64-256 vault points run wide
-  // across host shards. The 64-vault point re-runs at width 1 as the
+  // Scale phase: past ~16 vaults the single-threaded closed loop stops
+  // being the interesting regime — Tesseract-class deployments are many
+  // stacks of 32 vaults each. PnmStack::run_stream drives that aggregate
+  // (one memory system, vault == channel) open-loop with interleaved
+  // AapFpm in-situ ops on the shard engine, so 64-256 vault points run
+  // wide across host shards. The 64-vault point re-runs at width 1 as the
   // in-binary byte-identity check.
   {
     unsigned shards = harness::default_shards();
@@ -81,16 +80,15 @@ int main() {
     const std::uint64_t ops = bench::smoke_scaled(2'000, 150);
 
     const auto run = [ops](std::uint32_t vaults, unsigned width) {
-      pnm::FabricConfig fcfg;
-      fcfg.vaults = vaults;
-      fcfg.shards = width;
+      pnm::PnmConfig cfg;
+      cfg.vaults = vaults;
       struct {
-        pnm::VaultFabric::RunResult res;
+        pnm::PnmStack::StreamResult res;
         double wall;
       } out{};
-      pnm::VaultFabric fab(fcfg);
+      pnm::PnmStack stack(cfg);
       const auto start = std::chrono::steady_clock::now();
-      out.res = fab.run_stream(ops, /*write_every=*/4, /*pim_every=*/16, /*seed=*/5);
+      out.res = stack.run_stream(ops, /*write_every=*/4, /*pim_every=*/16, /*seed=*/5, width);
       out.wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
               .count();

@@ -1,7 +1,9 @@
 #include "common/clock.hh"
 
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
+
+#include "common/env.hh"
 
 namespace ima::sim {
 
@@ -15,12 +17,8 @@ const char* to_string(ClockMode m) {
 
 Cycle default_shard_epoch() {
   static const Cycle epoch = [] {
-    if (const char* env = std::getenv("IMA_SHARD_EPOCH"); env && *env) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end && *end == '\0' && v > 0) return static_cast<Cycle>(v);
-    }
-    return Cycle{8192};
+    const Cycle v = env_uint("IMA_SHARD_EPOCH").value_or(0);
+    return v > 0 ? v : Cycle{8192};
   }();
   return epoch;
 }
@@ -35,9 +33,11 @@ Cycle conservative_epoch(std::initializer_list<Cycle> latencies, Cycle fallback)
 ClockMode default_clock_mode() {
   static const ClockMode mode = [] {
     const char* env = std::getenv("IMA_CLOCK");
-    if (env && (std::strcmp(env, "percycle") == 0 || std::strcmp(env, "per-cycle") == 0))
-      return ClockMode::PerCycle;
-    return ClockMode::SkipAhead;
+    if (!env || !*env) return ClockMode::SkipAhead;
+    const std::string_view v = env;
+    if (v == "percycle" || v == "per-cycle") return ClockMode::PerCycle;
+    if (v == "skipahead" || v == "skip-ahead") return ClockMode::SkipAhead;
+    env_reject("IMA_CLOCK", env, "expected percycle, per-cycle, skipahead or skip-ahead");
   }();
   return mode;
 }

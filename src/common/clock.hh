@@ -41,7 +41,9 @@ const char* to_string(ClockMode m);
 
 /// Process-wide default: SkipAhead, unless the environment overrides it
 /// with IMA_CLOCK=percycle (handy for bisecting a suspected kernel bug
-/// without rebuilding). Read once and cached.
+/// without rebuilding). Read once and cached; any other value than
+/// percycle, per-cycle, skipahead or skip-ahead throws
+/// std::invalid_argument.
 ClockMode default_clock_mode();
 
 /// The cycle the event loop advances to after ticking at `now`.
@@ -90,10 +92,11 @@ Cycle run_event_loop(ClockMode mode, Cycle from, Cycle limit, TickFn&& tick,
 // which union of tick cycles) it lands in.
 
 /// Default epoch length between shard barriers: $IMA_SHARD_EPOCH when set
-/// to a positive integer, else 8192 cycles. Open-loop drains are exact at
-/// any epoch length (deferred callbacks never feed back into the epoch);
-/// the default just trades barrier overhead against callback-delivery
-/// granularity. Read once and cached.
+/// to a positive integer, else 8192 cycles (a malformed value throws, see
+/// common/env.hh). Open-loop drains are exact at any epoch length (deferred
+/// callbacks never feed back into the epoch); the default just trades
+/// barrier overhead against callback-delivery granularity. Read once and
+/// cached.
 Cycle default_shard_epoch();
 
 /// Conservative-lookahead epoch bound for *closed-loop* co-simulation: the

@@ -1,7 +1,8 @@
 #include "harness/pool.hh"
 
 #include <algorithm>
-#include <cstdlib>
+
+#include "common/env.hh"
 
 namespace ima::harness {
 
@@ -18,13 +19,7 @@ struct ScopedOnWorker {
 };
 
 unsigned parse_shards_env() {
-  if (const char* env = std::getenv("IMA_SHARDS"); env && *env) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end && *end == '\0' && v > 0)
-      return static_cast<unsigned>(v < 64 ? v : 64);
-  }
-  return 0;
+  return static_cast<unsigned>(std::min<std::uint64_t>(env_uint("IMA_SHARDS").value_or(0), 64));
 }
 
 }  // namespace

@@ -78,8 +78,9 @@ class WorkerPool {
 /// Shard width for intra-sim sharding: $IMA_SHARDS when set to a positive
 /// integer (capped at 64), else 0 = "no shard plan" (callers that want
 /// sharded semantics regardless use max(1u, default_shards())). Read once
-/// and cached. Distinct from IMA_JOBS on purpose: sweeps parallelize
-/// *across* simulations, shards parallelize *inside* one.
+/// and cached; a malformed value throws (common/env.hh). Distinct from
+/// IMA_JOBS on purpose: sweeps parallelize *across* simulations, shards
+/// parallelize *inside* one.
 unsigned default_shards();
 
 }  // namespace ima::harness

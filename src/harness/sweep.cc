@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/env.hh"
 #include "common/table.hh"
 #include "harness/pool.hh"
 #include "obs/watchdog.hh"
@@ -15,27 +16,18 @@ namespace ima::harness {
 namespace {
 
 unsigned parse_jobs_env() {
-  if (const char* env = std::getenv("IMA_JOBS"); env && *env) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end && *end == '\0' && v > 0) {
-      // Cap well above any sane machine so a typo ("IMA_JOBS=100000")
-      // cannot exhaust thread handles.
-      return static_cast<unsigned>(v < 1024 ? v : 1024);
-    }
-  }
+  // Cap well above any sane machine so a typo ("IMA_JOBS=100000") cannot
+  // exhaust thread handles.
+  if (const std::uint64_t v = env_uint("IMA_JOBS").value_or(0); v > 0)
+    return static_cast<unsigned>(std::min<std::uint64_t>(v, 1024));
   const unsigned hw = std::thread::hardware_concurrency();
   return hw ? hw : 1;
 }
 
 unsigned parse_retries_env() {
-  if (const char* env = std::getenv("IMA_SWEEP_RETRIES"); env && *env) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    // Cap keeps a typo from turning one bad config into a day of backoff.
-    if (end && *end == '\0' && v >= 0) return static_cast<unsigned>(v < 64 ? v : 64);
-  }
-  return 0;
+  // Cap keeps a typo from turning one bad config into a day of backoff.
+  return static_cast<unsigned>(
+      std::min<std::uint64_t>(env_uint("IMA_SWEEP_RETRIES").value_or(0), 64));
 }
 
 double parse_timeout_env() {

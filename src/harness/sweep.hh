@@ -49,7 +49,8 @@
 namespace ima::harness {
 
 /// Sweep width: $IMA_JOBS when set to a positive integer, else
-/// std::thread::hardware_concurrency() (at least 1). Read once and cached.
+/// std::thread::hardware_concurrency() (at least 1), capped at 1024. Read
+/// once and cached; a malformed value throws (common/env.hh).
 unsigned default_jobs();
 
 /// Deterministic per-job seed: the same (base, index) pair always yields
@@ -57,7 +58,8 @@ unsigned default_jobs();
 std::uint64_t job_seed(std::uint64_t base, std::size_t index);
 
 /// $IMA_SWEEP_RETRIES: extra attempts after a job's first failure
-/// (default 0 — fail fast, the pre-retry behaviour). Read once and cached.
+/// (default 0 — fail fast, the pre-retry behaviour), capped at 64. Read once
+/// and cached; a malformed value throws (common/env.hh).
 unsigned default_sweep_retries();
 
 /// $IMA_SWEEP_TIMEOUT: per-job wall-clock budget in seconds (fractions

@@ -4,13 +4,43 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/bits.hh"
 #include "common/clock.hh"
+#include "harness/sweep.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 
 namespace ima::pnm {
 
-PnmStack::PnmStack(const PnmConfig& cfg) : cfg_(cfg) {}
+namespace {
+
+const PnmConfig& validated(const PnmConfig& cfg) {
+  if (!is_pow2(cfg.vaults))
+    throw std::invalid_argument("PnmStack: " + std::to_string(cfg.vaults) +
+                                " vaults; the count must be a nonzero power of two");
+  if (cfg.vault_dram.geometry.channels != 1)
+    throw std::invalid_argument("PnmStack: vault_dram must describe one channel, not " +
+                                std::to_string(cfg.vault_dram.geometry.channels));
+  return cfg;
+}
+
+}  // namespace
+
+PnmStack::PnmStack(const PnmConfig& cfg)
+    : cfg_(validated(cfg)),
+      vault_map_(cfg.vault_dram.geometry, dram::MapScheme::RoBaRaCoCh) {}
+
+dram::DramConfig PnmStack::stack_dram() const {
+  dram::DramConfig dram = cfg_.vault_dram;
+  dram.geometry.channels = cfg_.vaults;
+  return dram;
+}
+
+Addr PnmStack::mem_addr(const mem::MemorySystem& mem, Addr addr) const {
+  dram::Coord c = vault_map_.decode(local_addr(addr));
+  c.channel = vault_of(addr);
+  return mem.mapper().encode(c);
+}
 
 void PnmStack::register_stats(obs::StatRegistry& reg, const std::string& prefix) const {
   reg.counter(obs::join_path(prefix, "runs_pnm"), &stats_.runs_pnm);
@@ -48,10 +78,7 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
                                     " beyond the " + std::to_string(total_bytes()) +
                                     "-byte stack");
 
-  // Fresh vault state per run.
-  std::vector<std::unique_ptr<mem::MemorySystem>> vaults;
-  for (std::uint32_t v = 0; v < cfg_.vaults; ++v)
-    vaults.push_back(std::make_unique<mem::MemorySystem>(cfg_.vault_dram, cfg_.ctrl));
+  mem::MemorySystem mem(stack_dram(), cfg_.ctrl, vault_map_.scheme());
 
   const std::uint32_t width = near_memory ? cfg_.core_width : cfg_.host_core_width;
   const std::uint32_t mlp = near_memory ? cfg_.pnm_mlp : cfg_.host_mlp;
@@ -125,9 +152,8 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
     if (cs.outstanding >= mlp) return first_release;
 
     const std::uint32_t target_vault = vault_of(a.addr);
-    mem::MemorySystem& vmem = *vaults[target_vault];
-    const Addr laddr = local_addr(a.addr);
-    if (!vmem.can_accept(laddr, a.type)) return kCycleNever;  // queue full until a vault tick
+    mem::Controller& vault = mem.controller(target_vault);
+    if (!vault.can_accept(a.type)) return kCycleNever;  // queue full until a vault tick
 
     Cycle extra = 0;
     if (!near_memory) {
@@ -146,20 +172,20 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
     }
 
     mem::Request req;
-    req.addr = laddr;
+    req.addr = mem_addr(mem, a.addr);
     req.type = a.type;
     req.core = static_cast<std::uint32_t>(i % 64);
     req.arrive = now;
     if (a.type == AccessType::Read) {
       ++cs.outstanding;
-      const bool ok = vmem.enqueue(req, [&cs, extra](const mem::Request& done) {
+      const bool ok = vault.enqueue(req, [&cs, extra](const mem::Request& done) {
         cs.releases.push_back(done.complete + extra);
       });
       if (!ok) {
         --cs.outstanding;
         return now + 1;
       }
-    } else if (!vmem.enqueue(req)) {
+    } else if (!vault.enqueue(req)) {
       return now + 1;
     }
     due[target_vault] = std::min(due[target_vault], now + 1);
@@ -175,8 +201,9 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
       [&](Cycle now) {
         for (std::uint32_t v = 0; v < cfg_.vaults; ++v) {
           if (now < due[v]) continue;
-          vaults[v]->tick(now);
-          due[v] = mode == sim::ClockMode::PerCycle ? now + 1 : vaults[v]->next_event(now);
+          mem::Controller& vault = mem.controller(v);
+          vault.tick(now);
+          due[v] = mode == sim::ClockMode::PerCycle ? now + 1 : vault.next_event(now);
         }
         all_done = true;
         core_wake = kCycleNever;
@@ -185,6 +212,10 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
       },
       [&] { return all_done; },
       [&](Cycle) { return std::min(core_wake, *std::min_element(due.begin(), due.end())); });
+  if (!all_done)
+    throw std::runtime_error(std::string("PnmStack::") + (near_memory ? "run_pnm" : "run_host") +
+                             ": work still queued at the " + std::to_string(max_cycles) +
+                             "-cycle limit");
 
   res.cycles = end;
   IMA_TRACE(trace_, .cycle = end, .kind = obs::EventKind::OffloadComplete,
@@ -195,11 +226,85 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
   stats_.instructions += res.instructions;
   stats_.local_accesses += res.local_accesses;
   stats_.remote_accesses += res.remote_accesses;
-  for (auto& v : vaults) res.energy += v->total_energy(end);
+  res.energy += mem.total_energy(end);
   res.energy += static_cast<double>(noc_lines) * cfg_.e_noc_per_line;
   res.energy += static_cast<double>(host_lines) * cfg_.e_host_link_per_line;
   res.energy += static_cast<double>(res.instructions) *
                 (near_memory ? cfg_.e_pnm_instr : cfg_.e_host_instr);
+  return res;
+}
+
+PnmStack::StreamResult PnmStack::run_stream(std::uint64_t ops_per_vault,
+                                            std::uint64_t write_every, std::uint64_t pim_every,
+                                            std::uint64_t seed, unsigned shards) {
+  constexpr Cycle kLimit = 2'000'000'000;
+  mem::MemorySystem mem(stack_dram(), cfg_.ctrl, vault_map_.scheme());
+  mem.set_shards(std::max(shards, 1u));
+  const auto& g = mem.dram_config().geometry;
+  const auto& mapper = mem.mapper();
+
+  // Per-vault cursors, touched only from the owning shard's thread (the
+  // ChannelSource contract); sized up front so no feeder can reallocate.
+  std::vector<std::uint64_t> cursor(cfg_.vaults, 0);
+
+  // Queue the PUM row copies up front (coordinator side): bulk data
+  // movement the logic layer would issue before its traversal. Intra-vault
+  // by construction — both rows live in the op's bank.
+  StreamResult res;
+  if (pim_every > 0 && ops_per_vault > 0) {
+    const std::uint64_t per_vault = ops_per_vault / pim_every;
+    for (std::uint32_t v = 0; v < cfg_.vaults; ++v) {
+      for (std::uint64_t i = 0; i < per_vault; ++i) {
+        const std::uint64_t h = harness::job_seed(seed ^ 0x9e37u, v * 131071ull + i);
+        mem::PimOp op;
+        op.cmd = dram::Cmd::AapFpm;
+        op.bank = dram::Coord{v, static_cast<std::uint32_t>(h) % g.ranks,
+                              static_cast<std::uint32_t>(h >> 8) % g.banks, 0, 0};
+        // Same subarray, distinct rows: the FPM fast-copy precondition.
+        const std::uint32_t sub = static_cast<std::uint32_t>(h >> 16) % g.subarrays;
+        const std::uint32_t local =
+            static_cast<std::uint32_t>(h >> 24) % g.rows_per_subarray;
+        op.args.src_row = sub * g.rows_per_subarray + local;
+        op.args.dst_row = sub * g.rows_per_subarray + (local + 1) % g.rows_per_subarray;
+        mem.controller(v).enqueue_pim(std::move(op));
+        ++res.pim_ops;
+      }
+    }
+  }
+
+  mem::MemorySystem::ChannelSource src;
+  src.next = [&](std::uint32_t ch, Cycle /*now*/, mem::Request& out) {
+    std::uint64_t& i = cursor[ch];
+    if (i >= ops_per_vault) return false;
+    const std::uint64_t h = harness::job_seed(seed, ch * 0x10001ull + i);
+    dram::Coord c;
+    c.channel = ch;
+    c.rank = static_cast<std::uint32_t>(h) % g.ranks;
+    c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
+    c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
+    c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
+    out = mem::Request{};
+    out.addr = mapper.encode(c);
+    out.type = (write_every > 0 && i % write_every == write_every - 1) ? AccessType::Write
+                                                                       : AccessType::Read;
+    out.core = ch;  // one logic-layer agent per vault
+    ++i;
+    return true;
+  };
+  src.on_complete = [&](std::uint32_t ch, const mem::Request& done) {
+    // Canonical mailbox order on the coordinator: an order-sensitive mix is
+    // a legitimate cross-width invariant.
+    res.checksum = (res.checksum * 1099511628211ull) ^ done.addr ^
+                   (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
+    if (done.type == AccessType::Write) ++res.writes;
+    else ++res.reads;
+  };
+
+  res.cycles = mem.drain_sourced(src, 0, kLimit);
+  if (mem.last_drain_clipped())
+    throw std::runtime_error("PnmStack::run_stream: streams not drained at the " +
+                             std::to_string(kLimit) + "-cycle limit");
+  res.energy = mem.total_energy(res.cycles);
   return res;
 }
 

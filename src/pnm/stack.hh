@@ -1,17 +1,24 @@
 // Processing-Near-Memory: 3D-stacked memory with logic-layer cores.
 //
-// The stack is modeled as `vaults` independent DRAM channels (HBM/HMC-like
-// timing/energy) each with its own controller, one simple in-order PNM core
-// per vault on the logic layer, and a vault-to-vault NoC for remote
-// accesses (Tesseract-style [9]). Host access to the same stack pays the
-// off-package link latency and energy; PNM cores access their vault
-// directly — that asymmetry is the entire PNM argument.
+// The stack is one memory system whose channels are its `vaults`
+// (HBM/HMC-like per-vault timing and energy, one controller per vault),
+// with one simple in-order PNM core per vault on the logic layer and a
+// vault-to-vault NoC for remote accesses (Tesseract-style [9]). Host access
+// to the same stack pays the off-package link latency and energy; PNM cores
+// access their vault directly — that asymmetry is the entire PNM argument.
 //
-// A run is one closed loop on the shared event kernel (sim::run_event_loop):
-// each vault is ticked only at its own next_event or right after a core
-// enqueues into it (a per-vault calendar), and the cores are stepped at
-// every visited cycle. IMA_CLOCK=percycle ticks every vault every cycle and
-// gives identical results.
+// Two drivers run on that one model, each on a fresh memory system per run:
+//   - run_pnm/run_host: a closed loop on the shared event kernel
+//     (sim::run_event_loop). Each vault is ticked only at its controller's
+//     own next_event or right after a core enqueues into it (a per-vault
+//     calendar), and the cores are stepped at every visited cycle.
+//     IMA_CLOCK=percycle ticks every vault every cycle and gives identical
+//     results. Cores and vaults interleave every cycle, so this loop runs on
+//     one host thread.
+//   - run_stream: open-loop per-vault offload streams fed through
+//     MemorySystem::drain_sourced on the epoch-barrier shard engine, so
+//     64–256-vault stacks run across host threads and give byte-identical
+//     results at any shard width (tests/shard_test.cc).
 #pragma once
 
 #include <functional>
@@ -20,6 +27,7 @@
 #include <vector>
 
 #include "core/core.hh"
+#include "dram/addrmap.hh"
 #include "dram/config.hh"
 #include "mem/memsys.hh"
 
@@ -72,6 +80,9 @@ using VaultTrace = std::vector<PnmAccess>;
 /// The memory stack plus its logic-layer cores.
 class PnmStack {
  public:
+  /// Throws std::invalid_argument unless `vaults` is a nonzero power of two
+  /// (a vault is a channel of the stack's memory system, whose address map
+  /// needs that) and `vault_dram` describes a single channel.
   explicit PnmStack(const PnmConfig& cfg);
 
   std::uint64_t vault_bytes() const { return cfg_.vault_dram.geometry.total_bytes(); }
@@ -91,21 +102,51 @@ class PnmStack {
     PicoJoule energy = 0;
   };
   /// Throws std::invalid_argument unless there is one trace per vault and
-  /// every address is below total_bytes().
+  /// every address is below total_bytes(), and std::runtime_error when work
+  /// is still queued at `max_cycles`.
   RunResult run_pnm(const std::vector<VaultTrace>& traces, Cycle max_cycles = 2'000'000'000);
 
   /// Runs the union of the traces on `host_cores` host-side cores through
   /// the off-package link (round-robin interleaved), no caches — the
   /// stream-through baseline. Returns the same metrics. Throws
   /// std::invalid_argument for zero `host_cores` or an address at or beyond
-  /// total_bytes().
+  /// total_bytes(), and std::runtime_error when work is still queued at
+  /// `max_cycles`.
   RunResult run_host(const std::vector<VaultTrace>& traces, std::uint32_t host_cores,
                      Cycle max_cycles = 2'000'000'000);
+
+  struct StreamResult {
+    Cycle cycles = 0;
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+    std::uint64_t pim_ops = 0;
+    PicoJoule energy = 0;
+    /// Order-sensitive digest of the completion stream (addr, complete) in
+    /// canonical mailbox order — byte-identity across shard widths in one
+    /// number.
+    std::uint64_t checksum = 0;
+  };
+
+  /// Drains `ops_per_vault` accesses per vault (every `write_every`-th is a
+  /// write; 0 = all reads) plus one in-vault row copy per `pim_every` ops
+  /// (0 = none), open-loop on `shards` epoch-barrier shard groups (0 acts
+  /// as 1); the result is identical at any width. The streams are
+  /// deterministic functions of (seed, vault, index) in the
+  /// irregular-traversal shape of the graph workloads: reads with a
+  /// configurable write fraction, plus optional in-vault PUM row copies
+  /// (RowClone-style bulk data movement on the logic-layer path). The
+  /// cores, NoC and host link of the closed loop play no part. Throws
+  /// std::runtime_error when the streams do not drain within the run's
+  /// cycle limit.
+  StreamResult run_stream(std::uint64_t ops_per_vault, std::uint64_t write_every = 4,
+                          std::uint64_t pim_every = 0, std::uint64_t seed = 1,
+                          unsigned shards = 1);
 
   const PnmConfig& config() const { return cfg_; }
 
   /// Lifetime accounting accumulated across run_pnm()/run_host() calls
-  /// (per-run vault state is rebuilt, so the stack keeps the running sums).
+  /// (each run builds a fresh memory system, so the stack keeps the running
+  /// sums).
   struct Stats {
     std::uint64_t runs_pnm = 0;
     std::uint64_t runs_host = 0;
@@ -122,11 +163,18 @@ class PnmStack {
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
 
  private:
-  // Each run builds fresh vault state so successive runs are independent.
+  /// The stack's memory system geometry: one channel per vault.
+  dram::DramConfig stack_dram() const;
+  /// The address in `mem` (built from stack_dram()) of stack address `addr`:
+  /// its vault-local coordinate, moved to the vault's channel.
+  Addr mem_addr(const mem::MemorySystem& mem, Addr addr) const;
+
+  // Each run builds a fresh memory system so successive runs are independent.
   RunResult run_traces(const std::vector<VaultTrace>& per_core, bool near_memory,
                        Cycle max_cycles);
 
   PnmConfig cfg_;
+  dram::AddressMapper vault_map_;  // one vault's address layout
   Stats stats_;
   obs::TraceSink* trace_ = nullptr;
 };

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <ostream>
 
 #include "common/ckpt.hh"
+#include "common/env.hh"
 #include "obs/stat_registry.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
@@ -281,9 +281,7 @@ obs::Watchdog& System::arm_watchdog(std::uint64_t stall_cycles) {
 
 Cycle System::run(Cycle max_cycles) {
   if (!watchdog_) {
-    if (const char* env = std::getenv("IMA_WATCHDOG")) {
-      if (const std::uint64_t n = std::strtoull(env, nullptr, 10); n > 0) arm_watchdog(n);
-    }
+    if (const std::uint64_t n = env_uint("IMA_WATCHDOG").value_or(0); n > 0) arm_watchdog(n);
   }
   Cycle last_ticked = kCycleNever;
   const auto tick = [this, &last_ticked](Cycle now) {

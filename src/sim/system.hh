@@ -129,7 +129,8 @@ class System final : public core::MemoryPort {
   /// the crash artifact embeds this system's stats, trace tail (when
   /// enabled) and the memory/core flight-recorder dumps. `stall_cycles` = 0
   /// keeps the default threshold. run() arms one lazily when IMA_WATCHDOG
-  /// is set (value = stall threshold in cycles).
+  /// is a positive integer (the stall threshold in cycles); a malformed
+  /// value throws (common/env.hh).
   obs::Watchdog& arm_watchdog(std::uint64_t stall_cycles = 0);
   obs::Watchdog* watchdog() { return watchdog_.get(); }
 

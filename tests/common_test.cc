@@ -3,9 +3,14 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/bits.hh"
+#include "common/env.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -285,6 +290,41 @@ TEST(Types, LineBase) {
   EXPECT_EQ(line_base(63), 0u);
   EXPECT_EQ(line_base(64), 64u);
   EXPECT_EQ(line_base(130), 128u);
+}
+
+TEST(Env, UnsetOrEmptyKeepsTheDefault) {
+  ::unsetenv("IMA_TEST_UINT");
+  EXPECT_FALSE(env_uint("IMA_TEST_UINT").has_value());
+  ::setenv("IMA_TEST_UINT", "", 1);
+  EXPECT_FALSE(env_uint("IMA_TEST_UINT").has_value());
+  ::unsetenv("IMA_TEST_UINT");
+}
+
+TEST(Env, ParsesUnsignedDecimal) {
+  for (const auto& [text, value] : {std::pair<const char*, std::uint64_t>{"0", 0},
+                                    {"8", 8},
+                                    {"007", 7},
+                                    {"18446744073709551615", ~0ull}}) {
+    ::setenv("IMA_TEST_UINT", text, 1);
+    EXPECT_EQ(env_uint("IMA_TEST_UINT"), value) << text;
+  }
+  ::unsetenv("IMA_TEST_UINT");
+}
+
+TEST(Env, MalformedValueNamesTheVariableAndValue) {
+  for (const char* text : {"abc", "4x", "-1", "+4", " 4", "4 ", "1.5", "0x10",
+                           "18446744073709551616"}) {
+    ::setenv("IMA_TEST_UINT", text, 1);
+    try {
+      (void)env_uint("IMA_TEST_UINT");
+      ADD_FAILURE() << "'" << text << "' parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("IMA_TEST_UINT=") + text),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("IMA_TEST_UINT");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "pnm/kernels.hh"
 #include "pnm/offload.hh"
@@ -131,6 +132,39 @@ TEST(StackInput, AccessBeyondTheStackThrows) {
   EXPECT_THROW(stack.run_pnm(traces), std::invalid_argument);
   EXPECT_THROW(stack.run_host(traces, 2), std::invalid_argument);
   EXPECT_EQ(stack.stats().runs_pnm + stack.stats().runs_host, 0u);
+}
+
+TEST(StackInput, VaultCountMustBePowerOfTwo) {
+  PnmConfig cfg = small_stack();
+  for (const std::uint32_t vaults : {0u, 3u, 12u}) {
+    cfg.vaults = vaults;
+    EXPECT_THROW(PnmStack{cfg}, std::invalid_argument) << vaults << " vaults";
+  }
+  cfg.vaults = 8;
+  EXPECT_NO_THROW(PnmStack{cfg});
+  // A vault is one channel of the stack's memory system.
+  cfg.vault_dram.geometry.channels = 2;
+  EXPECT_THROW(PnmStack{cfg}, std::invalid_argument);
+}
+
+TEST(StackInput, RunPastTheCycleLimitThrows) {
+  PnmStack stack(small_stack());
+  const auto traces = mixed_traces(stack, false);
+  const auto expect_limit_error = [](const auto& run, const std::string& limit) {
+    try {
+      run();
+      ADD_FAILURE() << "no error at a " << limit << "-cycle limit";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(limit + "-cycle limit"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_limit_error([&] { stack.run_pnm(traces, 100); }, "100");
+  expect_limit_error([&] { stack.run_host(traces, 3, 0); }, "0");
+  // Stack.PinnedRunResults' run ticks its last cycle at 1474.
+  expect_limit_error([&] { stack.run_pnm(traces, 1474); }, "1474");
+  EXPECT_EQ(stack.stats().runs_pnm + stack.stats().runs_host, 0u);
+  EXPECT_EQ(stack.run_pnm(traces, 1475).cycles, 1474u);
 }
 
 TEST(Kernels, ScanGeneratesOneAccessPerLine) {

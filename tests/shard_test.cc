@@ -4,8 +4,8 @@
 // 8 and compares cycle counts, StatRegistry snapshots, completion-stream
 // checksums and (where armed) the reliability corruption ledger — across
 // all 8 scheduler kinds, RAIDR row refresh, PARA RowHammer mitigation and
-// the PNM vault fabric. A separate leg proves IMA_SHARDS composes with
-// IMA_JOBS: nested inside a sweep job the drain collapses to one host
+// the PNM stack's sharded stream. A separate leg proves IMA_SHARDS composes
+// with IMA_JOBS: nested inside a sweep job the drain collapses to one host
 // thread (no pool oversubscription) with, by construction, the same bytes.
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@
 #include "mem/rowhammer.hh"
 #include "noc/mesh.hh"
 #include "obs/stat_registry.hh"
-#include "pnm/fabric.hh"
+#include "pnm/stack.hh"
 #include "reliability/engine.hh"
 
 namespace ima {
@@ -227,14 +227,13 @@ TEST(Shard, ReliabilityCorruptionLedgerIsWidthInvariant) {
   EXPECT_EQ(w1, w4);
 }
 
-TEST(Shard, PnmVaultFabricIsWidthInvariant) {
+TEST(Shard, PnmStackStreamIsWidthInvariant) {
   const auto run = [](unsigned shards) {
-    pnm::FabricConfig cfg;
+    pnm::PnmConfig cfg;
     cfg.vaults = 8;
-    cfg.shards = shards;
-    pnm::VaultFabric fab(cfg);
-    return fab.run_stream(/*ops_per_vault=*/200, /*write_every=*/4, /*pim_every=*/16,
-                          /*seed=*/3);
+    pnm::PnmStack stack(cfg);
+    return stack.run_stream(/*ops_per_vault=*/200, /*write_every=*/4, /*pim_every=*/16,
+                            /*seed=*/3, shards);
   };
   const auto w1 = run(1);
   const auto w2 = run(2);
