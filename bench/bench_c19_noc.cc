@@ -136,29 +136,8 @@ int main() {
       dram_cfg.geometry.columns = 32;
       mem::MemorySystem sys(dram_cfg, mem::ControllerConfig{});
       sys.set_shards(width);
-      std::vector<std::uint64_t> cursor(channels, 0);
       std::uint64_t checksum = 0;
-      mem::MemorySystem::ChannelSource src;
-      src.next = [&sys, &cursor, ops](std::uint32_t ch, Cycle, mem::Request& r) {
-        std::uint64_t& i = cursor[ch];
-        if (i >= ops) return false;
-        const auto& g = sys.dram_config().geometry;
-        const std::uint64_t h = harness::job_seed(19, ch * 0x10001ull + i);
-        dram::Coord c;
-        c.channel = ch;
-        c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
-        c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
-        c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
-        r = mem::Request{};
-        r.addr = sys.mapper().encode(c);
-        r.type = i % 4 == 3 ? AccessType::Write : AccessType::Read;
-        ++i;
-        return true;
-      };
-      src.on_complete = [&checksum](std::uint32_t ch, const mem::Request& done) {
-        checksum = (checksum * 1099511628211ull) ^ done.addr ^
-                   (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
-      };
+      const auto src = mem::hashed_source(sys, ops, /*seed=*/19, /*cores=*/1, &checksum);
       const auto start = std::chrono::steady_clock::now();
       const Cycle cycles = sys.drain_sourced(src, 0);
       const double wall =

@@ -134,8 +134,7 @@ PointOut run_point(Cycle mean_ia, std::uint64_t inferences, unsigned shards) {
   };
   src.on_complete = [&](std::uint32_t ch, const mem::Request& done) {
     lat.add(done.complete - done.tag);
-    out.checksum = (out.checksum * 1099511628211ull) ^ done.addr ^
-                   (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
+    out.checksum = mem::fold_completion(out.checksum, ch, done);
     ++out.completions;
   };
 

@@ -88,7 +88,7 @@ int main() {
       } out{};
       pnm::PnmStack stack(cfg);
       const auto start = std::chrono::steady_clock::now();
-      out.res = stack.run_stream(ops, /*write_every=*/4, /*pim_every=*/16, /*seed=*/5, width);
+      out.res = stack.run_stream(ops, /*seed=*/5, width);
       out.wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
               .count();

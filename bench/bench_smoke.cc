@@ -23,6 +23,7 @@
 
 #include "bench/bench_util.hh"
 #include "bench/mc_harness.hh"
+#include "common/env.hh"
 #include "common/rng.hh"
 #include "harness/pool.hh"
 #include "obs/tail.hh"
@@ -110,10 +111,10 @@ int main() {
   auto& sink = sys.enable_trace(1 << 14);
 
   // Windowed time-series sampler: registry paths plus a live queue-depth
-  // gauge, sampled every IMA_TIMESERIES cycles (clock-mode invariant).
-  const char* ts_env = std::getenv("IMA_TIMESERIES");
-  const Cycle ts_period =
-      ts_env && *ts_env ? std::strtoull(ts_env, nullptr, 10) : 16'384;
+  // gauge, sampled every IMA_TIMESERIES cycles (clock-mode invariant). A
+  // period of 0 would disable sampling, so it is rejected like a typo.
+  const Cycle ts_period = env_uint("IMA_TIMESERIES").value_or(16'384);
+  if (ts_period == 0) env_reject("IMA_TIMESERIES", "0", "expected a positive number of cycles");
   obs::TimeSeries ts("smoke", ts_period);
   ts.track_path(reg, "sys.mem.ctrl0.reads_done");
   ts.track_path(reg, "sys.core0.instructions");
@@ -267,29 +268,7 @@ int main() {
       mem::MemorySystem sys(dram_cfg, mem::ControllerConfig{});
       sys.set_shards(shards);
       ShardOutcome out;
-      std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-      mem::MemorySystem::ChannelSource src;
-      src.next = [&sys, &cursor, ops](std::uint32_t ch, Cycle, mem::Request& r) {
-        std::uint64_t& i = cursor[ch];
-        if (i >= ops) return false;
-        const auto& g = sys.dram_config().geometry;
-        const std::uint64_t h = harness::job_seed(0x5AAD, ch * 0x10001ull + i);
-        dram::Coord c;
-        c.channel = ch;
-        c.rank = static_cast<std::uint32_t>(h) % g.ranks;
-        c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
-        c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
-        c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
-        r = mem::Request{};
-        r.addr = sys.mapper().encode(c);
-        r.type = i % 4 == 3 ? AccessType::Write : AccessType::Read;
-        ++i;
-        return true;
-      };
-      src.on_complete = [&out](std::uint32_t ch, const mem::Request& done) {
-        out.checksum = (out.checksum * 1099511628211ull) ^ done.addr ^
-                       (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
-      };
+      const auto src = mem::hashed_source(sys, ops, /*seed=*/0x5AAD, /*cores=*/1, &out.checksum);
       const auto start = std::chrono::steady_clock::now();
       out.cycles = sys.drain_sourced(src, 0);
       out.wall =
@@ -297,9 +276,7 @@ int main() {
       out.workers = sys.shard_workers_used();
       obs::StatRegistry sreg;
       sys.register_stats(sreg, "m");
-      std::ostringstream os;
-      for (const auto& v : sreg.snapshot().values) os << v.path << '=' << v.value << '\n';
-      out.snapshot = os.str();
+      out.snapshot = sreg.snapshot().render();
       return out;
     };
     unsigned wide = harness::default_shards();
@@ -520,9 +497,7 @@ int main() {
     const auto render = [](const sim::System& s) {
       obs::StatRegistry r;
       s.register_stats(r);
-      std::ostringstream os;
-      for (const auto& v : r.snapshot().values) os << v.path << '=' << v.value << '\n';
-      return os.str();
+      return r.snapshot().render();
     };
     const std::string ckpt_path = dir + "/CKPT_smoke.ckpt";
 

@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/env.hh"
 #include "common/table.hh"
 #include "common/types.hh"
 #include "harness/sweep.hh"
@@ -168,10 +169,10 @@ inline void add_sweep_rows(Table& t, const harness::SweepResult<R>& res) {
 
 /// Cycle-count scaling for smoke runs: IMA_BENCH_SMOKE=1 shrinks the
 /// heavyweight sweeps so CI (and the TSan job) can run a retrofitted bench
-/// end-to-end in seconds. Returns `full` unless smoke mode is on.
+/// end-to-end in seconds. Returns `full` unless smoke mode is on (any
+/// nonzero integer); a value that is not an integer throws (common/env.hh).
 inline Cycle smoke_scaled(Cycle full, Cycle smoke) {
-  const char* env = std::getenv("IMA_BENCH_SMOKE");
-  return env && *env && *env != '0' ? smoke : full;
+  return env_uint("IMA_BENCH_SMOKE").value_or(0) != 0 ? smoke : full;
 }
 
 }  // namespace ima::bench

@@ -54,18 +54,26 @@ constexpr Cycle next_cycle(ClockMode mode, Cycle now, Cycle limit, Cycle reporte
   return std::min(reported, limit);
 }
 
-/// The shared run/drain loop shape: tick, check the stop predicate, advance.
-/// Mirrors the legacy loops exactly:
+/// The shared run/drain loop shape: watch, tick, check the stop predicate,
+/// advance. Mirrors the legacy loops exactly:
 ///   - `done` is evaluated *after* each tick; when it fires the returned
 ///     cycle is the cycle just ticked (System::run semantics);
 ///   - when `limit` is reached without `done`, returns `limit`.
 /// Drain-style callers (stop-before-tick, return last+1) wrap this — see
 /// MemorySystem::drain.
-template <typename TickFn, typename DoneFn, typename NextFn>
+///
+/// `watch(now)` runs at the top of every iteration, before the tick. The
+/// hook is a template callable (not an obs type) so the clocking kernel
+/// stays dependency-free; obs::Watchdog::iterate is the intended payload —
+/// it detects a loop that keeps iterating while the progress token is
+/// frozen, which is exactly the shape of a wedged refresh backlog crawling
+/// through `next = now + 1`.
+template <typename TickFn, typename DoneFn, typename NextFn, typename WatchFn>
 Cycle run_event_loop(ClockMode mode, Cycle from, Cycle limit, TickFn&& tick,
-                     DoneFn&& done, NextFn&& next) {
+                     DoneFn&& done, NextFn&& next, WatchFn&& watch) {
   Cycle now = from;
   while (now < limit) {
+    watch(now);
     tick(now);
     if (done()) break;
     // PerCycle never consults next(): with the precise busy lower bound,
@@ -75,6 +83,15 @@ Cycle run_event_loop(ClockMode mode, Cycle from, Cycle limit, TickFn&& tick,
                                       : next_cycle(mode, now, limit, next(now));
   }
   return now;
+}
+
+/// Unwatched loop: the same body with a no-op watch hook, which inlines
+/// away.
+template <typename TickFn, typename DoneFn, typename NextFn>
+Cycle run_event_loop(ClockMode mode, Cycle from, Cycle limit, TickFn&& tick,
+                     DoneFn&& done, NextFn&& next) {
+  return run_event_loop(mode, from, limit, std::forward<TickFn>(tick),
+                        std::forward<DoneFn>(done), std::forward<NextFn>(next), [](Cycle) {});
 }
 
 // --- sharded execution (epoch barriers) ------------------------------------
@@ -129,26 +146,6 @@ Cycle run_epoch_barriers(Cycle from, Cycle limit, Cycle epoch, RunShardsFn&& run
     now = end;
     barrier(now);
     if (done()) break;
-  }
-  return now;
-}
-
-/// Watched variant: `watch(now)` runs at the top of every iteration, before
-/// the tick. The hook is a template callable (not an obs type) so the
-/// clocking kernel stays dependency-free; obs::Watchdog::iterate is the
-/// intended payload — it detects a loop that keeps iterating while the
-/// progress token is frozen, which is exactly the shape of a wedged
-/// refresh backlog crawling through `next = now + 1`.
-template <typename TickFn, typename DoneFn, typename NextFn, typename WatchFn>
-Cycle run_event_loop(ClockMode mode, Cycle from, Cycle limit, TickFn&& tick,
-                     DoneFn&& done, NextFn&& next, WatchFn&& watch) {
-  Cycle now = from;
-  while (now < limit) {
-    watch(now);
-    tick(now);
-    if (done()) break;
-    now = mode == ClockMode::PerCycle ? now + 1
-                                      : next_cycle(mode, now, limit, next(now));
   }
   return now;
 }

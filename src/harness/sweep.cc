@@ -1,8 +1,11 @@
 #include "harness/sweep.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <thread>
 
@@ -31,12 +34,14 @@ unsigned parse_retries_env() {
 }
 
 double parse_timeout_env() {
-  if (const char* env = std::getenv("IMA_SWEEP_TIMEOUT"); env && *env) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end && *end == '\0' && v >= 0) return v;
-  }
-  return 0;
+  const char* env = std::getenv("IMA_SWEEP_TIMEOUT");
+  if (!env || !*env) return 0;
+  const char* end = env + std::strlen(env);
+  double v = 0;
+  const auto [ptr, ec] = std::from_chars(env, end, v);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(v) || v < 0)
+    env_reject("IMA_SWEEP_TIMEOUT", env, "expected a non-negative number of seconds");
+  return v;
 }
 
 }  // namespace

@@ -63,7 +63,8 @@ std::uint64_t job_seed(std::uint64_t base, std::size_t index);
 unsigned default_sweep_retries();
 
 /// $IMA_SWEEP_TIMEOUT: per-job wall-clock budget in seconds (fractions
-/// allowed; default 0 = no deadline). Read once and cached.
+/// allowed; default 0 = no deadline). Read once and cached; a value that is
+/// not a finite non-negative decimal throws (common/env.hh).
 double default_sweep_timeout();
 
 /// Thrown by JobContext::check_deadline() when the per-job wall-clock

@@ -8,6 +8,7 @@
 
 #include "common/ckpt.hh"
 #include "harness/pool.hh"
+#include "harness/sweep.hh"
 #include "obs/stat_registry.hh"
 #include "obs/watchdog.hh"
 
@@ -100,6 +101,38 @@ Cycle MemorySystem::drain_sourced(const ChannelSource& src, Cycle from, Cycle de
     throw std::logic_error("drain_sourced: ChannelSource::next is required");
   feeds_.assign(ctrls_.size(), Feed{});
   return drain_epochs(from, deadline, &src);
+}
+
+MemorySystem::ChannelSource hashed_source(const MemorySystem& sys, std::uint64_t ops,
+                                          std::uint64_t seed, std::uint32_t cores,
+                                          std::uint64_t* checksum) {
+  MemorySystem::ChannelSource src;
+  // Per-channel cursors, each touched only from its channel's shard thread
+  // (the ChannelSource contract).
+  src.next = [&sys, cursor = std::vector<std::uint64_t>(sys.num_channels(), 0), ops, seed,
+              cores](std::uint32_t ch, Cycle, Request& r) mutable {
+    std::uint64_t& i = cursor[ch];
+    if (i >= ops) return false;
+    const auto& g = sys.dram_config().geometry;
+    const std::uint64_t h = harness::job_seed(seed, ch * 0x10001ull + i);
+    dram::Coord c;
+    c.channel = ch;
+    c.rank = static_cast<std::uint32_t>(h) % g.ranks;
+    c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
+    c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
+    c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
+    r = Request{};
+    r.addr = sys.mapper().encode(c);
+    r.type = i % 4 == 3 ? AccessType::Write : AccessType::Read;
+    r.core = ch % cores;
+    ++i;
+    return true;
+  };
+  if (checksum)
+    src.on_complete = [checksum](std::uint32_t ch, const Request& done) {
+      *checksum = fold_completion(*checksum, ch, done);
+    };
+  return src;
 }
 
 CompletionCallback MemorySystem::defer_to_mailbox(std::uint32_t ch, CompletionCallback cb) {
@@ -290,8 +323,7 @@ void MemorySystem::shard_progress(std::vector<obs::ShardProgress>& out) const {
     obs::ShardProgress p;
     p.idle = true;
     for (std::uint32_t c = beg; c < end; ++c) {
-      const auto& s = ctrls_[c]->stats();
-      p.token += chans_[c]->state_version() + s.reads_done + s.writes_done + s.pim_ops_done;
+      p.token += channel_token(c);
       if (!ctrls_[c]->idle()) p.idle = false;
     }
     return p;
@@ -400,15 +432,17 @@ void MemorySystem::set_trace(obs::TraceSink* sink) {
   for (auto& c : ctrls_) c->set_trace(sink);
 }
 
-std::uint64_t MemorySystem::progress_token() const {
+std::uint64_t MemorySystem::channel_token(std::uint32_t c) const {
   // Command state-versions cover every issued DRAM command (including REF
   // and prealls); retire counts cover the data-return side. Any observable
   // forward motion bumps the digest.
+  const auto& s = ctrls_[c]->stats();
+  return chans_[c]->state_version() + s.reads_done + s.writes_done + s.pim_ops_done;
+}
+
+std::uint64_t MemorySystem::progress_token() const {
   std::uint64_t t = 0;
-  for (std::size_t i = 0; i < ctrls_.size(); ++i) {
-    const auto& s = ctrls_[i]->stats();
-    t += chans_[i]->state_version() + s.reads_done + s.writes_done + s.pim_ops_done;
-  }
+  for (std::uint32_t c = 0; c < num_channels(); ++c) t += channel_token(c);
   return t;
 }
 

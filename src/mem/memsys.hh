@@ -12,7 +12,8 @@
 // per-channel mailboxes delivered in canonical (completion cycle, channel,
 // arrival) order at each barrier. Results are byte-identical at any shard
 // width — IMA_SHARDS=1 and IMA_SHARDS=8 produce the same cycle counts,
-// StatRegistry snapshots and corruption ledgers (tests/shard_test.cc).
+// StatRegistry snapshots and corruption ledgers (tests/shard_test.cc,
+// tests/soa_kernel_test.cc).
 #pragma once
 
 #include <functional>
@@ -262,6 +263,9 @@ class MemorySystem {
   /// 1 when nested in a pool region, tracing, or sharing a victim model.
   unsigned decide_shard_workers() const;
   Cycle drain_epochs(Cycle from, Cycle deadline, const ChannelSource* src);
+  /// Channel `c`'s term of the progress token: its command state-version
+  /// plus its retire counts.
+  std::uint64_t channel_token(std::uint32_t c) const;
 
   dram::DramConfig dram_cfg_;
   std::unique_ptr<dram::DataStore> data_;
@@ -293,5 +297,23 @@ class MemorySystem {
   // obs/stat_registry.hh): reads after this MemorySystem dies throw.
   std::shared_ptr<const void> stats_alive_ = std::make_shared<int>(0);
 };
+
+/// The completion fold that summarises an open-loop run: folds request
+/// `done`, delivered on channel `ch`, into digest `x`. Order-sensitive, so
+/// over the canonical mailbox order it is a cross-width invariant.
+inline std::uint64_t fold_completion(std::uint64_t x, std::uint32_t ch, const Request& done) {
+  return (x * 1099511628211ull) ^ done.addr ^ (static_cast<std::uint64_t>(done.complete) << 1) ^
+         ch;
+}
+
+/// The hashed open-loop stream: `ops` requests per channel of `sys`, the
+/// i-th on channel `ch` a pure function of h = harness::job_seed(seed,
+/// ch * 0x10001 + i) — rank h, bank h >> 8, row h >> 16 and column h >> 40,
+/// each modulo its geometry field — with every fourth op a write and
+/// `core = ch % cores`. Completions fold into `*checksum` (fold_completion)
+/// when it is non-null. The source borrows `sys` and `checksum`.
+MemorySystem::ChannelSource hashed_source(const MemorySystem& sys, std::uint64_t ops,
+                                          std::uint64_t seed, std::uint32_t cores,
+                                          std::uint64_t* checksum = nullptr);
 
 }  // namespace ima::mem

@@ -1,6 +1,7 @@
 #include "obs/stat_registry.hh"
 
 #include <algorithm>
+#include <sstream>
 #include <stdexcept>
 
 #include "obs/tail.hh"
@@ -126,6 +127,12 @@ std::optional<double> StatRegistry::Snapshot::at(std::string_view path) const {
       [](const Value& v, std::string_view p) { return v.path < p; });
   if (it == values.end() || it->path != path) return std::nullopt;
   return it->value;
+}
+
+std::string StatRegistry::Snapshot::render() const {
+  std::ostringstream os;
+  for (const auto& v : values) os << v.path << '=' << v.value << '\n';
+  return os.str();
 }
 
 StatRegistry::Snapshot StatRegistry::diff(const Snapshot& before, const Snapshot& after) {

@@ -101,6 +101,9 @@ class StatRegistry {
     std::vector<Value> values;  // sorted by path
     std::optional<double> at(std::string_view path) const;
     std::size_t size() const { return values.size(); }
+    /// One "path=value" line per value (default ostream formatting), in
+    /// path order: the text the equivalence tests compare and hash.
+    std::string render() const;
   };
   Snapshot snapshot(std::string_view prefix = {}) const;
 

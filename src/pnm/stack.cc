@@ -234,70 +234,40 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
   return res;
 }
 
-PnmStack::StreamResult PnmStack::run_stream(std::uint64_t ops_per_vault,
-                                            std::uint64_t write_every, std::uint64_t pim_every,
-                                            std::uint64_t seed, unsigned shards) {
+PnmStack::StreamResult PnmStack::run_stream(std::uint64_t ops_per_vault, std::uint64_t seed,
+                                            unsigned shards) {
   constexpr Cycle kLimit = 2'000'000'000;
+  constexpr std::uint64_t kPimEvery = 16;
   mem::MemorySystem mem(stack_dram(), cfg_.ctrl, vault_map_.scheme());
   mem.set_shards(std::max(shards, 1u));
   const auto& g = mem.dram_config().geometry;
-  const auto& mapper = mem.mapper();
-
-  // Per-vault cursors, touched only from the owning shard's thread (the
-  // ChannelSource contract); sized up front so no feeder can reallocate.
-  std::vector<std::uint64_t> cursor(cfg_.vaults, 0);
 
   // Queue the PUM row copies up front (coordinator side): bulk data
   // movement the logic layer would issue before its traversal. Intra-vault
   // by construction — both rows live in the op's bank.
   StreamResult res;
-  if (pim_every > 0 && ops_per_vault > 0) {
-    const std::uint64_t per_vault = ops_per_vault / pim_every;
-    for (std::uint32_t v = 0; v < cfg_.vaults; ++v) {
-      for (std::uint64_t i = 0; i < per_vault; ++i) {
-        const std::uint64_t h = harness::job_seed(seed ^ 0x9e37u, v * 131071ull + i);
-        mem::PimOp op;
-        op.cmd = dram::Cmd::AapFpm;
-        op.bank = dram::Coord{v, static_cast<std::uint32_t>(h) % g.ranks,
-                              static_cast<std::uint32_t>(h >> 8) % g.banks, 0, 0};
-        // Same subarray, distinct rows: the FPM fast-copy precondition.
-        const std::uint32_t sub = static_cast<std::uint32_t>(h >> 16) % g.subarrays;
-        const std::uint32_t local =
-            static_cast<std::uint32_t>(h >> 24) % g.rows_per_subarray;
-        op.args.src_row = sub * g.rows_per_subarray + local;
-        op.args.dst_row = sub * g.rows_per_subarray + (local + 1) % g.rows_per_subarray;
-        mem.controller(v).enqueue_pim(std::move(op));
-        ++res.pim_ops;
-      }
+  for (std::uint32_t v = 0; v < cfg_.vaults; ++v) {
+    for (std::uint64_t i = 0; i < ops_per_vault / kPimEvery; ++i) {
+      const std::uint64_t h = harness::job_seed(seed ^ 0x9e37u, v * 131071ull + i);
+      mem::PimOp op;
+      op.cmd = dram::Cmd::AapFpm;
+      op.bank = dram::Coord{v, static_cast<std::uint32_t>(h) % g.ranks,
+                            static_cast<std::uint32_t>(h >> 8) % g.banks, 0, 0};
+      // Same subarray, distinct rows: the FPM fast-copy precondition.
+      const std::uint32_t sub = static_cast<std::uint32_t>(h >> 16) % g.subarrays;
+      const std::uint32_t local = static_cast<std::uint32_t>(h >> 24) % g.rows_per_subarray;
+      op.args.src_row = sub * g.rows_per_subarray + local;
+      op.args.dst_row = sub * g.rows_per_subarray + (local + 1) % g.rows_per_subarray;
+      mem.controller(v).enqueue_pim(std::move(op));
+      ++res.pim_ops;
     }
   }
 
-  mem::MemorySystem::ChannelSource src;
-  src.next = [&](std::uint32_t ch, Cycle /*now*/, mem::Request& out) {
-    std::uint64_t& i = cursor[ch];
-    if (i >= ops_per_vault) return false;
-    const std::uint64_t h = harness::job_seed(seed, ch * 0x10001ull + i);
-    dram::Coord c;
-    c.channel = ch;
-    c.rank = static_cast<std::uint32_t>(h) % g.ranks;
-    c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
-    c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
-    c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
-    out = mem::Request{};
-    out.addr = mapper.encode(c);
-    out.type = (write_every > 0 && i % write_every == write_every - 1) ? AccessType::Write
-                                                                       : AccessType::Read;
-    out.core = ch;  // one logic-layer agent per vault
-    ++i;
-    return true;
-  };
-  src.on_complete = [&](std::uint32_t ch, const mem::Request& done) {
-    // Canonical mailbox order on the coordinator: an order-sensitive mix is
-    // a legitimate cross-width invariant.
-    res.checksum = (res.checksum * 1099511628211ull) ^ done.addr ^
-                   (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
-    if (done.type == AccessType::Write) ++res.writes;
-    else ++res.reads;
+  // One logic-layer agent per vault.
+  auto src = mem::hashed_source(mem, ops_per_vault, seed, cfg_.vaults);
+  src.on_complete = [&res](std::uint32_t ch, const mem::Request& done) {
+    res.checksum = mem::fold_completion(res.checksum, ch, done);
+    ++(done.type == AccessType::Write ? res.writes : res.reads);
   };
 
   res.cycles = mem.drain_sourced(src, 0, kLimit);

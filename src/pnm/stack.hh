@@ -121,25 +121,21 @@ class PnmStack {
     std::uint64_t writes = 0;
     std::uint64_t pim_ops = 0;
     PicoJoule energy = 0;
-    /// Order-sensitive digest of the completion stream (addr, complete) in
-    /// canonical mailbox order — byte-identity across shard widths in one
-    /// number.
+    /// mem::fold_completion over the completion stream in canonical
+    /// mailbox order — byte-identity across shard widths in one number.
     std::uint64_t checksum = 0;
   };
 
-  /// Drains `ops_per_vault` accesses per vault (every `write_every`-th is a
-  /// write; 0 = all reads) plus one in-vault row copy per `pim_every` ops
-  /// (0 = none), open-loop on `shards` epoch-barrier shard groups (0 acts
-  /// as 1); the result is identical at any width. The streams are
+  /// Drains `ops_per_vault` accesses per vault of mem::hashed_source (one
+  /// agent per vault, every fourth op a write) plus one in-vault PUM row
+  /// copy per 16 ops (RowClone-style bulk data movement on the
+  /// logic-layer path), open-loop on `shards` epoch-barrier shard groups
+  /// (0 acts as 1); the result is identical at any width. The streams are
   /// deterministic functions of (seed, vault, index) in the
-  /// irregular-traversal shape of the graph workloads: reads with a
-  /// configurable write fraction, plus optional in-vault PUM row copies
-  /// (RowClone-style bulk data movement on the logic-layer path). The
-  /// cores, NoC and host link of the closed loop play no part. Throws
-  /// std::runtime_error when the streams do not drain within the run's
-  /// cycle limit.
-  StreamResult run_stream(std::uint64_t ops_per_vault, std::uint64_t write_every = 4,
-                          std::uint64_t pim_every = 0, std::uint64_t seed = 1,
+  /// irregular-traversal shape of the graph workloads. The cores, NoC and
+  /// host link of the closed loop play no part. Throws std::runtime_error
+  /// when the streams do not drain within the run's cycle limit.
+  StreamResult run_stream(std::uint64_t ops_per_vault, std::uint64_t seed = 1,
                           unsigned shards = 1);
 
   const PnmConfig& config() const { return cfg_; }

@@ -39,70 +39,12 @@
 #include "sim/system.hh"
 #include "workloads/stream.hh"
 
+#include "oracle.hh"
+
 namespace ima {
 namespace {
 
-std::string render(const mem::MemorySystem& sys) {
-  obs::StatRegistry reg;
-  sys.register_stats(reg, "m");
-  std::ostringstream os;
-  for (const auto& v : reg.snapshot().values) os << v.path << '=' << v.value << '\n';
-  return os.str();
-}
-
-dram::DramConfig matrix_dram(std::uint32_t channels, bool salp = false) {
-  auto cfg = dram::DramConfig::ddr4_2400();
-  cfg.geometry.channels = channels;
-  cfg.geometry.banks = 4;
-  cfg.geometry.subarrays = 4;
-  cfg.geometry.rows_per_subarray = 128;
-  cfg.geometry.columns = 32;
-  cfg.timings.salp = salp;
-  return cfg;
-}
-
-struct Outcome {
-  Cycle cycles = 0;
-  std::uint64_t checksum = 0;
-  std::string snapshot;
-
-  bool operator==(const Outcome& o) const {
-    return cycles == o.cycles && checksum == o.checksum && snapshot == o.snapshot;
-  }
-};
-
-/// Deterministic feeder identical to the shard-matrix one: `ops` accesses
-/// per channel, one in four a write, addresses a pure function of
-/// (seed, channel, index); completions fold into the caller's checksum.
-mem::MemorySystem::ChannelSource make_source(mem::MemorySystem& sys,
-                                             std::vector<std::uint64_t>& cursor,
-                                             std::uint64_t ops, std::uint64_t seed,
-                                             Outcome& out) {
-  mem::MemorySystem::ChannelSource src;
-  src.next = [&sys, &cursor, ops, seed](std::uint32_t ch, Cycle, mem::Request& r) {
-    std::uint64_t& i = cursor[ch];
-    if (i >= ops) return false;
-    const auto& g = sys.dram_config().geometry;
-    const std::uint64_t h = harness::job_seed(seed, ch * 0x10001ull + i);
-    dram::Coord c;
-    c.channel = ch;
-    c.rank = static_cast<std::uint32_t>(h) % g.ranks;
-    c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
-    c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
-    c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
-    r = mem::Request{};
-    r.addr = sys.mapper().encode(c);
-    r.type = i % 4 == 3 ? AccessType::Write : AccessType::Read;
-    r.core = ch % 4;
-    ++i;
-    return true;
-  };
-  src.on_complete = [&out](std::uint32_t ch, const mem::Request& done) {
-    out.checksum = (out.checksum * 1099511628211ull) ^ done.addr ^
-                   (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
-  };
-  return src;
-}
+using namespace oracle;
 
 using Factory = std::function<std::unique_ptr<mem::MemorySystem>()>;
 
@@ -116,9 +58,7 @@ Outcome run_two_segments(const Factory& make, std::uint64_t seed, unsigned shard
   Outcome out;
   auto a = make();
   a->set_shards(shards_before);
-  std::vector<std::uint64_t> cur1(a->num_channels(), 0);
-  const auto src1 = make_source(*a, cur1, 200, seed, out);
-  const Cycle mid = a->drain_sourced(src1, 0);
+  const Cycle mid = drain_hashed(*a, 200, seed, out);
   EXPECT_TRUE(a->idle());
 
   mem::MemorySystem* target = a.get();
@@ -131,9 +71,7 @@ Outcome run_two_segments(const Factory& make, std::uint64_t seed, unsigned shard
     a.reset();  // the original is gone; only the image survives
   }
   target->set_shards(shards_after);
-  std::vector<std::uint64_t> cur2(target->num_channels(), 0);
-  const auto src2 = make_source(*target, cur2, 150, seed ^ 0x5EEDull, out);
-  out.cycles = target->drain_sourced(src2, mid);
+  out.cycles = drain_hashed(*target, 150, seed ^ 0x5EEDull, out, mid);
   out.snapshot = render(*target);
   return out;
 }
@@ -217,9 +155,7 @@ TEST(CkptMatrix, BorrowedVictimModelTravelsWithTheImage) {
   const auto run = [&](bool through_checkpoint) {
     Outcome out;
     Rig a = make_rig();
-    std::vector<std::uint64_t> cur1(a.sys->num_channels(), 0);
-    const auto src1 = make_source(*a.sys, cur1, 300, 0xBADull, out);
-    const Cycle mid = a.sys->drain_sourced(src1, 0);
+    const Cycle mid = drain_hashed(*a.sys, 300, 0xBADull, out);
     Rig b;
     Rig* tgt = &a;
     if (through_checkpoint) {
@@ -228,9 +164,7 @@ TEST(CkptMatrix, BorrowedVictimModelTravelsWithTheImage) {
       EXPECT_NO_THROW(ckpt::restore(*b.sys, blob));
       tgt = &b;
     }
-    std::vector<std::uint64_t> cur2(tgt->sys->num_channels(), 0);
-    const auto src2 = make_source(*tgt->sys, cur2, 300, 0xF1ull, out);
-    out.cycles = tgt->sys->drain_sourced(src2, mid);
+    out.cycles = drain_hashed(*tgt->sys, 300, 0xF1ull, out, mid);
     out.snapshot = render(*tgt->sys);
     out.checksum ^= tgt->vm->flips() * 0x9E37ull;
     return out;
@@ -352,8 +286,7 @@ TEST(CkptMatrix, ServingFacadeResponseQueuesRestore) {
     for (std::uint32_t ch = 0; ch < svc->num_channels(); ++ch) {
       while (!svc->is_empty(ch)) {
         const mem::Request& r = svc->top(ch);
-        digest = digest * 1099511628211ull ^ r.addr ^
-                 (static_cast<std::uint64_t>(r.complete) << 1) ^ ch;
+        digest = mem::fold_completion(digest, ch, r);
         svc->pop(ch);
       }
     }
@@ -395,9 +328,7 @@ sim::SystemConfig matrix_system_config(sim::PrefetchKind pf) {
 std::string render_system(const sim::System& sys) {
   obs::StatRegistry reg;
   sys.register_stats(reg);
-  std::ostringstream os;
-  for (const auto& v : reg.snapshot().values) os << v.path << '=' << v.value << '\n';
-  return os.str();
+  return reg.snapshot().render();
 }
 
 /// run-to-C / drain-to-quiescence / (maybe checkpoint+restore) / run-to-end.
@@ -634,9 +565,7 @@ TEST(CkptSweep, TimeoutKilledJobRetriedFromCheckpointIsByteIdentical) {
   {
     Outcome scratch;
     auto sys = make();
-    std::vector<std::uint64_t> cur(sys->num_channels(), 0);
-    const auto src = make_source(*sys, cur, 200, 0xCAFEull, scratch);
-    warm_cycle = sys->drain_sourced(src, 0);
+    warm_cycle = drain_hashed(*sys, 200, 0xCAFEull, scratch);
     warm = ckpt::capture(*sys);
   }
 
@@ -648,9 +577,7 @@ TEST(CkptSweep, TimeoutKilledJobRetriedFromCheckpointIsByteIdentical) {
     auto sys = make();
     ckpt::restore(*sys, warm);
     Outcome out;
-    std::vector<std::uint64_t> cur(sys->num_channels(), 0);
-    const auto src2 = make_source(*sys, cur, 100, 0xBEEF00ull + point, out);
-    out.cycles = sys->drain_sourced(src2, warm_cycle);
+    out.cycles = drain_hashed(*sys, 100, 0xBEEF00ull + point, out, warm_cycle);
     ctx.fragment.row({std::to_string(point), std::to_string(out.cycles),
                       std::to_string(out.checksum)});
     return out.checksum;

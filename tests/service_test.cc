@@ -329,8 +329,7 @@ TEST(ServicePump, OpenLoopTensorFeedIsLossFreeAndWidthInvariant) {
     std::uint64_t checksum = 0, completions = 0;
     src.on_complete = [&](std::uint32_t ch, const mem::Request& done) {
       EXPECT_GE(done.complete, done.tag) << "completed before its intended arrival";
-      checksum = (checksum * 1099511628211ull) ^ done.addr ^
-                 (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
+      checksum = mem::fold_completion(checksum, ch, done);
       ++completions;
     };
     svc.pump(src, 0);

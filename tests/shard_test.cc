@@ -1,15 +1,16 @@
-// Sharded-execution golden matrix: one simulated machine advanced by the
+// Sharded-execution equivalence legs: one simulated machine advanced by the
 // epoch-barrier engine must produce byte-identical results at every shard
-// width. Each leg runs the same configuration at IMA-style widths 1, 2 and
-// 8 and compares cycle counts, StatRegistry snapshots, completion-stream
-// checksums and (where armed) the reliability corruption ledger — across
-// all 8 scheduler kinds, RAIDR row refresh, PARA RowHammer mitigation and
-// the PNM stack's sharded stream. A separate leg proves IMA_SHARDS composes
+// width and epoch length. Each leg runs the same configuration at
+// IMA-style widths 1, 2 and 4 or 8 and compares cycle counts, StatRegistry
+// snapshots, completion-stream checksums and (where armed) the reliability
+// corruption ledger — across RAIDR row refresh, PARA RowHammer mitigation,
+// a closed loop and the PNM stack's sharded stream. The width matrix over
+// all 8 scheduler kinds lives in SoaGoldenMatrix (soa_kernel_test.cc),
+// which also pins its digests. A separate leg proves IMA_SHARDS composes
 // with IMA_JOBS: nested inside a sweep job the drain collapses to one host
 // thread (no pool oversubscription) with, by construction, the same bytes.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,116 +21,30 @@
 #include "mem/refresh.hh"
 #include "mem/rowhammer.hh"
 #include "noc/mesh.hh"
-#include "obs/stat_registry.hh"
 #include "pnm/stack.hh"
 #include "reliability/engine.hh"
+
+#include "oracle.hh"
 
 namespace ima {
 namespace {
 
-/// Everything a leg compares across widths, rendered comparable.
-struct Outcome {
-  Cycle cycles = 0;
-  std::uint64_t checksum = 0;  // completion stream in canonical order
-  std::string snapshot;        // full StatRegistry rendering
-  unsigned workers_used = 0;   // host detail — NOT compared
-
-  bool operator==(const Outcome& o) const {
-    return cycles == o.cycles && checksum == o.checksum && snapshot == o.snapshot;
-  }
-};
-
-std::string render(const mem::MemorySystem& sys) {
-  obs::StatRegistry reg;
-  sys.register_stats(reg, "m");
-  std::ostringstream os;
-  for (const auto& v : reg.snapshot().values) os << v.path << '=' << v.value << '\n';
-  return os.str();
-}
-
-dram::DramConfig matrix_dram(std::uint32_t channels) {
-  auto cfg = dram::DramConfig::ddr4_2400();
-  cfg.geometry.channels = channels;
-  cfg.geometry.banks = 4;
-  cfg.geometry.subarrays = 4;
-  cfg.geometry.rows_per_subarray = 128;
-  cfg.geometry.columns = 32;
-  return cfg;
-}
-
-/// Deterministic per-channel feeder: `ops` accesses per channel, one in
-/// four a write, addresses a pure function of (seed, channel, index).
-mem::MemorySystem::ChannelSource make_source(mem::MemorySystem& sys,
-                                             std::vector<std::uint64_t>& cursor,
-                                             std::uint64_t ops, std::uint64_t seed,
-                                             Outcome& out) {
-  mem::MemorySystem::ChannelSource src;
-  src.next = [&sys, &cursor, ops, seed](std::uint32_t ch, Cycle, mem::Request& r) {
-    std::uint64_t& i = cursor[ch];
-    if (i >= ops) return false;
-    const auto& g = sys.dram_config().geometry;
-    const std::uint64_t h = harness::job_seed(seed, ch * 0x10001ull + i);
-    dram::Coord c;
-    c.channel = ch;
-    c.rank = static_cast<std::uint32_t>(h) % g.ranks;
-    c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
-    c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
-    c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
-    r = mem::Request{};
-    r.addr = sys.mapper().encode(c);
-    r.type = i % 4 == 3 ? AccessType::Write : AccessType::Read;
-    r.core = ch % 4;
-    ++i;
-    return true;
-  };
-  src.on_complete = [&out](std::uint32_t ch, const mem::Request& done) {
-    out.checksum = (out.checksum * 1099511628211ull) ^ done.addr ^
-                   (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
-  };
-  return src;
-}
-
-Outcome run_matrix_point(mem::SchedKind kind, unsigned shards, Cycle epoch = 0) {
-  const auto dram_cfg = matrix_dram(8);
-  mem::ControllerConfig ctrl;
-  ctrl.sched = kind;
-  mem::MemorySystem sys(dram_cfg, ctrl);
-  sys.set_shards(shards, epoch);
-
-  Outcome out;
-  std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-  const auto src = make_source(sys, cursor, 300, 0xC0FFEEull + static_cast<int>(kind), out);
-  out.cycles = sys.drain_sourced(src, 0);
-  out.workers_used = sys.shard_workers_used();
-  out.snapshot = render(sys);
-  EXPECT_TRUE(sys.idle());
-  return out;
-}
-
-TEST(Shard, AllSchedulerKindsAreByteIdenticalAtWidths1_2_8) {
-  const mem::SchedKind kinds[] = {
-      mem::SchedKind::Fcfs,  mem::SchedKind::FrFcfs, mem::SchedKind::FrFcfsCap,
-      mem::SchedKind::ParBs, mem::SchedKind::Atlas,  mem::SchedKind::Tcm,
-      mem::SchedKind::Bliss, mem::SchedKind::Rl};
-  for (const auto kind : kinds) {
-    const Outcome w1 = run_matrix_point(kind, 1);
-    const Outcome w2 = run_matrix_point(kind, 2);
-    const Outcome w8 = run_matrix_point(kind, 8);
-    EXPECT_EQ(w1, w2) << "scheduler " << mem::to_string(kind);
-    EXPECT_EQ(w1, w8) << "scheduler " << mem::to_string(kind);
-    EXPECT_GT(w1.cycles, 0u);
-    EXPECT_NE(w1.checksum, 0u);
-    // The width-8 run really used 8 host threads (nothing forced collapse).
-    EXPECT_EQ(w8.workers_used, 8u) << "scheduler " << mem::to_string(kind);
-  }
-}
+using namespace oracle;
 
 TEST(Shard, EpochSizeDoesNotChangeTheBytesEither) {
   // Open-loop drains are exact at any epoch: barrier placement only decides
-  // when mailboxes drain, never what they contain or in what order.
-  const Outcome a = run_matrix_point(mem::SchedKind::FrFcfs, 2, 512);
-  const Outcome b = run_matrix_point(mem::SchedKind::FrFcfs, 2, 8192);
-  const Outcome c = run_matrix_point(mem::SchedKind::FrFcfs, 8, 1024);
+  // when mailboxes drain, never what they contain or in what order. (The
+  // width matrix over every scheduler kind is SoaGoldenMatrix's.)
+  const auto run = [](unsigned shards, Cycle epoch) {
+    mem::ControllerConfig ctrl;
+    ctrl.sched = mem::SchedKind::FrFcfs;
+    mem::MemorySystem sys(matrix_dram(8), ctrl);
+    sys.set_shards(shards, epoch);
+    return run_hashed(sys, 300, 0xC0FFEEull + static_cast<int>(ctrl.sched));
+  };
+  const Outcome a = run(2, 512);
+  const Outcome b = run(2, 8192);
+  const Outcome c = run(8, 1024);
   EXPECT_EQ(a.checksum, b.checksum);
   EXPECT_EQ(a.snapshot, b.snapshot);
   EXPECT_EQ(a.checksum, c.checksum);
@@ -151,13 +66,7 @@ TEST(Shard, RaidrRefreshAndParaMitigationShardIdentically) {
       sys.controller(c).set_rowhammer(mem::make_para(0.5, 77 + c));
     }
     sys.set_shards(shards);
-
-    Outcome out;
-    std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-    const auto src = make_source(sys, cursor, 600, 0xAB1Dull, out);
-    out.cycles = sys.drain_sourced(src, 0);
-    out.snapshot = render(sys);
-    return out;
+    return run_hashed(sys, 600, 0xAB1Dull);
   };
   const Outcome w1 = run(1);
   const Outcome w2 = run(2);
@@ -232,8 +141,7 @@ TEST(Shard, PnmStackStreamIsWidthInvariant) {
     pnm::PnmConfig cfg;
     cfg.vaults = 8;
     pnm::PnmStack stack(cfg);
-    return stack.run_stream(/*ops_per_vault=*/200, /*write_every=*/4, /*pim_every=*/16,
-                            /*seed=*/3, shards);
+    return stack.run_stream(/*ops_per_vault=*/200, /*seed=*/3, shards);
   };
   const auto w1 = run(1);
   const auto w2 = run(2);
@@ -291,13 +199,7 @@ TEST(Shard, ComposesWithSweepJobsWithoutOversubscription) {
   const auto job = [](const int& seed) {
     mem::MemorySystem sys(matrix_dram(8), mem::ControllerConfig{});
     sys.set_shards(8);
-    Outcome out;
-    std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-    const auto src = make_source(sys, cursor, 150, static_cast<std::uint64_t>(seed), out);
-    out.cycles = sys.drain_sourced(src, 0);
-    out.workers_used = sys.shard_workers_used();
-    out.snapshot = render(sys);
-    return out;
+    return run_hashed(sys, 150, static_cast<std::uint64_t>(seed));
   };
   const std::vector<int> configs = {1, 2, 3, 4};
   harness::SweepOptions serial;
@@ -324,11 +226,7 @@ TEST(Shard, TraceSinkAndSharedVictimModelForceSerialEpochs) {
   sys.controller(0).set_victim_model(&shared);
   sys.controller(1).set_victim_model(&shared);
   sys.set_shards(4);
-  Outcome out;
-  std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-  const auto src = make_source(sys, cursor, 50, 21, out);
-  (void)sys.drain_sourced(src, 0);
-  EXPECT_EQ(sys.shard_workers_used(), 1u);
+  EXPECT_EQ(run_hashed(sys, 50, 21).workers_used, 1u);
 }
 
 TEST(Shard, ConservativeEpochDerivation) {

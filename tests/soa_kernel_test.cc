@@ -11,10 +11,10 @@
 //
 //  2. Golden full-sim matrix — end-to-end MemorySystem runs across all 8
 //     scheduler kinds + MISE, SALP, RAIDR + PARA, power-down/self-refresh
-//     and the reliability patrol scrubber, each at shard widths 1 and 8,
-//     pinned to digests captured on the pre-SoA implementation. Any change
-//     to a simulated cycle, a stat or a completion timestamp shifts the
-//     digest.
+//     and the reliability patrol scrubber, each at shard widths 1, 2 and 8
+//     (byte-identical, the scheduler legs on 8 host threads), pinned to
+//     digests captured on the pre-SoA implementation. Any change to a
+//     simulated cycle, a stat or a completion timestamp shifts the digest.
 //
 // Regenerate goldens (only legitimate after an intentional semantic
 // change): IMA_PRINT_GOLDEN=1 ./soa_kernel_test and paste the table.
@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <deque>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,7 +32,8 @@
 #include "mem/memsys.hh"
 #include "mem/refresh.hh"
 #include "mem/rowhammer.hh"
-#include "obs/stat_registry.hh"
+
+#include "oracle.hh"
 
 namespace ima {
 namespace {
@@ -546,100 +546,23 @@ TEST(SoaLockstep, SalpSixtyFourBanksMatchesLegacyReference) {
 // Layer 2: golden full-sim matrix.
 // ---------------------------------------------------------------------------
 
-struct Outcome {
-  Cycle cycles = 0;
-  std::uint64_t checksum = 0;  // completion stream in canonical order
-  std::string snapshot;        // full StatRegistry rendering
-
-  bool operator==(const Outcome& o) const {
-    return cycles == o.cycles && checksum == o.checksum && snapshot == o.snapshot;
-  }
-  std::uint64_t digest() const {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 1099511628211ull;
-      }
-    };
-    mix(cycles);
-    mix(checksum);
-    for (const char ch : snapshot) {
-      h ^= static_cast<unsigned char>(ch);
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
-std::string render(const mem::MemorySystem& sys) {
-  obs::StatRegistry reg;
-  sys.register_stats(reg, "m");
-  std::ostringstream os;
-  for (const auto& v : reg.snapshot().values) os << v.path << '=' << v.value << '\n';
-  return os.str();
-}
-
-dram::DramConfig matrix_dram(bool salp = false) {
-  auto cfg = dram::DramConfig::ddr4_2400();
-  cfg.geometry.channels = 8;
-  cfg.geometry.banks = 4;
-  cfg.geometry.subarrays = 4;
-  cfg.geometry.rows_per_subarray = 128;
-  cfg.geometry.columns = 32;
-  cfg.timings.salp = salp;
-  return cfg;
-}
-
-mem::MemorySystem::ChannelSource make_source(mem::MemorySystem& sys,
-                                             std::vector<std::uint64_t>& cursor,
-                                             std::uint64_t ops, std::uint64_t seed,
-                                             Outcome& out) {
-  mem::MemorySystem::ChannelSource src;
-  src.next = [&sys, &cursor, ops, seed](std::uint32_t ch, Cycle, mem::Request& r) {
-    std::uint64_t& i = cursor[ch];
-    if (i >= ops) return false;
-    const auto& g = sys.dram_config().geometry;
-    const std::uint64_t h = harness::job_seed(seed, ch * 0x10001ull + i);
-    dram::Coord c;
-    c.channel = ch;
-    c.rank = static_cast<std::uint32_t>(h) % g.ranks;
-    c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
-    c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
-    c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
-    r = mem::Request{};
-    r.addr = sys.mapper().encode(c);
-    r.type = i % 4 == 3 ? AccessType::Write : AccessType::Read;
-    r.core = ch % 4;
-    ++i;
-    return true;
-  };
-  src.on_complete = [&out](std::uint32_t ch, const mem::Request& done) {
-    out.checksum = (out.checksum * 1099511628211ull) ^ done.addr ^
-                   (static_cast<std::uint64_t>(done.complete) << 1) ^ ch;
-  };
-  return src;
-}
+using namespace oracle;
 
 Outcome run_sched_point(mem::SchedKind kind, bool salp, bool mise, unsigned shards) {
   mem::ControllerConfig ctrl;
   ctrl.sched = kind;
-  mem::MemorySystem sys(matrix_dram(salp), ctrl);
+  mem::MemorySystem sys(matrix_dram(8, salp), ctrl);
   if (mise)
     for (std::uint32_t c = 0; c < sys.num_channels(); ++c)
       sys.controller(c).set_scheduler(mem::make_mise(ctrl.num_cores, 5'000));
   sys.set_shards(shards);
-  Outcome out;
-  std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-  const auto src = make_source(sys, cursor, 300, 0xC0FFEEull + static_cast<int>(kind), out);
-  out.cycles = sys.drain_sourced(src, 0);
-  out.snapshot = render(sys);
+  const Outcome out = run_hashed(sys, 300, 0xC0FFEEull + static_cast<int>(kind));
   EXPECT_TRUE(sys.idle());
   return out;
 }
 
 Outcome run_refresh_point(unsigned shards) {
-  const auto dram_cfg = matrix_dram();
+  const auto dram_cfg = matrix_dram(8);
   mem::ControllerConfig ctrl;
   mem::MemorySystem sys(dram_cfg, ctrl);
   const auto& g = dram_cfg.geometry;
@@ -651,19 +574,14 @@ Outcome run_refresh_point(unsigned shards) {
     sys.controller(c).set_rowhammer(mem::make_para(0.5, 77 + c));
   }
   sys.set_shards(shards);
-  Outcome out;
-  std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-  const auto src = make_source(sys, cursor, 500, 0xAB1Dull, out);
-  out.cycles = sys.drain_sourced(src, 0);
-  out.snapshot = render(sys);
-  return out;
+  return run_hashed(sys, 500, 0xAB1Dull);
 }
 
 Outcome run_power_point(unsigned shards) {
   mem::ControllerConfig ctrl;
   ctrl.powerdown_timeout = 400;
   ctrl.selfrefresh_timeout = 4'000;
-  mem::MemorySystem sys(matrix_dram(), ctrl);
+  mem::MemorySystem sys(matrix_dram(8), ctrl);
   sys.set_shards(shards, sim::conservative_epoch({sys.min_callback_latency()}, 0));
   Outcome out;
   Cycle now = 0;
@@ -702,7 +620,7 @@ Outcome run_power_point(unsigned shards) {
 }
 
 Outcome run_reliability_point(unsigned shards) {
-  auto dram_cfg = matrix_dram();
+  auto dram_cfg = matrix_dram(8);
   mem::ControllerConfig ctrl;
   ctrl.reliability.enabled = true;
   ctrl.reliability.ecc = reliability::EccKind::Secded;
@@ -722,9 +640,7 @@ Outcome run_reliability_point(unsigned shards) {
     }
   }
   Outcome out;
-  std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-  const auto src = make_source(sys, cursor, 200, 0x5EED5ull, out);
-  out.cycles = sys.drain_sourced(src, 0);
+  out.cycles = drain_hashed(sys, 200, 0x5EED5ull, out);
   // Let the patrol scrubber sweep: serial ticking, identical either width.
   Cycle now = out.cycles;
   for (const Cycle end = now + 100'000; now < end; ++now) sys.tick(now);
@@ -769,21 +685,30 @@ constexpr Golden kGoldens[] = {
     {"reliability_scrub", 108192ull, 7102296324428830124ull},
 };
 
-void check_point(const char* name, const Outcome& w1, const Outcome& w8) {
-  EXPECT_EQ(w1, w8) << name << ": shard width changed the bytes";
+/// Runs `run` at shard widths 1, 2 and 8, requires byte-identical
+/// outcomes, and checks them against golden entry `name`. Returns the
+/// width-8 outcome.
+template <typename Run>
+Outcome check_point(const std::string& name, Run&& run) {
+  const Outcome w1 = run(1u);
+  const Outcome w2 = run(2u);
+  const Outcome w8 = run(8u);
+  EXPECT_EQ(w1, w2) << name << ": shard width 2 changed the bytes";
+  EXPECT_EQ(w1, w8) << name << ": shard width 8 changed the bytes";
   if (std::getenv("IMA_PRINT_GOLDEN")) {
-    printf("    {\"%s\", %lluull, %lluull},\n", name,
+    printf("    {\"%s\", %lluull, %lluull},\n", name.c_str(),
            static_cast<unsigned long long>(w1.cycles),
            static_cast<unsigned long long>(w1.digest()));
-    return;
+    return w8;
   }
   for (const auto& gld : kGoldens) {
-    if (std::string(gld.name) != name) continue;
+    if (name != gld.name) continue;
     EXPECT_EQ(w1.cycles, gld.cycles) << name << ": simulated cycle count drifted";
     EXPECT_EQ(w1.digest(), gld.digest) << name << ": stats/completion digest drifted";
-    return;
+    return w8;
   }
-  FAIL() << "no golden entry for " << name;
+  ADD_FAILURE() << "no golden entry for " << name;
+  return w8;
 }
 
 // All 8 factory kinds plus MISE, each named `<prefix><kind>`.
@@ -792,30 +717,28 @@ void check_all_kinds(const char* prefix, bool salp) {
       mem::SchedKind::Fcfs,  mem::SchedKind::FrFcfs, mem::SchedKind::FrFcfsCap,
       mem::SchedKind::ParBs, mem::SchedKind::Atlas,  mem::SchedKind::Tcm,
       mem::SchedKind::Bliss, mem::SchedKind::Rl};
-  for (const auto kind : kinds) {
-    const std::string name = std::string(prefix) + mem::to_string(kind);
-    check_point(name.c_str(), run_sched_point(kind, salp, false, 1),
-                run_sched_point(kind, salp, false, 8));
-  }
-  const std::string mise = std::string(prefix) + "MISE";
-  check_point(mise.c_str(), run_sched_point(mem::SchedKind::FrFcfs, salp, true, 1),
-              run_sched_point(mem::SchedKind::FrFcfs, salp, true, 8));
+  const auto check = [salp](const std::string& name, mem::SchedKind kind, bool mise) {
+    const Outcome w8 = check_point(
+        name, [&](unsigned shards) { return run_sched_point(kind, salp, mise, shards); });
+    EXPECT_GT(w8.cycles, 0u) << name;
+    EXPECT_NE(w8.checksum, 0u) << name;
+    // The width-8 run really used 8 host threads (nothing forced collapse).
+    EXPECT_EQ(w8.workers_used, 8u) << name;
+  };
+  for (const auto kind : kinds) check(std::string(prefix) + mem::to_string(kind), kind, false);
+  check(std::string(prefix) + "MISE", mem::SchedKind::FrFcfs, true);
 }
 
 TEST(SoaGoldenMatrix, SchedulersAndMise) { check_all_kinds("sched_", false); }
 
 TEST(SoaGoldenMatrix, Salp) { check_all_kinds("salp_", true); }
 
-TEST(SoaGoldenMatrix, RaidrRefreshWithPara) {
-  check_point("raidr_para", run_refresh_point(1), run_refresh_point(8));
-}
+TEST(SoaGoldenMatrix, RaidrRefreshWithPara) { check_point("raidr_para", run_refresh_point); }
 
-TEST(SoaGoldenMatrix, PowerManagement) {
-  check_point("power", run_power_point(1), run_power_point(8));
-}
+TEST(SoaGoldenMatrix, PowerManagement) { check_point("power", run_power_point); }
 
 TEST(SoaGoldenMatrix, ReliabilityScrubber) {
-  check_point("reliability_scrub", run_reliability_point(1), run_reliability_point(8));
+  check_point("reliability_scrub", run_reliability_point);
 }
 
 }  // namespace
