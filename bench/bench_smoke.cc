@@ -44,6 +44,12 @@ int main() {
       "Claim: a short run produces consistent StatRegistry numbers, a valid "
       "machine-readable report and a loadable Chrome trace.");
 
+  // The time-series period is read before any phase runs, so a bad value
+  // fails at start-up. A period of 0 would disable sampling, so it is
+  // rejected like a typo.
+  const Cycle ts_period = env_uint("IMA_TIMESERIES").value_or(16'384);
+  if (ts_period == 0) env_reject("IMA_TIMESERIES", "0", "expected a positive number of cycles");
+
   // Loaded-controller throughput: MLP injectors keep the queues saturated,
   // so this measures the issue-loop fast path (memoized timing checks +
   // busy skip-ahead), not idle-gap skipping. The number lands in
@@ -111,10 +117,7 @@ int main() {
   auto& sink = sys.enable_trace(1 << 14);
 
   // Windowed time-series sampler: registry paths plus a live queue-depth
-  // gauge, sampled every IMA_TIMESERIES cycles (clock-mode invariant). A
-  // period of 0 would disable sampling, so it is rejected like a typo.
-  const Cycle ts_period = env_uint("IMA_TIMESERIES").value_or(16'384);
-  if (ts_period == 0) env_reject("IMA_TIMESERIES", "0", "expected a positive number of cycles");
+  // gauge, sampled every IMA_TIMESERIES cycles (clock-mode invariant).
   obs::TimeSeries ts("smoke", ts_period);
   ts.track_path(reg, "sys.mem.ctrl0.reads_done");
   ts.track_path(reg, "sys.core0.instructions");

@@ -135,8 +135,7 @@ class PnmStack {
   /// irregular-traversal shape of the graph workloads. The cores, NoC and
   /// host link of the closed loop play no part. Throws std::runtime_error
   /// when the streams do not drain within the run's cycle limit.
-  StreamResult run_stream(std::uint64_t ops_per_vault, std::uint64_t seed = 1,
-                          unsigned shards = 1);
+  StreamResult run_stream(std::uint64_t ops_per_vault, std::uint64_t seed, unsigned shards);
 
   const PnmConfig& config() const { return cfg_; }
 
