@@ -126,7 +126,9 @@ BENCHMARK_CAPTURE(BM_IdleHeavyClocking, skip_ahead, sim::ClockMode::SkipAhead);
 // walks per scheduler pass. Runs under the default clock mode — the
 // conditions every real bench runs in — measuring the combined memoized
 // SchedView + busy skip-ahead + allocation-free serve()/manage_power()
-// win. FR-FCFS is the common case; TCM adds ranking-heavy pick loops.
+// win. FR-FCFS is the common case; TCM adds ranking-heavy pick loops; RL
+// picks every cycle (each pick is a learning step) and reuses its queue
+// scan while the queue, the channel state and the legality deadline hold.
 void BM_LoadedIssueLoop(benchmark::State& state, mem::SchedKind kind) {
   const auto dram_cfg = dram::DramConfig::ddr4_2400();
   sim::ClosedLoop cores(bench::hetero_mix(11));
@@ -140,6 +142,7 @@ void BM_LoadedIssueLoop(benchmark::State& state, mem::SchedKind kind) {
 }
 BENCHMARK_CAPTURE(BM_LoadedIssueLoop, fr_fcfs, mem::SchedKind::FrFcfs);
 BENCHMARK_CAPTURE(BM_LoadedIssueLoop, tcm, mem::SchedKind::Tcm);
+BENCHMARK_CAPTURE(BM_LoadedIssueLoop, rl, mem::SchedKind::Rl);
 
 // Same loaded system, both clock modes. With non-empty queues the old
 // next_event collapsed to now+1 and SkipAhead degenerated to PerCycle; the

@@ -149,6 +149,7 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   }
   ++oc.cnt[u].total;
   if (chan_.unit_open(u) && chan_.unit_row(u) == meta.back().row) ++oc.cnt[u].match;
+  ++queue_stamp_[is_read ? 0 : 1];
   // This queue's stashed min does not cover the new request.
   issue_min_valid_[is_read ? 0 : 1] = false;
   return true;
@@ -292,6 +293,7 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
   qr.marked = false;
   qr.cb = nullptr;
   --rank_work_[qr.coord.rank];
+  ++queue_stamp_[is_read ? 0 : 1];
   std::vector<QueueScanMeta>& meta = is_read ? read_meta_ : write_meta_;
   meta[idx].flags = 0;
   // A RD/WR only ever serves a row hit at an open unit, so the entry is

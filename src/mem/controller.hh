@@ -247,8 +247,13 @@ class Controller {
   /// entering the timing cache's epoch for `now`.
   SchedView view(Cycle now, bool is_read) const {
     timing_cache_.begin(now);
-    return SchedView{now, &cores_, &timing_cache_, (is_read ? read_meta_ : write_meta_).data(),
-                     is_read ? read_q_sorted_ : write_q_sorted_};
+    return SchedView{now,
+                     &cores_,
+                     &timing_cache_,
+                     (is_read ? read_meta_ : write_meta_).data(),
+                     is_read ? read_q_sorted_ : write_q_sorted_,
+                     is_read ? 0u : 1u,
+                     queue_stamp_[is_read ? 0 : 1]};
   }
 
   dram::Channel& chan_;
@@ -287,6 +292,12 @@ class Controller {
   // (none does — the queue is compacted only in serve()).
   std::vector<QueueScanMeta> read_meta_;
   std::vector<QueueScanMeta> write_meta_;
+  // Per-queue mutation stamps (SchedView::queue_version; 0 = read, 1 =
+  // write), bumped by enqueue and serve (which covers compaction). Scratch
+  // like the timing cache: not checkpointed, so a restored controller
+  // starts them afresh and a scheduler memo keyed on them must be dropped
+  // by the scheduler's own load_state.
+  std::uint64_t queue_stamp_[2] = {1, 1};
   // Per-queue per-unit occupancy aggregates: how many live requests sit at
   // each unit (`total`) and how many of them target the unit's currently
   // open row (`match`). With them the next_event kernel folds over

@@ -119,22 +119,34 @@ class SchedTimingCache {
     if (chan_->unit_row(m.unit) != m.row) return dram::Cmd::Pre;
     return (m.flags & QueueScanMeta::kWrite) ? dram::Cmd::Wr : dram::Cmd::Rd;
   }
-  /// Fused legality + row-hit classification of one entry: 0 = the
-  /// required command is not legal at now_ (including a sleeping rank),
-  /// 1 = legal, 2 = legal and a row hit. Force-inlined: this runs per queue
-  /// entry inside every scheduler's pick scan, and the call frame
-  /// otherwise costs as much as the classification.
-  [[gnu::always_inline]] inline int issue_class(const QueueScanMeta& m) const {
+  /// The cycle an entry's required command becomes legal, plus its row-hit
+  /// flag. `at` is kCycleNever on a sleeping rank; otherwise it is
+  /// max(now_, h) with h fixed while Channel::state_version() is, so an
+  /// entry not legal at now_ stays so until `at`, and a legal one stays
+  /// legal. Force-inlined: this runs per queue entry inside every
+  /// scheduler's pick scan, and the call frame otherwise costs as much as
+  /// the query.
+  struct EntryTiming {
+    Cycle at;
+    bool hit;
+  };
+  [[gnu::always_inline]] inline EntryTiming entry_timing(const QueueScanMeta& m) const {
     const std::size_t u = m.unit;
     const dram::Channel::ScanGates& g = gates(chan_->unit_rank(u));
-    if (!g.active) return 0;
-    if (!chan_->unit_open(u)) return chan_->earliest_act_at(u, g) <= now_ ? 1 : 0;
-    if (chan_->unit_row(u) == m.row) {
-      const Cycle e = (m.flags & QueueScanMeta::kWrite) ? chan_->earliest_wr_at(u, g)
-                                                        : chan_->earliest_rd_at(u, g);
-      return e <= now_ ? 2 : 0;
-    }
-    return chan_->earliest_pre_at(u, g) <= now_ ? 1 : 0;
+    if (!g.active) return {kCycleNever, row_hit(m)};
+    if (!chan_->unit_open(u)) return {chan_->earliest_act_at(u, g), false};
+    if (chan_->unit_row(u) == m.row)
+      return {(m.flags & QueueScanMeta::kWrite) ? chan_->earliest_wr_at(u, g)
+                                                : chan_->earliest_rd_at(u, g),
+              true};
+    return {chan_->earliest_pre_at(u, g), false};
+  }
+  /// Fused legality + row-hit classification of one entry: 0 = the
+  /// required command is not legal at now_ (including a sleeping rank),
+  /// 1 = legal, 2 = legal and a row hit.
+  [[gnu::always_inline]] inline int issue_class(const QueueScanMeta& m) const {
+    const EntryTiming t = entry_timing(m);
+    return t.at <= now_ ? (t.hit ? 2 : 1) : 0;
   }
   /// The channel this cache reads (SchedView's geometry queries use it).
   const dram::Channel& channel() const { return *chan_; }
@@ -182,6 +194,12 @@ struct SchedView {
   // "oldest in class" = "first in class", and first-ready schedulers may
   // return at the first match instead of completing an argmin scan.
   bool arrive_sorted = false;
+  // Which controller queue this is (0 = reads, 1 = writes) and its mutation
+  // stamp: the controller bumps the stamp whenever the queue's contents or
+  // order change, so an unchanged (queue, queue_version) names an unchanged
+  // queue. 0 = unversioned (hand-built views): never memoize on it.
+  std::uint32_t queue = 0;
+  std::uint64_t queue_version = 0;
 
   [[gnu::always_inline]] inline bool live(std::size_t i) const {
     return (meta[i].flags & QueueScanMeta::kLive) != 0;
@@ -190,6 +208,10 @@ struct SchedView {
   /// 2 = it can and is a row hit (see SchedTimingCache::issue_class).
   [[gnu::always_inline]] inline int issue_class(std::size_t i) const {
     return cache->issue_class(meta[i]);
+  }
+  /// Entry i's legal cycle and row-hit flag (SchedTimingCache::entry_timing).
+  [[gnu::always_inline]] inline SchedTimingCache::EntryTiming entry_timing(std::size_t i) const {
+    return cache->entry_timing(meta[i]);
   }
   bool issuable(std::size_t i) const { return issue_class(i) != 0; }
   bool row_hit(std::size_t i) const { return cache->row_hit(meta[i]); }

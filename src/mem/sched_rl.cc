@@ -10,6 +10,7 @@
 //   reward = data bursts issued since the previous decision (bus
 //            utilization, the same reward Ipek et al. use)
 #include <algorithm>
+#include <cassert>
 
 #include "common/ckpt.hh"
 #include "learn/qlearn.hh"
@@ -49,7 +50,12 @@ class RlScheduler final : public Scheduler {
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     if (q.empty()) return kNoPick;
-    const std::uint64_t s = scan(q, v);
+    assert(v.queue < 2);
+    ScanMemo& m = memo_[v.queue];
+    if (v.queue_version == 0 || v.queue_version != m.queue_version ||
+        v.cache->channel().state_version() != m.chan_version || v.now >= m.valid_until)
+      scan(q, v, m);
+    const std::uint64_t s = m.state;
 
     if (have_prev_) {
       const double reward = static_cast<double>(served_since_decision_);
@@ -72,11 +78,11 @@ class RlScheduler final : public Scheduler {
               .tid = static_cast<std::uint16_t>(a), .arg0 = a, .arg1 = s,
               .name = kActionNames[a]);
 
-    const std::size_t i = select(q, v, static_cast<RlAction>(a));
+    const std::size_t i = select(q, v, m, static_cast<RlAction>(a));
     if (i != kNoPick) return i;
     // Fallback chain keeps the controller busy even when the chosen class
     // is empty — the agent still pays/earns via the reward signal.
-    return oldest_ready_ != kNoPick ? oldest_ready_ : oldest_live_;
+    return m.oldest_ready != kNoPick ? m.oldest_ready : m.oldest_live;
   }
 
   void on_service(const QueuedRequest&, const SchedView&) override {
@@ -86,8 +92,8 @@ class RlScheduler final : public Scheduler {
   // Every pick() is an RL step: it learns from the previous decision,
   // decays epsilon and draws from the RNG. Skipping a busy cycle would
   // drop a step and desynchronize the RNG stream between clock modes, so
-  // the RL scheduler stays on the per-cycle cadence (it still benefits
-  // from the memoized timing view).
+  // the RL scheduler stays on the per-cycle cadence; what it skips instead
+  // is the queue scan, which the scan memo reuses while its key holds.
   Cycle next_event(Cycle now) const override { return now + 1; }
 
   std::string name() const override { return "RL"; }
@@ -108,10 +114,15 @@ class RlScheduler final : public Scheduler {
 
   const learn::QAgent& agent() const { return *agent_; }
 
-  // The scan scratch (bank histogram, core loads, candidates) is rebuilt on
-  // every pick, so only the learning state and decision counters persist.
+  // Only the learning state and decision counters persist. The scan memo
+  // is scratch keyed on the controller's queue stamps, which a restore
+  // restarts, so loading drops both slots: a stale slot could otherwise
+  // match a restarted stamp on different contents.
   void save_state(ckpt::Sink& s) const override { s(*this); }
-  void load_state(ckpt::Source& s) override { s(*this); }
+  void load_state(ckpt::Source& s) override {
+    s(*this);
+    for (ScanMemo& m : memo_) m.queue_version = 0;
+  }
   template <class Ar>
   void fields(Ar& ar) {
     ar(*agent_, prev_state_, prev_action_, have_prev_, frozen_, served_since_decision_, decisions_,
@@ -119,54 +130,77 @@ class RlScheduler final : public Scheduler {
   }
 
  private:
-  // One pass over the active queue: the state features, the per-bank load
-  // histogram, the oldest issuable row hit / issuable / live entry (strict
-  // `<` on arrival, so equal arrivals keep the lowest index) and the
-  // issuable indices in queue order — everything select() and the fallback
-  // chain read. The histogram is a slab over flat bank ids, sized from the
-  // geometry; a slot counts only while its stamp matches the current token,
-  // so clearing it is one counter bump.
-  std::uint64_t scan(const std::vector<QueuedRequest>& q, const SchedView& v) {
+  // One queue's scan result, reused while its key holds: the same queue
+  // stamp (contents and order unchanged), the same channel state version
+  // (open rows and every timing horizon unchanged) and `now` below
+  // valid_until, the first cycle a not-yet-legal entry can turn legal.
+  // Exact because each entry's legal cycle is max(now, h) with h fixed
+  // under an unchanged version, so no entry changes class before
+  // valid_until. queue_version 0 marks the slot invalid.
+  struct ScanMemo {
+    std::uint64_t queue_version = 0;
+    std::uint64_t chan_version = 0;
+    Cycle valid_until = 0;
+    std::uint64_t state = 0;  // hashed features
+    std::vector<std::uint32_t> ready;  // issuable indices in queue order
+    std::vector<std::uint32_t> bank_load;
+    std::vector<std::uint64_t> bank_stamp;
+    std::size_t oldest_hit = kNoPick;
+    std::size_t oldest_ready = kNoPick;
+    std::size_t oldest_live = kNoPick;
+  };
+
+  // One pass over the active queue into `m`: the state features, the
+  // per-bank load histogram, the oldest issuable row hit / issuable / live
+  // entry (strict `<` on arrival, so equal arrivals keep the lowest index),
+  // the issuable indices in queue order — everything select() and the
+  // fallback chain read — and the memo key. The histogram is a slab over
+  // flat bank ids, sized from the geometry; a slot counts only while its
+  // stamp matches the current token, so clearing it is one counter bump.
+  void scan(const std::vector<QueuedRequest>& q, const SchedView& v, ScanMemo& m) {
     const std::size_t banks = v.bank_count();
-    if (bank_load_.size() != banks) {
-      bank_load_.assign(banks, 0);
-      bank_stamp_.assign(banks, 0);
+    if (m.bank_load.size() != banks) {
+      m.bank_load.assign(banks, 0);
+      m.bank_stamp.assign(banks, 0);
     }
     ++stamp_token_;
     core_load_.assign(num_cores_, 0);
-    ready_.clear();
-    oldest_hit_ = oldest_ready_ = oldest_live_ = kNoPick;
+    m.ready.clear();
+    m.oldest_hit = m.oldest_ready = m.oldest_live = kNoPick;
+    Cycle valid_until = kCycleNever;
     Cycle hit_arrive = 0, ready_arrive = 0, live_arrive = 0;
     std::uint32_t live = 0, hits = 0, distinct_banks = 0, max_core_load = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
       const Request& r = q[i].req;
       ++live;
-      if (oldest_live_ == kNoPick || r.arrive < live_arrive) {
-        oldest_live_ = i;
+      if (m.oldest_live == kNoPick || r.arrive < live_arrive) {
+        m.oldest_live = i;
         live_arrive = r.arrive;
       }
-      // Class 1 is never a row hit; class 0 may be one not yet legal.
-      const int cls = v.issue_class(i);
-      if (cls == 2 || (cls == 0 && v.row_hit(i))) ++hits;
-      if (cls != 0) {
-        ready_.push_back(static_cast<std::uint32_t>(i));
-        if (oldest_ready_ == kNoPick || r.arrive < ready_arrive) {
-          oldest_ready_ = i;
+      // Row hits count whether or not they are legal yet.
+      const SchedTimingCache::EntryTiming t = v.entry_timing(i);
+      if (t.hit) ++hits;
+      if (t.at <= v.now) {
+        m.ready.push_back(static_cast<std::uint32_t>(i));
+        if (m.oldest_ready == kNoPick || r.arrive < ready_arrive) {
+          m.oldest_ready = i;
           ready_arrive = r.arrive;
         }
-        if (cls == 2 && (oldest_hit_ == kNoPick || r.arrive < hit_arrive)) {
-          oldest_hit_ = i;
+        if (t.hit && (m.oldest_hit == kNoPick || r.arrive < hit_arrive)) {
+          m.oldest_hit = i;
           hit_arrive = r.arrive;
         }
+      } else {
+        valid_until = std::min(valid_until, t.at);
       }
       const std::uint32_t b = v.bank(i);
-      if (bank_stamp_[b] != stamp_token_) {
-        bank_stamp_[b] = stamp_token_;
-        bank_load_[b] = 0;
+      if (m.bank_stamp[b] != stamp_token_) {
+        m.bank_stamp[b] = stamp_token_;
+        m.bank_load[b] = 0;
         ++distinct_banks;
       }
-      ++bank_load_[b];
+      ++m.bank_load[b];
       if (r.core < num_cores_) max_core_load = std::max(max_core_load, ++core_load_[r.core]);
     }
     auto bucket = [](std::uint32_t x) -> std::uint64_t {  // log2-ish buckets
@@ -180,20 +214,25 @@ class RlScheduler final : public Scheduler {
     learn::StateHash h;
     h.add(bucket(live))
         .add(bucket(hits))
-        .add(bucket(static_cast<std::uint32_t>(ready_.size())))
+        .add(bucket(static_cast<std::uint32_t>(m.ready.size())))
         .add(bucket(distinct_banks))
         .add(bucket(max_core_load));
-    return h.value();
+    m.state = h.value();
+    m.queue_version = v.queue_version;
+    m.chan_version = v.cache->channel().state_version();
+    m.valid_until = valid_until;
   }
 
-  // Reads the candidates scan() left for this pick; kNoPick when the
-  // chosen class is empty.
-  std::size_t select(const std::vector<QueuedRequest>& q, const SchedView& v, RlAction a) const {
+  // Reads the candidates scan() left in `m`; kNoPick when the chosen class
+  // is empty. Never memoized: least-served reads the cores' attained
+  // service, which moves without touching this queue.
+  std::size_t select(const std::vector<QueuedRequest>& q, const SchedView& v, const ScanMemo& m,
+                     RlAction a) const {
     switch (a) {
       case kServeRowHit:
-        return oldest_hit_;
+        return m.oldest_hit;
       case kServeOldest:
-        return oldest_ready_;
+        return m.oldest_ready;
       case kServeLeastServed: {
         auto service = [&](std::uint32_t core) -> std::uint64_t {
           if (!v.cores || core >= v.cores->size()) return 0;
@@ -201,7 +240,7 @@ class RlScheduler final : public Scheduler {
         };
         std::size_t best = kNoPick;
         std::uint64_t best_service = 0;
-        for (const std::uint32_t i : ready_) {
+        for (const std::uint32_t i : m.ready) {
           const std::uint64_t sv = service(q[i].req.core);
           if (best == kNoPick || sv < best_service) {
             best = i;
@@ -213,8 +252,8 @@ class RlScheduler final : public Scheduler {
       case kServeLoadedBank: {
         std::size_t best = kNoPick;
         std::uint32_t best_load = 0;
-        for (const std::uint32_t i : ready_) {
-          const std::uint32_t load = bank_load_[v.bank(i)];
+        for (const std::uint32_t i : m.ready) {
+          const std::uint32_t load = m.bank_load[v.bank(i)];
           if (best == kNoPick || load > best_load) {
             best = i;
             best_load = load;
@@ -238,15 +277,12 @@ class RlScheduler final : public Scheduler {
   std::uint64_t action_counts_[kNumActions] = {};
   RunningStat reward_;
   obs::TraceSink* trace_ = nullptr;
-  // Per-pick scratch filled by scan() — see there.
-  std::vector<std::uint32_t> bank_load_;
-  std::vector<std::uint64_t> bank_stamp_;
+  // Scratch outside fields(): the scan memo, one slot per controller queue
+  // (reads and writes alternate on most cycles, so one slot would thrash),
+  // and the per-scan histogram token and core loads.
+  ScanMemo memo_[2];
   std::uint64_t stamp_token_ = 0;
   std::vector<std::uint32_t> core_load_;
-  std::vector<std::uint32_t> ready_;
-  std::size_t oldest_hit_ = kNoPick;
-  std::size_t oldest_ready_ = kNoPick;
-  std::size_t oldest_live_ = kNoPick;
 };
 
 }  // namespace

@@ -4,11 +4,14 @@
 
 #include <string>
 
+#include "common/ckpt.hh"
 #include "common/clock.hh"
 #include "common/rng.hh"
 #include "dram/channel.hh"
 #include "mem/memsys.hh"
 #include "mem/sched.hh"
+#include "obs/trace.hh"
+#include "sim/closed_loop.hh"
 #include "workloads/stream.hh"
 
 namespace ima::mem {
@@ -169,6 +172,66 @@ TEST_F(SchedFixture, RlSchedulerPicksValidIndexAndLearns) {
     ASSERT_LT(pick, q.size());
     if (i % 3 == 0) s->on_service(q[pick], view(q, now + i));
   }
+}
+
+std::vector<std::uint8_t> image_of(const Scheduler& s) {
+  ckpt::Sink sink;
+  s.save_state(sink);
+  return sink.take();
+}
+
+// The (action, state hash) of the RL decision a one-slot sink last saw;
+// {0, 0} when tracing is compiled out.
+std::pair<std::uint64_t, std::uint64_t> last_decision(const obs::TraceSink& sink) {
+  if (sink.size() == 0) return {0, 0};
+  const obs::TraceEvent e = sink.events().back();
+  return {e.arg0, e.arg1};
+}
+
+// A restore target whose scan memo holds a valid slot must drop it: the
+// controller's queue stamps are not checkpointed and restart after a
+// restore, so the slot's key can recur over different queue contents.
+// Here the target memoized queue `qb` under stamp 7, then takes the twin's
+// state and sees `qa` under the same stamp, channel version and deadline —
+// a stale slot would answer with qb's scan.
+TEST_F(SchedFixture, RlLoadStateDropsTheScanMemo) {
+  chan.issue(dram::Cmd::Act, dram::Coord{0, 0, 0, 5, 0}, 0);
+  const Cycle now = cfg.timings.rcd;  // row 5 hits are legal from here on
+  std::vector<QueuedRequest> qa{make(5, 0, 0, 1), make(7, 1, 1, 2), make(9, 2, 2, 3),
+                                make(5, 0, 3, 4), make(3, 3, 1, 5)};
+  std::vector<QueuedRequest> qb{make(11, 6, 2, 1)};
+  const auto versioned = [&](const std::vector<QueuedRequest>& q, Cycle at) {
+    SchedView v = view(q, at);
+    v.queue_version = 7;
+    return v;
+  };
+
+  auto twin = make_rl(4, 5, 0.1, 0.2);
+  auto target = make_rl(4, 5, 0.1, 0.2);
+  obs::TraceSink twin_trace(1), target_trace(1);
+  twin->set_trace(&twin_trace);
+  target->set_trace(&target_trace);
+  for (Cycle c = 0; c < 20; ++c) {
+    twin->pick(qa, versioned(qa, now + c));
+    target->pick(qb, versioned(qb, now + c));
+  }
+
+  const std::vector<std::uint8_t> image = image_of(*twin);
+  ckpt::Source src(image);
+  target->load_state(src);
+  ASSERT_TRUE(src.done());
+
+  for (Cycle c = 20; c < 200; ++c) {
+    const std::size_t a = twin->pick(qa, versioned(qa, now + c));
+    const std::size_t b = target->pick(qa, versioned(qa, now + c));
+    ASSERT_EQ(a, b) << "cycle " << c;
+    ASSERT_EQ(last_decision(twin_trace), last_decision(target_trace)) << "cycle " << c;
+    if (c % 3 == 0) {
+      twin->on_service(qa[a], versioned(qa, now + c));
+      target->on_service(qa[b], versioned(qa, now + c));
+    }
+  }
+  EXPECT_TRUE(image_of(*twin) == image_of(*target)) << "restored learning state diverged";
 }
 
 TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
@@ -332,6 +395,100 @@ TEST(SchedViewReference, EveryQueryMatchesChannel) {
                    (sel < 0 ? "MISE" : to_string(static_cast<SchedKind>(sel))));
       run_world(sel, salp);
     }
+  }
+}
+
+// Runs one RL scheduler on the controller's versioned views and a twin
+// with the same seed on the same views made unversioned (queue_version 0,
+// so it rescans every pick), and counts every pick where the two disagree
+// on the index or on the traced (action, state hash).
+class RlMemoTwin final : public Scheduler {
+ public:
+  RlMemoTwin() : memo_(make_rl(4, 13, 0.1, 0.05)), rescan_(make_rl(4, 13, 0.1, 0.05)) {
+    memo_->set_trace(&memo_trace_);
+    rescan_->set_trace(&rescan_trace_);
+  }
+
+  std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
+    SchedView unversioned = v;
+    unversioned.queue_version = 0;
+    const std::size_t a = memo_->pick(q, v);
+    const std::size_t b = rescan_->pick(q, unversioned);
+    ++picks;
+    if (v.queue_version != 0) ++versioned;
+    if (a != b || last_decision(memo_trace_) != last_decision(rescan_trace_)) {
+      if (mismatches++ == 0)
+        first = "queue " + std::to_string(v.queue) + " at cycle " + std::to_string(v.now);
+    }
+    return a;
+  }
+  void on_service(const QueuedRequest& r, const SchedView& v) override {
+    memo_->on_service(r, v);
+    rescan_->on_service(r, v);
+  }
+  Cycle next_event(Cycle now) const override { return memo_->next_event(now); }
+  std::string name() const override { return memo_->name(); }
+
+  const Scheduler& memo() const { return *memo_; }
+  const Scheduler& rescan() const { return *rescan_; }
+
+  std::uint64_t picks = 0;
+  std::uint64_t versioned = 0;
+  std::uint64_t mismatches = 0;
+  std::string first;
+
+ private:
+  std::unique_ptr<Scheduler> memo_;
+  std::unique_ptr<Scheduler> rescan_;
+  obs::TraceSink memo_trace_{1};
+  obs::TraceSink rescan_trace_{1};
+};
+
+// The RL scan memo is exact: on a saturated 4-core injection over two
+// ranks, SALP off and on, with power-down and self-refresh timeouts and
+// idle windows so ranks fall asleep and wake mid-run, a scheduler that
+// reuses its memoized scans makes the same pick with the same state hash
+// as one that rescans every pick, and ends with the same learned state.
+TEST(SchedViewReference, RlScanMemoMatchesRescan) {
+  for (const bool salp : {false, true}) {
+    SCOPED_TRACE(salp ? "SALP" : "no SALP");
+    auto dram_cfg = dram::DramConfig::ddr4_2400();
+    dram_cfg.timings.salp = salp;
+    dram_cfg.geometry.ranks = 2;
+    ControllerConfig ctrl;
+    ctrl.num_cores = 4;
+    ctrl.powerdown_timeout = 40;
+    ctrl.selfrefresh_timeout = 1500;
+    MemorySystem sys(dram_cfg, ctrl);
+    auto twin = std::make_unique<RlMemoTwin>();
+    RlMemoTwin& t = *twin;
+    sys.controller(0).set_scheduler(std::move(twin));
+
+    std::vector<sim::Injector> injectors;
+    workloads::StreamParams p;
+    p.footprint = 48ull << 20;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      p.base = static_cast<Addr>(i) << 30;
+      p.seed = 71 + i;
+      if (i % 2 == 0) injectors.push_back({workloads::make_streaming(p), 16});
+      else injectors.push_back({workloads::make_random(p), 4});
+    }
+    sim::ClosedLoop cores(std::move(injectors));
+    sim::ClosedLoop idle(std::vector<sim::Injector>{});
+    Cycle now = 0;
+    for (int window = 0; window < 6; ++window) {
+      now = cores.run(sys, now, now + 8'000);
+      now = idle.run(sys, now, now + 4'000);
+    }
+
+    const auto& st = sys.controller(0).stats();
+    EXPECT_GT(st.powerdowns, 0u);
+    EXPECT_GT(st.selfrefreshes, 0u);
+    EXPECT_GT(st.rank_wakes, 0u);
+    EXPECT_GT(t.versioned, 0u);
+    EXPECT_GT(cores.total_served(), 0u);
+    EXPECT_EQ(t.mismatches, 0u) << "first: " << t.first << " of " << t.picks << " picks";
+    EXPECT_TRUE(image_of(t.memo()) == image_of(t.rescan())) << "learned state differs";
   }
 }
 
