@@ -161,6 +161,28 @@ void BM_SkipAheadLoaded(benchmark::State& state, sim::ClockMode mode) {
 BENCHMARK_CAPTURE(BM_SkipAheadLoaded, per_cycle, sim::ClockMode::PerCycle);
 BENCHMARK_CAPTURE(BM_SkipAheadLoaded, skip_ahead, sim::ClockMode::SkipAhead);
 
+// The open-loop sharded drain: a saturating mem::hashed_source on 8
+// channels, every request due at once, so each feeder spends the run
+// blocked on a full queue — the case the per-channel calendar and the
+// exact blocked-feeder wake exist for. Arg = shard width. Items = requests
+// drained, each delivering one completion through the barrier mailboxes.
+void BM_SourcedDrain(benchmark::State& state) {
+  auto dram_cfg = dram::DramConfig::ddr4_2400();
+  dram_cfg.geometry.channels = 8;
+  mem::MemorySystem sys(dram_cfg, mem::ControllerConfig{});
+  sys.set_shards(static_cast<unsigned>(state.range(0)));
+  constexpr std::uint64_t kOps = 1'000;
+  std::uint64_t checksum = 0;
+  std::uint64_t seed = 0;
+  Cycle now = 0;
+  for (auto _ : state)
+    now = sys.drain_sourced(mem::hashed_source(sys, kOps, ++seed, 4, &checksum), now);
+  benchmark::DoNotOptimize(checksum);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kOps) *
+                          sys.num_channels());
+}
+BENCHMARK(BM_SourcedDrain)->Arg(1)->Arg(2)->UseRealTime();
+
 // The SoA timing kernels at thousand-bank scale: whole-rank linear sweeps
 // over the dense per-unit arrays — earliest(PreAll) (max-fold over open
 // units) and min_next_ready (the Ref-readiness fold) — on a channel with

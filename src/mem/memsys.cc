@@ -5,6 +5,7 @@
 #include <cstring>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/ckpt.hh"
 #include "harness/pool.hh"
@@ -65,6 +66,10 @@ Cycle MemorySystem::drain(Cycle from, Cycle deadline) {
 }
 
 void MemorySystem::note_drain_end(bool clipped, bool quantized, Cycle now) {
+  // Idle with every mailbox delivered: no sourced request is left to
+  // complete, so the retained sinks can go (before a Throw unwinds).
+  if (idle() && std::all_of(mail_.begin(), mail_.end(), [](const auto& b) { return b.empty(); }))
+    sinks_.clear();
   last_drain_quantized_ = quantized;
   last_drain_clipped_ = clipped;
   if (!clipped) return;
@@ -100,6 +105,12 @@ Cycle MemorySystem::drain_sourced(const ChannelSource& src, Cycle from, Cycle de
   if (!src.next)
     throw std::logic_error("drain_sourced: ChannelSource::next is required");
   feeds_.assign(ctrls_.size(), Feed{});
+  // One copy of on_complete per call, outliving it while its requests are
+  // in flight: each request's callback then only names (channel, sink).
+  if (src.on_complete) {
+    sink_ = static_cast<std::uint32_t>(sinks_.size());
+    sinks_.push_back(src.on_complete);
+  }
   return drain_epochs(from, deadline, &src);
 }
 
@@ -140,8 +151,8 @@ CompletionCallback MemorySystem::defer_to_mailbox(std::uint32_t ch, CompletionCa
   if (mail_.size() != ctrls_.size()) mail_.resize(ctrls_.size());
   // Fires exactly once, on the owning shard's thread, into the channel's
   // private mailbox; the barrier delivers it on the coordinator.
-  return [this, ch, inner = std::move(cb)](const Request& r) {
-    mail_[ch].push_back(Mail{r, inner});
+  return [this, ch, inner = std::move(cb)](const Request& r) mutable {
+    mail_[ch].push_back(Mail{r, std::move(inner)});
   };
 }
 
@@ -163,7 +174,8 @@ void MemorySystem::deliver_mail() {
                    });
   for (const auto& [ch, i] : mail_order_) {
     Mail& m = mail_[ch][i];
-    m.cb(m.req);
+    if (m.cb) m.cb(m.req);
+    else sinks_[m.sink](ch, m.req);
   }
   for (auto& box : mail_) box.clear();
 }
@@ -192,12 +204,19 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
     req.arrive = now;
     CompletionCallback cb;
     if (src.on_complete) {
-      cb = [fn = src.on_complete, c](const Request& done) { fn(c, done); };
+      // Sixteen trivially copyable bytes: std::function stores this inline,
+      // so a sourced request allocates nothing for its completion.
+      const auto to_mail = [this, c, sink = sink_](const Request& done) {
+        mail_[c].push_back(Mail{done, nullptr, sink});
+      };
+      static_assert(sizeof(to_mail) <= 2 * sizeof(void*) &&
+                    std::is_trivially_copyable_v<decltype(to_mail)>);
+      cb = to_mail;
     }
     // can_accept passed, so admission cannot fail; a reject here would mean
     // the two checks disagree and the request (plus its callback) would
     // vanish — exactly the silent-loss bug the bool return exists to catch.
-    const bool ok = ctrls_[c]->enqueue(std::move(req), defer_to_mailbox(c, std::move(cb)));
+    const bool ok = ctrls_[c]->enqueue(std::move(req), std::move(cb));
     assert(ok && "controller rejected a request can_accept() admitted");
     (void)ok;
   }
@@ -206,34 +225,45 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
 void MemorySystem::run_shard_span(std::size_t g, Cycle from, Cycle limit,
                                   const ChannelSource* src) {
   const auto [beg, end] = groups_[g];
-  const auto tick_fn = [&](Cycle now) {
+  // Per-channel calendar: due[i] is channel beg + i's next visit. Channels
+  // are independent between barriers, so each one is fed and ticked at its
+  // own event cycles only — never at a busy sibling's — and its tick set is
+  // a function of its own state alone, whatever group it lands in. That
+  // independence is what keeps results width-invariant. Every channel is
+  // due at `from`, so requests and sources enqueued at the barrier are seen.
+  std::vector<Cycle>& due = due_[g];
+  std::fill(due.begin(), due.end(), from);
+  const bool per_cycle = clock_mode_ == sim::ClockMode::PerCycle;
+  for (Cycle now = from; now < limit;) {
+    Cycle next = kCycleNever;
     for (std::uint32_t c = beg; c < end; ++c) {
-      if (src) feed_channel(*src, c, now);
-      ctrls_[c]->tick(now);
-    }
-  };
-  const auto next_fn = [&](Cycle now) {
-    Cycle nxt = kCycleNever;
-    for (std::uint32_t c = beg; c < end; ++c) {
-      if (src && !feeds_[c].exhausted) {
-        const Feed& f = feeds_[c];
-        // A future-dated held request lets the channel skip ahead to its
-        // arrival cycle; otherwise a live feeder runs per-cycle — "when can
-        // the queue accept again" has no cheap closed form. Either way the
-        // channel's tick set is a function of its own feed state alone —
-        // never of which group (and so which union of event cycles) it
-        // shares. That independence is what keeps results width-invariant.
-        if (!f.has_pending || f.pending.arrive <= now) return now + 1;
-        nxt = std::min(nxt, f.pending.arrive);
+      Cycle& d = due[c - beg];
+      if (d == now) {
+        if (src) feed_channel(*src, c, now);
+        ctrls_[c]->tick(now);
+        d = per_cycle ? now + 1 : std::max(now + 1, wake(c, now, src != nullptr));
       }
-      nxt = std::min(nxt, ctrls_[c]->next_event(now));
+      next = std::min(next, d);
     }
-    return nxt;
-  };
-  // done is never true: every shard runs the full epoch span so idle-early
-  // shards keep ticking refresh/power state exactly like the legacy global
-  // loop does while other channels stay busy.
-  sim::run_event_loop(clock_mode_, from, limit, tick_fn, [] { return false; }, next_fn);
+    now = std::min(next, limit);
+  }
+}
+
+Cycle MemorySystem::wake(std::uint32_t c, Cycle now, bool fed) const {
+  const Controller& ctrl = *ctrls_[c];
+  // A feed leaves the feeder exhausted or holding a request.
+  if (fed && feeds_[c].has_pending) {
+    const Request& held = feeds_[c].pending;
+    // A future-dated request is admitted at exactly its arrival cycle.
+    if (held.arrive > now) return std::min(held.arrive, ctrl.next_event(now));
+    // A due request the queue rejected: this tick may have freed its slot.
+    if (ctrl.can_accept(held.type, held.core)) return now + 1;
+    // Still rejected. Queue occupancy (per-core quota included) falls only
+    // in a tick that serves a request, which is at or after next_event;
+    // until then every feed is a no-op that makes no src.next call and
+    // every tick a non-event no-op. So next_event is the exact wake.
+  }
+  return ctrl.next_event(now);
 }
 
 unsigned MemorySystem::decide_shard_workers() const {
@@ -283,6 +313,9 @@ Cycle MemorySystem::drain_epochs(Cycle from, Cycle deadline, const ChannelSource
         static_cast<std::uint32_t>(std::uint64_t{nch} * (g + 1) / shards_);
     if (beg < end) groups_.emplace_back(beg, end);
   }
+  due_.resize(groups_.size());
+  for (std::size_t g = 0; g < groups_.size(); ++g)
+    due_[g].resize(groups_[g].second - groups_[g].first);
 
   const unsigned workers = decide_shard_workers();
   shard_workers_used_ = workers;

@@ -8,7 +8,8 @@
 // Sharded execution (DESIGN.md "Sharded execution"): set_shards() switches
 // drain() onto an epoch-barrier engine that partitions the channels into
 // contiguous per-shard groups, advances each group independently on a
-// harness::WorkerPool between barriers, and defers completion callbacks to
+// harness::WorkerPool between barriers (each channel on its own event
+// calendar, see run_shard_span), and defers completion callbacks to
 // per-channel mailboxes delivered in canonical (completion cycle, channel,
 // arrival) order at each barrier. Results are byte-identical at any shard
 // width — IMA_SHARDS=1 and IMA_SHARDS=8 produce the same cycle counts,
@@ -149,6 +150,9 @@ class MemorySystem {
   /// resumable, either: each call resets the feed state, so a produced but
   /// not-yet-admitted time-dated request from the clipped run is gone —
   /// treat a clip as fatal for the measurement (or restart the source).
+  /// What the clipped call did admit still completes into its own
+  /// on_complete — a copy this system retains — exactly once and in
+  /// canonical order, in whichever later sharded drain finishes it.
   Cycle drain_sourced(const ChannelSource& src, Cycle from, Cycle deadline = 100'000'000);
 
   // --- drain-deadline accounting ---
@@ -236,9 +240,12 @@ class MemorySystem {
 
  private:
   // --- sharded-drain machinery (all coordinator-side unless noted) ---
+  /// One deferred completion. An enqueue() request carries its own
+  /// callback; a sourced request carries none and names its sink instead.
   struct Mail {
     Request req;
     CompletionCallback cb;
+    std::uint32_t sink = 0;  // sinks_ index, read when cb is null
   };
   struct Feed {
     bool exhausted = false;
@@ -253,12 +260,16 @@ class MemorySystem {
   /// arrival) order — exactly the order the legacy serial drain fires
   /// callbacks in — then clears them.
   void deliver_mail();
-  /// Advances shard group `g` from `from` to `limit` via its own event
-  /// loop (runs on a pool worker; touches only the group's channels).
+  /// Advances shard group `g` from `from` to `limit` on a per-channel
+  /// calendar: each channel is fed and ticked only at its own due cycles
+  /// (runs on a pool worker; touches only the group's channels).
   void run_shard_span(std::size_t g, Cycle from, Cycle limit, const ChannelSource* src);
   /// Feeds channel `c` from `src` until its queue rejects or the stream
   /// exhausts (shard-thread side).
   void feed_channel(const ChannelSource& src, std::uint32_t c, Cycle now);
+  /// Channel `c`'s next due cycle after it was fed (when `fed`) and ticked
+  /// at `now` under SkipAhead: the exact wake rule of run_shard_span.
+  Cycle wake(std::uint32_t c, Cycle now, bool fed) const;
   /// Host-thread width for this drain: the armed shard count, collapsed to
   /// 1 when nested in a pool region, tracing, or sharing a victim model.
   unsigned decide_shard_workers() const;
@@ -292,6 +303,11 @@ class MemorySystem {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> groups_;  // [begin,end) per shard
   std::vector<std::vector<Mail>> mail_;                // per channel, shard-written
   std::vector<Feed> feeds_;                            // per channel, shard-written
+  std::vector<std::vector<Cycle>> due_;                // per group calendar, shard-written
+  // The on_complete of each sourced drain whose requests may still be in
+  // flight, indexed by Mail::sink; released once a drain ends idle.
+  std::vector<std::function<void(std::uint32_t, const Request&)>> sinks_;
+  std::uint32_t sink_ = 0;  // this sourced drain's sinks_ index
   std::vector<std::pair<std::uint32_t, std::uint32_t>> mail_order_;  // scratch
   // Liveness token for the registry's registration-epoch check (see
   // obs/stat_registry.hh): reads after this MemorySystem dies throw.

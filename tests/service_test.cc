@@ -8,11 +8,14 @@
 // request is accounted for (`pushed == completed + in_flight` at all
 // times). The drain-deadline suite pins the other PR 8 bugfix: a clipped
 // drain is never silent (counter + last_drain_clipped), DeadlinePolicy::
-// Throw aborts through obs::WatchdogError, and the epoch-quantized flag
-// tells callers which return cycles are scheduling coordinates rather than
-// latency endpoints.
+// Throw aborts through obs::WatchdogError, the epoch-quantized flag tells
+// callers which return cycles are scheduling coordinates rather than
+// latency endpoints, and what a clipped sourced drain admitted still
+// completes into its own source's on_complete.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -446,6 +449,100 @@ TEST(DrainDeadline, SourcedDrainSurfacesClipAndQuantization) {
   EXPECT_TRUE(sys.last_drain_quantized());
   EXPECT_EQ(sys.drain_deadline_clips(), clips);
   EXPECT_EQ(fed, 64u);
+}
+
+/// One sourced completion as its source's on_complete saw it.
+struct Seen {
+  std::uint32_t ch;
+  std::uint64_t tag;
+  Cycle complete;
+  bool operator==(const Seen& o) const {
+    return ch == o.ch && tag == o.tag && complete == o.complete;
+  }
+};
+using SeenLog = std::shared_ptr<std::vector<Seen>>;
+
+/// `per_ch` requests per channel, all dated `arrive`, tagged `base` + their
+/// index, completing into `log`.
+mem::MemorySystem::ChannelSource tagged_source(const mem::MemorySystem& sys,
+                                               std::uint64_t per_ch, std::uint64_t base,
+                                               Cycle arrive, SeenLog log) {
+  mem::MemorySystem::ChannelSource src;
+  src.next = [&sys, cursor = std::vector<std::uint64_t>(sys.num_channels(), 0), per_ch, base,
+              arrive](std::uint32_t ch, Cycle, mem::Request& r) mutable {
+    std::uint64_t& i = cursor[ch];
+    if (i >= per_ch) return false;
+    const auto& g = sys.dram_config().geometry;
+    const auto k = static_cast<std::uint32_t>(i);
+    r = mem::Request{};
+    r.addr = sys.mapper().encode(
+        dram::Coord{ch, 0, k % g.banks, (k * 7) % g.rows_per_bank(), k % g.columns});
+    r.arrive = arrive;
+    r.tag = base + ch * per_ch + i;
+    ++i;
+    return true;
+  };
+  src.on_complete = [log = std::move(log)](std::uint32_t ch, const mem::Request& done) {
+    log->push_back(Seen{ch, done.tag, done.complete});
+  };
+  return src;
+}
+
+TEST(DrainDeadline, ClippedSourcedDrainCompletesIntoItsOwnSink) {
+  // A sourced drain clipped with requests in flight: whichever later drain
+  // finishes them, each admitted request reaches the on_complete of the
+  // source that admitted it exactly once, in the canonical order of an
+  // unclipped run.
+  constexpr std::uint64_t kPerCh = 8;  // fits the queues: all admitted at once
+  constexpr Cycle kClip = 40;          // shorter than any access
+  const auto ref = std::make_shared<std::vector<Seen>>();
+  {
+    mem::MemorySystem sys(small_cfg(), {});
+    sys.set_shards(2);
+    sys.drain_sourced(tagged_source(sys, kPerCh, 0, 0, ref), 0);
+    ASSERT_EQ(ref->size(), 4 * kPerCh);
+  }
+  ASSERT_TRUE(std::is_sorted(ref->begin(), ref->end(), [](const Seen& a, const Seen& b) {
+    return a.complete != b.complete ? a.complete < b.complete : a.ch < b.ch;
+  }));
+
+  enum class Finish { SourcedDrain, Drain };
+  for (const Finish finish : {Finish::SourcedDrain, Finish::Drain}) {
+    mem::MemorySystem sys(small_cfg(), {});
+    sys.set_shards(2);
+    const auto first = std::make_shared<std::vector<Seen>>();
+    sys.drain_sourced(tagged_source(sys, kPerCh, 0, 0, first), 0, kClip);
+    ASSERT_TRUE(sys.last_drain_clipped());
+    ASSERT_FALSE(sys.idle()) << "the clip must leave requests in flight";
+    EXPECT_LT(first->size(), ref->size());
+    if (finish == Finish::SourcedDrain) {
+      // A second source with its own sink, dated after the first's work.
+      const auto second = std::make_shared<std::vector<Seen>>();
+      sys.drain_sourced(tagged_source(sys, 1, 1000, 50'000, second), kClip);
+      ASSERT_EQ(second->size(), 4u);
+      for (const Seen& s : *second) EXPECT_GE(s.tag, 1000u);
+    } else {
+      sys.drain(kClip);
+    }
+    EXPECT_FALSE(sys.last_drain_clipped());
+    EXPECT_EQ(*first, *ref);
+  }
+
+  // DeadlinePolicy::Throw: the clip unwinds and the source dies with its
+  // scope; the retained copy of its on_complete still takes the in-flight
+  // completions, and is released once they are delivered.
+  mem::MemorySystem sys(small_cfg(), {});
+  sys.set_shards(2);
+  sys.set_deadline_policy(mem::MemorySystem::DeadlinePolicy::Throw);
+  const auto log = std::make_shared<std::vector<Seen>>();
+  {
+    const auto src = tagged_source(sys, kPerCh, 0, 0, log);
+    EXPECT_THROW(sys.drain_sourced(src, 0, kClip), obs::WatchdogError);
+  }
+  EXPECT_EQ(log.use_count(), 2) << "the memory system retains one copy of on_complete";
+  sys.drain(kClip);
+  EXPECT_EQ(*log, *ref);
+  EXPECT_EQ(log.use_count(), 1) << "a drained system must hold no sink";
 }
 
 }  // namespace

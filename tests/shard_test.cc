@@ -4,11 +4,13 @@
 // IMA-style widths 1, 2 and 4 or 8 and compares cycle counts, StatRegistry
 // snapshots, completion-stream checksums and (where armed) the reliability
 // corruption ledger — across RAIDR row refresh, PARA RowHammer mitigation,
-// a closed loop and the PNM stack's sharded stream. The width matrix over
-// all 8 scheduler kinds lives in SoaGoldenMatrix (soa_kernel_test.cc),
-// which also pins its digests. A separate leg proves IMA_SHARDS composes
-// with IMA_JOBS: nested inside a sweep job the drain collapses to one host
-// thread (no pool oversubscription) with, by construction, the same bytes.
+// a closed loop and the PNM stack's sharded stream. One leg also holds
+// sourced drains under skip-ahead to the per-cycle reference. The width
+// matrix over all 8 scheduler kinds lives in SoaGoldenMatrix
+// (soa_kernel_test.cc), which also pins its digests. A separate leg proves
+// IMA_SHARDS composes with IMA_JOBS: nested inside a sweep job the drain
+// collapses to one host thread (no pool oversubscription) with, by
+// construction, the same bytes.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -53,6 +55,73 @@ TEST(Shard, EpochSizeDoesNotChangeTheBytesEither) {
   EXPECT_EQ(a.snapshot, b.snapshot);
   EXPECT_EQ(a.checksum, c.checksum);
   EXPECT_EQ(a.snapshot, c.snapshot);
+}
+
+TEST(Shard, SourcedDrainPerCycleMatchesSkipAhead) {
+  // The sharded drain wakes a channel on its own calendar: a feeder holding
+  // a future-dated request at min(arrival, next_event), one whose queue
+  // just freed a slot at the next cycle, and one still rejected at the
+  // controller's next_event. PerCycle feeds and ticks every channel every
+  // cycle, so it is the reference those wakes must match exactly. Two
+  // streams: a saturating hashed one (every request due at once, so the
+  // feeders sit on full queues) and a sparse time-dated one whose bursts
+  // overrun a per-core read quota and whose jittered arrivals hold
+  // requests back.
+  constexpr std::uint64_t kBurst = 96, kBursts = 3;
+  constexpr Cycle kGap = 4000;
+  const auto run = [&](bool dated, unsigned shards, sim::ClockMode mode) {
+    mem::ControllerConfig ctrl;
+    if (dated) ctrl.per_core_read_quota = 12;
+    mem::MemorySystem sys(matrix_dram(8), ctrl);
+    sys.set_shards(shards);
+    sys.set_clock_mode(mode);
+    Outcome out;
+    if (!dated) {
+      out.cycles = drain_hashed(sys, 200, 0x5A7ull, out);
+    } else {
+      std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
+      mem::MemorySystem::ChannelSource src;
+      src.next = [&](std::uint32_t ch, Cycle, mem::Request& r) {
+        std::uint64_t& i = cursor[ch];
+        if (i >= kBurst * kBursts) return false;
+        const auto& g = sys.dram_config().geometry;
+        const std::uint64_t h = harness::job_seed(0xDA7Eull, ch * 0x10001ull + i);
+        dram::Coord c;
+        c.channel = ch;
+        c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
+        c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
+        c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
+        r = mem::Request{};
+        r.addr = sys.mapper().encode(c);
+        r.type = i % 5 == 4 ? AccessType::Write : AccessType::Read;
+        r.core = static_cast<std::uint32_t>(i % kCores);
+        r.arrive = (i / kBurst) * kGap + h % 300;
+        ++i;
+        return true;
+      };
+      src.on_complete = [&out](std::uint32_t ch, const mem::Request& done) {
+        out.checksum = mem::fold_completion(out.checksum, ch, done);
+      };
+      out.cycles = sys.drain_sourced(src, 0);
+    }
+    EXPECT_TRUE(sys.idle());
+    EXPECT_FALSE(sys.last_drain_clipped());
+    out.snapshot = render(sys);
+    return out;
+  };
+  for (const bool dated : {false, true}) {
+    const Outcome ref = run(dated, 1, sim::ClockMode::PerCycle);
+    for (const unsigned w : {1u, 2u, 8u}) {
+      for (const auto mode : {sim::ClockMode::PerCycle, sim::ClockMode::SkipAhead}) {
+        const Outcome o = run(dated, w, mode);
+        const std::string leg = std::string(dated ? "dated" : "saturating") + " width " +
+                                std::to_string(w) + " " + sim::to_string(mode);
+        EXPECT_EQ(o.cycles, ref.cycles) << leg;
+        EXPECT_EQ(o.checksum, ref.checksum) << leg;
+        EXPECT_EQ(o.snapshot, ref.snapshot) << leg;
+      }
+    }
+  }
 }
 
 TEST(Shard, RaidrRefreshAndParaMitigationShardIdentically) {
