@@ -88,6 +88,41 @@ void BM_FullSystemCyclesPerSecond(benchmark::State& state) {
 }
 BENCHMARK(BM_FullSystemCyclesPerSecond);
 
+// Skewed channel load, the case MemorySystem's per-channel wake cache is
+// for: four channels, core 0 streaming through channel 0 alone (one line
+// per channel of stride), cores 1..3 computing 200 instructions between
+// random misses. The cores' events drive the visits; at most of them only
+// channel 0 has an event, and the three idle controllers are skipped
+// rather than ticked.
+void BM_SkewedChannelsSystem(benchmark::State& state) {
+  sim::SystemConfig cfg;
+  cfg.num_cores = 4;
+  cfg.ctrl.num_cores = 4;
+  cfg.core.instr_limit = 0;  // unbounded; we run fixed cycles
+  cfg.dram.geometry.channels = 4;
+  std::vector<std::unique_ptr<workloads::AccessStream>> streams;
+  workloads::StreamParams hot;
+  hot.footprint = 16 << 20;
+  hot.compute_per_access = 2;
+  streams.push_back(workloads::make_streaming(hot, 4 * kLineBytes));
+  for (int i = 1; i < 4; ++i) {
+    workloads::StreamParams cold;
+    cold.base = static_cast<Addr>(i) << 28;
+    cold.footprint = 16 << 20;
+    cold.compute_per_access = 200;
+    cold.seed = static_cast<std::uint64_t>(i) + 1;
+    streams.push_back(workloads::make_random(cold));
+  }
+  sim::System sys(cfg, std::move(streams));
+  Cycle target = 0;
+  for (auto _ : state) {
+    target += 10'000;
+    sys.run(target);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10'000);
+}
+BENCHMARK(BM_SkewedChannelsSystem);
+
 // The case the event kernel exists for: a low-MPKI core computing for
 // thousands of cycles between misses. PerCycle ticks every one of those
 // idle cycles; SkipAhead jumps between misses/refreshes, and the two are
@@ -154,8 +189,9 @@ void BM_SkipAheadLoaded(benchmark::State& state, sim::ClockMode mode) {
   mem::ControllerConfig ctrl;
   ctrl.num_cores = static_cast<std::uint32_t>(cores.injectors().size());
   mem::MemorySystem sys(dram_cfg, ctrl);
+  sys.set_clock_mode(mode);
   Cycle now = 0;
-  for (auto _ : state) now = cores.run(sys, now, now + 10'000, mode);
+  for (auto _ : state) now = cores.run(sys, now, now + 10'000);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10'000);
 }
 BENCHMARK_CAPTURE(BM_SkipAheadLoaded, per_cycle, sim::ClockMode::PerCycle);

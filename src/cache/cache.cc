@@ -1,5 +1,6 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/bits.hh"
@@ -157,10 +158,12 @@ Cache::FillResult Cache::fill(Addr addr, bool dirty) {
   l.tag = tag_of(addr);
   touch(l, /*is_insert=*/true);
 
-  if (cfg_.repl == ReplPolicy::EafLru && eaf_set_.count(l.tag)) {
+  if (cfg_.repl == ReplPolicy::EafLru && eaf_set_.erase(l.tag)) {
     // Recently evicted and returned: high reuse — keep long (nothing to do
-    // for LRU beyond the touch). Remove from filter.
-    eaf_set_.erase(l.tag);
+    // for LRU beyond the touch). Remove from the filter, FIFO included: a
+    // stale FIFO copy would shrink the filter and, aging out, erase a later
+    // membership of the same tag.
+    eaf_fifo_.erase(std::find(eaf_fifo_.begin(), eaf_fifo_.end(), l.tag));
   } else if (cfg_.repl == ReplPolicy::EafLru) {
     // First-time or streaming line: insert at LRU position instead of MRU
     // so cache pollution evicts itself first.

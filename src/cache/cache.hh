@@ -120,7 +120,8 @@ class Cache {
 
   // DRRIP set-dueling state.
   std::uint32_t psel_ = 512;
-  // EAF: recent-eviction filter (bounded FIFO set).
+  // EAF: recent-eviction filter (bounded FIFO set). The FIFO and the set
+  // always hold the same tags, so a restore rebuilds the set from the FIFO.
   std::deque<Addr> eaf_fifo_;
   std::unordered_set<Addr> eaf_set_;
 };

@@ -216,6 +216,12 @@ Cycle HybridMemory::drain(Cycle from, Cycle deadline) {
   return end < deadline ? end + 1 : end;
 }
 
+void HybridMemory::set_clock_mode(sim::ClockMode mode) {
+  clock_mode_ = mode;
+  dram_->set_clock_mode(mode);
+  pcm_->set_clock_mode(mode);
+}
+
 bool HybridMemory::idle() const { return dram_->idle() && pcm_->idle(); }
 
 }  // namespace ima::hybrid

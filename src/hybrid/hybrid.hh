@@ -68,7 +68,9 @@ class HybridMemory {
   Cycle drain(Cycle from, Cycle deadline = 200'000'000);
   bool idle() const;
 
-  void set_clock_mode(sim::ClockMode mode) { clock_mode_ = mode; }
+  /// Sets the mode of drain() and of both tiers' memory systems.
+  void set_clock_mode(sim::ClockMode mode);
+  sim::ClockMode clock_mode() const { return clock_mode_; }
 
   struct Stats {
     std::uint64_t dram_serviced = 0;

@@ -28,14 +28,10 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
     oc.listed.assign(chan.unit_count(), 0);
     oc.units.reserve(chan.unit_count());
   }
-  {
-    // One burst issues per cycle and completes within a fixed latency, so
-    // the inflight heap stays far below the combined queue capacity:
-    // reserving that up front makes heap growth a cold path.
-    std::vector<Inflight> backing;
-    backing.reserve(cfg.read_queue_size + cfg.write_queue_size);
-    inflight_ = decltype(inflight_)(std::greater<>{}, std::move(backing));
-  }
+  // One burst issues per cycle and completes within a fixed latency, so
+  // the inflight heap stays far below the combined queue capacity:
+  // reserving that up front makes heap growth a cold path.
+  inflight_.reserve(cfg.read_queue_size + cfg.write_queue_size);
   read_q_count_.assign(cfg.num_cores, 0);
   rank_last_activity_.assign(chan.config().geometry.ranks, 0);
   rank_work_.assign(chan.config().geometry.ranks, 0);
@@ -78,6 +74,7 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
 }
 
 void Controller::set_scheduler(std::unique_ptr<Scheduler> sched) {
+  ++mutation_stamp_;
   sched_ = std::move(sched);
   sched_pick_pure_ = sched_->pick_is_pure();
   sched_->set_trace(trace_);
@@ -91,14 +88,17 @@ void Controller::set_trace(obs::TraceSink* sink) {
 }
 
 void Controller::set_refresh_policy(std::unique_ptr<RefreshPolicy> refresh) {
+  ++mutation_stamp_;
   refresh_ = std::move(refresh);
 }
 
 void Controller::set_rowhammer(std::unique_ptr<RowHammerMitigation> mitigation) {
+  ++mutation_stamp_;
   mitigation_ = std::move(mitigation);
 }
 
 void Controller::set_victim_model(HammerVictimModel* model) {
+  ++mutation_stamp_;
   victim_model_ = model;
   // Close the loop: threshold crossings corrupt the real victim row's bits
   // when the reliability engine models hammer flips.
@@ -150,20 +150,23 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   ++oc.cnt[u].total;
   if (chan_.unit_open(u) && chan_.unit_row(u) == meta.back().row) ++oc.cnt[u].match;
   ++queue_stamp_[is_read ? 0 : 1];
+  ++mutation_stamp_;
   // This queue's stashed min does not cover the new request.
   issue_min_valid_[is_read ? 0 : 1] = false;
   return true;
 }
 
 void Controller::enqueue_pim(PimOp op) {
+  ++mutation_stamp_;
   ++rank_work_[op.bank.rank];
   pim_q_.push_back(std::move(op));
 }
 
 void Controller::retire(Cycle now) {
-  while (!inflight_.empty() && inflight_.top().done <= now) {
-    Inflight top = inflight_.top();
-    inflight_.pop();
+  while (!inflight_.empty() && inflight_.front().done <= now) {
+    std::pop_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
+    Inflight top = std::move(inflight_.back());
+    inflight_.pop_back();
     top.req.complete = top.done;
     if (top.req.type == AccessType::Read) {
       ++stats_.reads_done;
@@ -284,7 +287,8 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
     --read_q_count_[qr.req.core];
 
   qr.req.served = now;
-  inflight_.push(Inflight{done, qr.req, std::move(qr.cb)});
+  inflight_.push_back(Inflight{done, qr.req, std::move(qr.cb)});
+  std::push_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
   // Tombstone in place instead of a middle-of-vector erase: the slot keeps
   // its index (scheduler ties break by index, so survivors must not
   // shift until a *stable* compaction) and the hot path stops paying
@@ -594,7 +598,7 @@ Cycle Controller::next_event(Cycle now) const {
       read_q_live_ > 0 || write_q_live_ > 0 || !pim_q_.empty() || !victim_q_.empty();
 
   Cycle next = kCycleNever;
-  if (!inflight_.empty()) next = std::min(next, inflight_.top().done);
+  if (!inflight_.empty()) next = std::min(next, inflight_.front().done);
   next = std::min(next, refresh_->next_event(now));
   if (engine_) next = std::min(next, engine_->next_event(now));
   if (next <= now + 1) return now + 1;
@@ -727,6 +731,7 @@ void Controller::dump(std::ostream& os, Cycle now) const {
 }
 
 void Controller::tick(Cycle now) {
+  ++mutation_stamp_;
   retire(now);
   if (cfg_.powerdown_timeout || cfg_.selfrefresh_timeout) manage_power(now);
   if (refresh_->tick(chan_, now)) return;
@@ -744,6 +749,7 @@ template <class Ar>
 void Controller::fields(Ar& ar) {
   if (!idle())
     ar.fail(ckpt::ErrorKind::State, "controller not quiescent: queued or inflight requests");
+  if constexpr (Ar::loading) ++mutation_stamp_;  // restored state: recompute next_event
   ar.section("controller");
   // Config fingerprint: a restore target must be constructed identically
   // (same channel, core count, and installed policies).

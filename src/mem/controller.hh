@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -129,6 +128,23 @@ class Controller {
 
   /// Advance one controller cycle.
   void tick(Cycle now);
+
+  /// Stand-in for tick(now) at a cycle before next_event() with the
+  /// mutation stamp unchanged since that next_event() was computed. A tick
+  /// there changes nothing but the time the refresh policy stamps, so this
+  /// applies exactly that (RefreshPolicy::skip) and the controller, its
+  /// checkpoint image included, ends as a tick would have left it.
+  void skip(Cycle now) { refresh_->skip(now); }
+
+  /// Mutation stamp: bumped by every public mutator that can move
+  /// next_event() — tick, enqueue, enqueue_pim, the set_scheduler /
+  /// set_refresh_policy / set_rowhammer / set_victim_model installers and a
+  /// checkpoint restore. While it holds, a next_event() computed earlier
+  /// still stands (MemorySystem's wake cache). set_trace changes no timing;
+  /// the channel() and scheduler() handles bypass the stamp, so callers
+  /// that mutate through them must not interleave with a skip-ahead tick
+  /// loop. Scratch like queue_stamp_: not checkpointed.
+  std::uint64_t mutation_stamp() const { return mutation_stamp_; }
 
   /// Earliest future cycle at which ticking this controller could change
   /// state (common/clock.hh contract). With queued work this is a true
@@ -366,7 +382,12 @@ class Controller {
     CompletionCallback cb;
     bool operator>(const Inflight& o) const { return done > o.done; }
   };
-  std::priority_queue<Inflight, std::vector<Inflight>, std::greater<>> inflight_;
+  // Min-heap on `done` (std::push_heap/pop_heap with std::greater, the
+  // operations std::priority_queue runs, so ties pop in the same order);
+  // a plain vector lets retire() move the popped entry out instead of
+  // copying the request and its callback.
+  std::vector<Inflight> inflight_;
+  std::uint64_t mutation_stamp_ = 0;
 
   std::vector<CoreState> cores_;
   std::uint64_t next_req_id_ = 1;

@@ -24,6 +24,7 @@ MemorySystem::MemorySystem(const dram::DramConfig& dram_cfg, const ControllerCon
     chans_.push_back(std::make_unique<dram::Channel>(dram_cfg, ch, data_.get()));
     ctrls_.push_back(std::make_unique<Controller>(*chans_.back(), *mapper_, ctrl_cfg));
   }
+  wake_.resize(ctrls_.size());
 }
 
 MemorySystem::~MemorySystem() = default;
@@ -35,12 +36,28 @@ bool MemorySystem::enqueue(Request req, CompletionCallback cb) {
 }
 
 void MemorySystem::tick(Cycle now) {
-  for (auto& c : ctrls_) c->tick(now);
+  // Channel order matters: a completion callback that enqueues into a
+  // later channel moves its stamp, so that channel still ticks this cycle.
+  const bool skip_ahead = clock_mode_ == sim::ClockMode::SkipAhead;
+  for (std::size_t c = 0; c < ctrls_.size(); ++c) {
+    Controller& ctrl = *ctrls_[c];
+    const Wake& w = wake_[c];
+    if (skip_ahead && now < w.at && w.stamp == ctrl.mutation_stamp()) ctrl.skip(now);
+    else ctrl.tick(now);
+  }
 }
 
 Cycle MemorySystem::next_event(Cycle now) const {
   Cycle next = kCycleNever;
-  for (const auto& c : ctrls_) next = std::min(next, c->next_event(now));
+  for (std::size_t c = 0; c < ctrls_.size(); ++c) {
+    Wake& w = wake_[c];
+    const std::uint64_t stamp = ctrls_[c]->mutation_stamp();
+    if (w.stamp != stamp || w.at <= now) {
+      w.at = ctrls_[c]->next_event(now);
+      w.stamp = stamp;
+    }
+    next = std::min(next, w.at);
+  }
   return next;
 }
 

@@ -63,11 +63,15 @@ class MemorySystem {
     return ctrls_[mapper_->decode(addr).channel]->can_accept(type, core);
   }
 
-  /// Advances all controllers one cycle.
+  /// Advances all controllers one cycle. Under SkipAhead a controller
+  /// whose cached wake (below) lies after `now` and whose mutation stamp
+  /// has not moved since is skipped — Controller::skip, not tick — because
+  /// a tick before its own next_event is a no-op.
   void tick(Cycle now);
 
   /// Earliest future cycle at which any controller has work
-  /// (common/clock.hh contract).
+  /// (common/clock.hh contract). Recomputes only the controllers whose
+  /// mutation stamp moved since their wake was cached.
   Cycle next_event(Cycle now) const;
 
   /// Runs until all queues drain or `deadline` passes; returns final cycle.
@@ -278,6 +282,13 @@ class MemorySystem {
   /// plus its retire counts.
   std::uint64_t channel_token(std::uint32_t c) const;
 
+  /// Per-channel wake cache: controller c's next_event, valid while its
+  /// mutation stamp still equals `stamp` (DESIGN.md "Clocking model").
+  struct Wake {
+    Cycle at = 0;
+    std::uint64_t stamp = ~std::uint64_t{0};  // matches no stamp: not cached
+  };
+
   dram::DramConfig dram_cfg_;
   std::unique_ptr<dram::DataStore> data_;
   std::unique_ptr<dram::AddressMapper> mapper_;
@@ -285,6 +296,7 @@ class MemorySystem {
   std::vector<std::unique_ptr<Controller>> ctrls_;
   obs::Watchdog* watchdog_ = nullptr;
   sim::ClockMode clock_mode_ = sim::default_clock_mode();
+  mutable std::vector<Wake> wake_;  // per channel; filled by next_event
 
   /// Records the outcome of a finished drain (clipped = deadline expired
   /// with work pending); enforces DeadlinePolicy::Throw via the watchdog.

@@ -83,6 +83,15 @@ class AllBankRefresh final : public RefreshPolicy {
     return false;
   }
 
+  // A tick before next_event() issues nothing: it only stamps `now` and
+  // slides the due times of self-refreshing ranks (whose power state only
+  // a tick can change, so sr_at_last_tick_ still holds).
+  void skip(Cycle now) override {
+    last_seen_now_ = now;
+    for (std::uint32_t r = 0; r < next_due_.size(); ++r)
+      if (sr_at_last_tick_[r]) next_due_[r] = now + interval_;
+  }
+
   bool rank_blocked(std::uint32_t rank) const override {
     return rank < next_due_.size() && next_due_[rank] <= last_seen_now_;
   }

@@ -72,6 +72,13 @@ class RefreshPolicy {
   /// conservative default degenerates the event loop to per-cycle.
   virtual Cycle next_event(Cycle now) const { return now + 1; }
 
+  /// Stand-in for a tick(chan, now) that would issue nothing, at a cycle
+  /// the controller skips because it lies before its next_event. Writes
+  /// what such a tick still writes — state stamped with `now` — so a
+  /// skipped cycle leaves the policy, checkpoint image included, exactly
+  /// as a ticked one. Default: a tick that issues nothing writes nothing.
+  virtual void skip(Cycle /*now*/) {}
+
   /// A self-refreshing rank is leaving self-refresh at `now` (the cells
   /// were maintained internally up to this point). Policies that track
   /// per-rank due times re-arm them here; called in every clock mode so

@@ -41,20 +41,20 @@ class ClosedLoop {
   ClosedLoop(const ClosedLoop&) = delete;
   ClosedLoop& operator=(const ClosedLoop&) = delete;
 
-  /// Injects then ticks `mem` over [from, until) and returns `until`.
-  /// Injector i issues as core i. A drawn entry the memory cannot accept
-  /// is dropped, not retried. `Mem` is any memory with can_accept(addr,
-  /// type, core), enqueue(req, cb), tick(now) and next_event(now).
-  /// Consecutive runs continue one another: run(a, b) then run(b, c) is
-  /// run(a, c).
+  /// Injects then ticks `mem` over [from, until) and returns `until`, in
+  /// the memory's own clock mode. Injector i issues as core i. A drawn
+  /// entry the memory cannot accept is dropped, not retried. `Mem` is any
+  /// memory with can_accept(addr, type, core), enqueue(req, cb),
+  /// tick(now), next_event(now) and clock_mode(). Consecutive runs
+  /// continue one another: run(a, b) then run(b, c) is run(a, c).
   template <typename Mem>
-  Cycle run(Mem& mem, Cycle from, Cycle until, ClockMode mode = default_clock_mode()) {
+  Cycle run(Mem& mem, Cycle from, Cycle until) {
     // A core below its MLP budget injects every cycle, so the loop can only
     // skip while every window is full: exactly the cycles where an
     // injection pass would be a no-op. below_mlp_ counts the cores with
     // window room, so that test is one compare instead of a scan.
     return run_event_loop(
-        mode, from, until,
+        mem.clock_mode(), from, until,
         [&](Cycle now) {
           if (below_mlp_ > 0) {
             for (std::size_t i = 0; i < injectors_.size(); ++i) inject(mem, i, now);

@@ -154,6 +154,31 @@ TEST(Cache, EafResistsScanPollution) {
   EXPECT_GT(run(ReplPolicy::EafLru), run(ReplPolicy::Lru));
 }
 
+TEST(Cache, EafFilterHitLeavesNoStaleCopy) {
+  // The filter holds the last sets * ways = 64 evicted tags. A tag that
+  // returns from the filter and is evicted again is a member once more; a
+  // stale copy of its first membership must neither take a filter slot nor,
+  // aging out, erase the second membership.
+  Cache c(tiny(ReplPolicy::EafLru));
+  const auto t = [&](std::uint32_t k) { return addr_in_set(c, 0, k); };
+  // Ways 0..7 hold t0..t7, each inserted at the LRU position (lru 0), so
+  // every miss below evicts the lowest way still at lru 0.
+  for (std::uint32_t k = 0; k < 8; ++k) c.access(t(k), AccessType::Read);
+  c.access(t(8), AccessType::Read);  // evicts t0: filter {t0}
+  c.access(t(0), AccessType::Read);  // evicts t8; t0 returns from the filter, MRU
+  for (std::uint32_t k = 1; k < 8; ++k) EXPECT_TRUE(c.access(t(k), AccessType::Read).hit);
+  c.access(t(9), AccessType::Read);  // t0 is now the LRU line: evicted again
+  // 62 more evictions (t9..t70) fill the filter to exactly 64 tags: t8, t0
+  // and t9..t70. t0 is still a member.
+  for (std::uint32_t k = 10; k < 72; ++k) c.access(t(k), AccessType::Read);
+  // t0 misses (evicting t71, which ages t8 out) and, found in the filter,
+  // is kept at MRU, so the next miss evicts t1 rather than t0.
+  EXPECT_FALSE(c.access(t(0), AccessType::Read).hit);
+  c.access(t(72), AccessType::Read);
+  EXPECT_TRUE(c.contains(t(0)));
+  EXPECT_FALSE(c.contains(t(1)));
+}
+
 TEST(Cache, SrripResistsScanBetterThanLru) {
   auto run = [](ReplPolicy p) {
     Cache c(tiny(p));

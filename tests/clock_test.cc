@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/mc_harness.hh"
+#include "common/ckpt.hh"
 #include "common/clock.hh"
 #include "common/rng.hh"
 #include "hybrid/hybrid.hh"
@@ -21,6 +22,7 @@
 #include "mem/rowhammer.hh"
 #include "obs/stat_registry.hh"
 #include "obs/timeseries.hh"
+#include "pim/pum.hh"
 #include "sim/system.hh"
 #include "workloads/stream.hh"
 
@@ -254,7 +256,7 @@ std::pair<Cycle, obs::StatRegistry::Snapshot> run_loaded(sim::ClockMode mode, in
   sys.register_stats(reg, "mem");
 
   sim::ClosedLoop cores(bench::hetero_mix(101));
-  Cycle now = cores.run(sys, 0, 120'000, mode);
+  Cycle now = cores.run(sys, 0, 120'000);
 
   // Stop injecting and drain, then cross an idle gap and issue a short
   // burst: the refresh catch-up and rank power-state accounting deferred
@@ -300,9 +302,10 @@ template <typename MakeMem>
 void expect_closed_loop_exact(const MakeMem& make_mem, Cycle until) {
   const auto run = [&](sim::ClockMode mode, Cycle split) {
     auto mem = make_mem();
+    mem->set_clock_mode(mode);
     sim::ClosedLoop loop(bench::hetero_mix(31));
-    EXPECT_EQ(loop.run(*mem, 0, split, mode), split);
-    EXPECT_EQ(loop.run(*mem, split, until, mode), until);
+    EXPECT_EQ(loop.run(*mem, 0, split), split);
+    EXPECT_EQ(loop.run(*mem, split, until), until);
     LoopOutcome out;
     for (const auto& in : loop.injectors()) {
       out.served.push_back(in.served);
@@ -477,6 +480,127 @@ TEST(ClockExact, HybridMemoryDrain) {
   EXPECT_EQ(pc.second.migration_lines, sa.second.migration_lines);
   // The config must actually have exercised the migration machinery.
   EXPECT_GT(sa.second.promotions, 0u);
+}
+
+// MemorySystem's wake cache skips a controller at a visited cycle before its
+// own next_event while its mutation stamp holds. Skewed channel load is where
+// that pays and where it can go wrong: four channels, core 0 streaming
+// through channel 0 alone (a stride of one line per channel under
+// RoBaRaCoCh), cores 1..3 touching every channel rarely, with all-bank
+// refresh and both power-state timeouts on. The idle channels sleep, wake
+// and refresh between the hot channel's events. Both clock modes must end on
+// the same cycle with the same statistics and, once drained, the same
+// checkpoint image: a skipped controller still stamps the cycle into its
+// refresh policy, as a tick there would.
+struct SkewedOutcome {
+  Cycle end = 0;
+  std::string render;
+  std::vector<std::uint8_t> image;
+  std::vector<std::uint64_t> stamps;  // per-channel controller mutation stamps
+  std::uint64_t idle_selfrefreshes = 0;  // channels 1..3
+};
+
+SkewedOutcome run_skewed_system(sim::ClockMode mode) {
+  sim::SystemConfig cfg;
+  cfg.num_cores = 4;
+  cfg.ctrl.num_cores = 4;
+  cfg.core.instr_limit = 12'000;
+  cfg.dram.geometry.channels = 4;
+  cfg.ctrl.powerdown_timeout = 300;
+  cfg.ctrl.selfrefresh_timeout = 3'000;
+  cfg.clock = mode;
+  std::vector<std::unique_ptr<workloads::AccessStream>> streams;
+  workloads::StreamParams hot;
+  hot.footprint = 16ull << 20;
+  hot.compute_per_access = 2;
+  streams.push_back(workloads::make_streaming(hot, 4 * kLineBytes));
+  for (std::uint32_t i = 1; i < 4; ++i) {
+    workloads::StreamParams cold;
+    cold.base = Addr{i} << 28;
+    cold.footprint = 16ull << 20;
+    cold.compute_per_access = 400;
+    cold.seed = 40 + i;
+    streams.push_back(workloads::make_random(cold));
+  }
+  sim::System sys(cfg, std::move(streams));
+  SkewedOutcome out;
+  out.end = sys.run(20'000'000);
+  sys.memory().drain(sys.now());
+  out.render = [&] {
+    obs::StatRegistry reg;
+    sys.register_stats(reg);
+    return reg.snapshot().render();
+  }();
+  out.image = ckpt::capture(sys).payload;
+  for (std::uint32_t c = 0; c < 4; ++c) {
+    const mem::Controller& ctrl = sys.memory().controller(c);
+    out.stamps.push_back(ctrl.mutation_stamp());
+    if (c > 0) out.idle_selfrefreshes += ctrl.stats().selfrefreshes;
+  }
+  return out;
+}
+
+TEST(ClockExact, SkewedChannelsWakeCache) {
+  const SkewedOutcome pc = run_skewed_system(sim::ClockMode::PerCycle);
+  const SkewedOutcome sa = run_skewed_system(sim::ClockMode::SkipAhead);
+  ASSERT_LT(pc.end, 20'000'000u);
+  EXPECT_EQ(pc.end, sa.end);
+  EXPECT_EQ(pc.render, sa.render);
+  EXPECT_TRUE(pc.image == sa.image) << "checkpoint images differ between clock modes";
+  // The scenario is the one the cache is for: the idle channels slept and
+  // were skipped at most of the hot channel's visits, so each of them saw
+  // far fewer ticks and enqueues than channel 0.
+  EXPECT_GT(sa.idle_selfrefreshes, 0u);
+  for (std::uint32_t c = 1; c < 4; ++c) EXPECT_LT(sa.stamps[c] * 4, sa.stamps[0]) << "ch" << c;
+}
+
+// The PIM path of pim/pum.cc: a program enqueued straight on an idle,
+// self-refreshing channel's controller between MemorySystem ticks, bypassing
+// MemorySystem::enqueue. The controller's mutation stamp must move, or the
+// cached wake (self-refresh: none at all) keeps the channel skipped and the
+// program never issues.
+struct PimLegOutcome {
+  Cycle end = 0;
+  std::string render;
+  std::vector<std::uint8_t> image;
+};
+
+PimLegOutcome run_pim_leg(sim::ClockMode mode) {
+  auto dram_cfg = dram::DramConfig::ddr4_2400();
+  dram_cfg.geometry.channels = 4;
+  mem::ControllerConfig ctrl;
+  ctrl.num_cores = 1;
+  ctrl.powerdown_timeout = 300;
+  ctrl.selfrefresh_timeout = 3'000;
+  mem::MemorySystem sys(dram_cfg, ctrl);
+  sys.set_clock_mode(mode);
+  std::vector<sim::Injector> cores;
+  workloads::StreamParams hot;
+  hot.footprint = 16ull << 20;
+  cores.push_back({workloads::make_streaming(hot, 4 * kLineBytes), /*mlp=*/16});
+  sim::ClosedLoop loop(std::move(cores));
+  EXPECT_EQ(loop.run(sys, 0, 5'000), 5'000u);
+  const pim::CopyEngine copier(dram_cfg.geometry);
+  pim::enqueue_program(sys.controller(2), copier.zero_row(pim::RowRef{2, 0, 1, 5}));
+  EXPECT_EQ(loop.run(sys, 5'000, 12'000), 12'000u);
+  PimLegOutcome out;
+  out.end = sys.drain(12'000);
+  EXPECT_FALSE(sys.last_drain_clipped());
+  EXPECT_TRUE(sys.idle());
+  obs::StatRegistry reg;
+  sys.register_stats(reg, "mem");
+  out.render = reg.snapshot().render();
+  out.image = ckpt::capture(sys).payload;
+  EXPECT_GT(sys.controller(2).stats().pim_ops_done, 0u);
+  return out;
+}
+
+TEST(ClockExact, PimEnqueuedBetweenTicksWakesSkippedChannel) {
+  const PimLegOutcome pc = run_pim_leg(sim::ClockMode::PerCycle);
+  const PimLegOutcome sa = run_pim_leg(sim::ClockMode::SkipAhead);
+  EXPECT_EQ(pc.end, sa.end);
+  EXPECT_EQ(pc.render, sa.render);
+  EXPECT_TRUE(pc.image == sa.image) << "checkpoint images differ between clock modes";
 }
 
 }  // namespace
