@@ -10,9 +10,9 @@
 // Latency here is source-to-data: Request::complete minus the *intended*
 // arrival stamp carried in Request::tag, so time spent waiting for a queue
 // slot under backpressure is included (the congested tail an
-// admission-clocked measurement hides). The epoch-quantized cycle returned
-// by the pump is reported as end_cycle but never used for latency math —
-// see MemorySystem::drain.
+// admission-clocked measurement hides). The pump's return, the exact cycle
+// after the last retirement at any shard width and epoch, is reported as
+// end_cycle — see MemorySystem::drain.
 #include <algorithm>
 #include <cmath>
 #include <string>

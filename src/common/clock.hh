@@ -60,7 +60,7 @@ constexpr Cycle next_cycle(ClockMode mode, Cycle now, Cycle limit, Cycle reporte
 ///     cycle is the cycle just ticked (System::run semantics);
 ///   - when `limit` is reached without `done`, returns `limit`.
 /// Drain-style callers (stop-before-tick, return last+1) wrap this — see
-/// MemorySystem::drain.
+/// HybridMemory::drain.
 ///
 /// `watch(now)` runs at the top of every iteration, before the tick. The
 /// hook is a template callable (not an obs type) so the clocking kernel
@@ -98,9 +98,9 @@ Cycle run_event_loop(ClockMode mode, Cycle from, Cycle limit, TickFn&& tick,
 //
 // Sharded drains partition a memory system's channels into per-shard groups
 // and advance each group independently through fixed-length epochs, with a
-// global barrier at every epoch boundary (DESIGN.md "Sharded execution").
-// Between barriers a shard runs its own run_event_loop over its own
-// channels' next_event contracts; cross-shard effects (completion
+// global barrier at every epoch boundary (DESIGN.md "Sharded execution";
+// the loop is MemorySystem::run_drain). Between barriers each channel is
+// ticked at its own next_event cycles; cross-shard effects (completion
 // callbacks) are deferred to per-channel mailboxes drained in canonical
 // order at the barrier. Correctness rests on the same invariant PerCycle vs
 // SkipAhead equality already proves: ticking a component at a non-event
@@ -125,29 +125,5 @@ Cycle default_shard_epoch();
 /// epoch no longer than that bound delivers every cross-shard interaction
 /// before it could matter. Returns `fallback` when no latency is positive.
 Cycle conservative_epoch(std::initializer_list<Cycle> latencies, Cycle fallback);
-
-/// The epoch-barrier driver: advances [from, limit) in epochs of `epoch`
-/// cycles. Per epoch: run_shards(begin, end) must advance every shard to
-/// `end` (parallel inside — this function never touches threads);
-/// barrier(end) runs on the calling thread with all shards quiescent
-/// (mailbox delivery, watchdog checks); done() stops the loop at a
-/// barrier when the whole system is idle. Returns the cycle reached — an
-/// epoch boundary, or `limit`. Identical at any shard width by
-/// construction: every shard ticks the same epoch spans regardless of how
-/// many host threads execute them.
-template <typename RunShardsFn, typename BarrierFn, typename DoneFn>
-Cycle run_epoch_barriers(Cycle from, Cycle limit, Cycle epoch, RunShardsFn&& run_shards,
-                         BarrierFn&& barrier, DoneFn&& done) {
-  Cycle now = from;
-  const Cycle step = epoch > 0 ? epoch : 1;
-  while (now < limit) {
-    const Cycle end = limit - now > step ? now + step : limit;
-    run_shards(now, end);
-    now = end;
-    barrier(now);
-    if (done()) break;
-  }
-  return now;
-}
 
 }  // namespace ima::sim

@@ -25,6 +25,8 @@ MemorySystem::MemorySystem(const dram::DramConfig& dram_cfg, const ControllerCon
     ctrls_.push_back(std::make_unique<Controller>(*chans_.back(), *mapper_, ctrl_cfg));
   }
   wake_.resize(ctrls_.size());
+  mail_.resize(ctrls_.size());
+  set_shards(0);
 }
 
 MemorySystem::~MemorySystem() = default;
@@ -61,54 +63,24 @@ Cycle MemorySystem::next_event(Cycle now) const {
   return next;
 }
 
-Cycle MemorySystem::drain(Cycle from, Cycle deadline) {
-  if (shards_ > 0) return drain_epochs(from, deadline, nullptr);
-  // Legacy shape: check idle *before* each tick, return last-ticked + 1.
-  if (idle() || from >= deadline) {
-    note_drain_end(/*clipped=*/!idle(), /*quantized=*/false, from);
-    return from;
-  }
-  const auto tick_fn = [this](Cycle now) { tick(now); };
-  const auto done_fn = [this] { return idle(); };
-  const auto next_fn = [this](Cycle now) { return next_event(now); };
-  const Cycle end =
-      watchdog_ ? sim::run_event_loop(clock_mode_, from, deadline, tick_fn, done_fn,
-                                      next_fn,
-                                      [this](Cycle now) { watchdog_->iterate(now); })
-                : sim::run_event_loop(clock_mode_, from, deadline, tick_fn, done_fn,
-                                      next_fn);
-  const Cycle ret = end < deadline ? end + 1 : end;
-  note_drain_end(/*clipped=*/!idle(), /*quantized=*/false, ret);
-  return ret;
-}
-
-void MemorySystem::note_drain_end(bool clipped, bool quantized, Cycle now) {
-  // Idle with every mailbox delivered: no sourced request is left to
-  // complete, so the retained sinks can go (before a Throw unwinds).
-  if (idle() && std::all_of(mail_.begin(), mail_.end(), [](const auto& b) { return b.empty(); }))
-    sinks_.clear();
-  last_drain_quantized_ = quantized;
-  last_drain_clipped_ = clipped;
-  if (!clipped) return;
-  ++drain_clips_;
-  if (deadline_policy_ != DeadlinePolicy::Throw) return;
-  const std::string why =
-      "drain deadline exhausted at cycle " + std::to_string(now) +
-      " with work still pending (clip #" + std::to_string(drain_clips_) + ")";
-  // Route through the watchdog when armed so the failure leaves the same
-  // flight-recorder artifact a stall would; otherwise throw bare.
-  if (watchdog_) watchdog_->fail(now, why);
-  throw obs::WatchdogError(why, "");
-}
+Cycle MemorySystem::drain(Cycle from, Cycle deadline) { return run_drain(from, deadline, nullptr); }
 
 // --- sharded execution ------------------------------------------------------
 
 void MemorySystem::set_shards(unsigned shards, Cycle epoch) {
   shards_ = std::min<unsigned>(shards, static_cast<unsigned>(ctrls_.size()));
   shard_epoch_ = epoch;
-  if (shards_ == 0) {
-    pool_.reset();
-    groups_.clear();
+  if (shards_ == 0) pool_.reset();
+  // Groups: max(shards, 1) contiguous channel blocks. The partition decides
+  // nothing — per-channel execution is group-invariant — only which host
+  // thread advances which channels.
+  groups_.clear();
+  const auto nch = static_cast<std::uint32_t>(ctrls_.size());
+  const unsigned n = std::max(shards_, 1u);
+  for (unsigned g = 0; g < n; ++g) {
+    const auto beg = static_cast<std::uint32_t>(std::uint64_t{nch} * g / n);
+    const auto end = static_cast<std::uint32_t>(std::uint64_t{nch} * (g + 1) / n);
+    if (beg < end) groups_.push_back(Group{beg, end});
   }
 }
 
@@ -117,18 +89,18 @@ Cycle MemorySystem::shard_epoch() const {
 }
 
 Cycle MemorySystem::drain_sourced(const ChannelSource& src, Cycle from, Cycle deadline) {
-  if (shards_ == 0)
-    throw std::logic_error("drain_sourced requires an armed shard plan (set_shards)");
   if (!src.next)
     throw std::logic_error("drain_sourced: ChannelSource::next is required");
   feeds_.assign(ctrls_.size(), Feed{});
+  // A fresh source may have work for any channel: every one is fed at `from`.
+  for (Wake& w : wake_) w.stamp = kStale;
   // One copy of on_complete per call, outliving it while its requests are
   // in flight: each request's callback then only names (channel, sink).
   if (src.on_complete) {
     sink_ = static_cast<std::uint32_t>(sinks_.size());
     sinks_.push_back(src.on_complete);
   }
-  return drain_epochs(from, deadline, &src);
+  return run_drain(from, deadline, &src);
 }
 
 MemorySystem::ChannelSource hashed_source(const MemorySystem& sys, std::uint64_t ops,
@@ -165,7 +137,6 @@ MemorySystem::ChannelSource hashed_source(const MemorySystem& sys, std::uint64_t
 
 CompletionCallback MemorySystem::defer_to_mailbox(std::uint32_t ch, CompletionCallback cb) {
   if (!cb) return nullptr;
-  if (mail_.size() != ctrls_.size()) mail_.resize(ctrls_.size());
   // Fires exactly once, on the owning shard's thread, into the channel's
   // private mailbox; the barrier delivers it on the coordinator.
   return [this, ch, inner = std::move(cb)](const Request& r) mutable {
@@ -174,7 +145,6 @@ CompletionCallback MemorySystem::defer_to_mailbox(std::uint32_t ch, CompletionCa
 }
 
 void MemorySystem::deliver_mail() {
-  if (mail_.empty()) return;
   mail_order_.clear();
   for (std::uint32_t ch = 0; ch < mail_.size(); ++ch)
     for (std::uint32_t i = 0; i < mail_[ch].size(); ++i) mail_order_.emplace_back(ch, i);
@@ -182,8 +152,8 @@ void MemorySystem::deliver_mail() {
   // Per-channel boxes are already completion-ordered (retire pops the
   // inflight heap in done order), and the scratch list is built in channel
   // order, so a stable sort on the completion cycle yields the canonical
-  // (cycle, channel, arrival) order — byte-for-byte the legacy serial
-  // callback order.
+  // (cycle, channel, arrival) order — byte-for-byte the order callbacks
+  // fire in as requests retire without a shard plan.
   std::stable_sort(mail_order_.begin(), mail_order_.end(),
                    [this](const auto& a, const auto& b) {
                      return mail_[a.first][a.second].req.complete <
@@ -222,13 +192,15 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
     CompletionCallback cb;
     if (src.on_complete) {
       // Sixteen trivially copyable bytes: std::function stores this inline,
-      // so a sourced request allocates nothing for its completion.
-      const auto to_mail = [this, c, sink = sink_](const Request& done) {
-        mail_[c].push_back(Mail{done, nullptr, sink});
+      // so a sourced request allocates nothing for its completion. Without
+      // a shard plan the sink fires as the request retires.
+      const auto to_sink = [this, c, sink = sink_](const Request& done) {
+        if (shards_ > 0) mail_[c].push_back(Mail{done, nullptr, sink});
+        else sinks_[sink](c, done);
       };
-      static_assert(sizeof(to_mail) <= 2 * sizeof(void*) &&
-                    std::is_trivially_copyable_v<decltype(to_mail)>);
-      cb = to_mail;
+      static_assert(sizeof(to_sink) <= 2 * sizeof(void*) &&
+                    std::is_trivially_copyable_v<decltype(to_sink)>);
+      cb = to_sink;
     }
     // can_accept passed, so admission cannot fail; a reject here would mean
     // the two checks disagree and the request (plus its callback) would
@@ -239,31 +211,53 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
   }
 }
 
-void MemorySystem::run_shard_span(std::size_t g, Cycle from, Cycle limit,
-                                  const ChannelSource* src) {
-  const auto [beg, end] = groups_[g];
-  // Per-channel calendar: due[i] is channel beg + i's next visit. Channels
-  // are independent between barriers, so each one is fed and ticked at its
-  // own event cycles only — never at a busy sibling's — and its tick set is
-  // a function of its own state alone, whatever group it lands in. That
-  // independence is what keeps results width-invariant. Every channel is
-  // due at `from`, so requests and sources enqueued at the barrier are seen.
-  std::vector<Cycle>& due = due_[g];
-  std::fill(due.begin(), due.end(), from);
+bool MemorySystem::channels_done(std::uint32_t beg, std::uint32_t end,
+                                 const ChannelSource* src) const {
+  for (std::uint32_t c = beg; c < end; ++c) {
+    if (!ctrls_[c]->idle()) return false;
+    if (src && (!feeds_[c].exhausted || feeds_[c].has_pending)) return false;
+  }
+  return true;
+}
+
+void MemorySystem::run_group(Group& g, Cycle limit, const ChannelSource* src, bool stoppable) {
+  // Per-channel calendar in wake_: a channel is fed and ticked at its own
+  // event cycles only (the wake-cache rule tick() uses), never at a busy
+  // sibling's, so its tick set is a function of its own state alone,
+  // whatever group it lands in and wherever the barriers fall. That
+  // independence is what keeps results width- and epoch-invariant.
   const bool per_cycle = clock_mode_ == sim::ClockMode::PerCycle;
-  for (Cycle now = from; now < limit;) {
-    Cycle next = kCycleNever;
+  obs::Watchdog* const wd = shards_ == 0 ? watchdog_ : nullptr;  // a plan checks at barriers
+  // Locals, not `g`: the groups share cache lines across threads.
+  const std::uint32_t beg = g.beg, end = g.end;
+  Cycle now = g.stop;
+  bool done = stoppable && channels_done(beg, end, src);
+  while (!done && now < limit) {
+    if (wd) wd->iterate(now);
     for (std::uint32_t c = beg; c < end; ++c) {
-      Cycle& d = due[c - beg];
-      if (d == now) {
+      Wake& w = wake_[c];
+      if (per_cycle || now >= w.at || w.stamp != ctrls_[c]->mutation_stamp()) {
         if (src) feed_channel(*src, c, now);
         ctrls_[c]->tick(now);
-        d = per_cycle ? now + 1 : std::max(now + 1, wake(c, now, src != nullptr));
+        w.stamp = kStale;  // re-armed below, once every callback of `now` fired
       }
-      next = std::min(next, d);
     }
-    now = std::min(next, limit);
+    // Re-arm every channel whose stamp moved, including one visited before
+    // an inline callback enqueued into it this cycle.
+    Cycle next = kCycleNever;
+    for (std::uint32_t c = beg; c < end; ++c) {
+      Wake& w = wake_[c];
+      if (w.stamp != ctrls_[c]->mutation_stamp()) {
+        w.at = per_cycle ? now + 1 : std::max(now + 1, wake(c, now, src != nullptr));
+        w.stamp = ctrls_[c]->mutation_stamp();
+      }
+      next = std::min(next, w.at);
+    }
+    done = stoppable && channels_done(beg, end, src);
+    now = done ? now + 1 : std::min(next, limit);
   }
+  g.stop = now;
+  g.done = done;
 }
 
 Cycle MemorySystem::wake(std::uint32_t c, Cycle now, bool fed) const {
@@ -304,68 +298,69 @@ unsigned MemorySystem::decide_shard_workers() const {
   return want;
 }
 
-Cycle MemorySystem::drain_epochs(Cycle from, Cycle deadline, const ChannelSource* src) {
-  if (!src && idle()) {
-    note_drain_end(/*clipped=*/false, /*quantized=*/true, from);
-    return from;
-  }
-  if (from >= deadline) {
-    // A zero-length window with work pending (queued requests or a live
-    // source) is a degenerate clip, not a clean finish.
-    note_drain_end(/*clipped=*/true, /*quantized=*/true, from);
-    return from;
-  }
-  if (mail_.size() != ctrls_.size()) mail_.resize(ctrls_.size());
-
-  // Shard groups: `shards_` contiguous channel blocks. The partition is
-  // part of the simulated configuration (it decides nothing — per-channel
-  // execution is group-invariant — but keeping it fixed per plan makes the
-  // engine's behaviour easy to reason about); only the host-thread width
-  // below varies with context.
-  groups_.clear();
-  const auto nch = static_cast<std::uint32_t>(ctrls_.size());
-  for (unsigned g = 0; g < shards_; ++g) {
-    const std::uint32_t beg = static_cast<std::uint32_t>(std::uint64_t{nch} * g / shards_);
-    const std::uint32_t end =
-        static_cast<std::uint32_t>(std::uint64_t{nch} * (g + 1) / shards_);
-    if (beg < end) groups_.emplace_back(beg, end);
-  }
-  due_.resize(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g)
-    due_[g].resize(groups_[g].second - groups_[g].first);
-
+Cycle MemorySystem::run_drain(Cycle from, Cycle deadline, const ChannelSource* src) {
   const unsigned workers = decide_shard_workers();
   shard_workers_used_ = workers;
   if (workers > 1 && (!pool_ || pool_->width() != workers))
     pool_ = std::make_unique<harness::WorkerPool>(workers);
-  if (watchdog_)
+  if (watchdog_ && shards_ > 0)
     watchdog_->set_shard_progress(
         [this](std::vector<obs::ShardProgress>& out) { shard_progress(out); });
 
-  const auto run_shards = [&](Cycle begin, Cycle end) {
-    if (workers > 1) {
-      pool_->parallel_for(groups_.size(), [&](std::size_t g, unsigned) {
-        run_shard_span(g, begin, end, src);
-      });
-    } else {
-      for (std::size_t g = 0; g < groups_.size(); ++g) run_shard_span(g, begin, end, src);
+  // Advances every group that stands before `until`.
+  const auto advance = [&](Cycle until, bool stoppable) {
+    const auto one = [&](std::size_t g) {
+      if (groups_[g].stop < until) run_group(groups_[g], until, src, stoppable);
+    };
+    if (workers > 1)
+      pool_->parallel_for(groups_.size(), [&](std::size_t g, unsigned) { one(g); });
+    else
+      for (std::size_t g = 0; g < groups_.size(); ++g) one(g);
+  };
+  // Without a plan, callbacks fire inline and a barrier has nothing to do.
+  const Cycle epoch = shards_ > 0 ? std::max<Cycle>(shard_epoch(), 1) : kCycleNever;
+  const auto nch = static_cast<std::uint32_t>(ctrls_.size());
+  Cycle now = from;
+  for (Group& g : groups_) g.stop = now;  // each barrier leaves them all at `now`
+  while (now < deadline) {
+    const Cycle edge = deadline - now > epoch ? now + epoch : deadline;
+    advance(edge, true);
+    // Every group ran out of work mid-epoch: the finish is the last stop.
+    // Either way, groups that stopped early catch up on their own events,
+    // so every channel stands at the barrier cycle when the mail goes out.
+    Cycle target = edge;
+    if (std::all_of(groups_.begin(), groups_.end(), [](const Group& g) { return g.done; })) {
+      target = now;
+      for (const Group& g : groups_) target = std::max(target, g.stop);
     }
-  };
-  const auto barrier = [&](Cycle now) {
+    advance(target, false);
+    now = target;
     deliver_mail();
-    if (watchdog_) watchdog_->check(now);
-  };
-  const auto done = [&] {
-    if (!idle()) return false;
-    if (src)
-      for (const Feed& f : feeds_)
-        if (!f.exhausted || f.has_pending) return false;
-    return true;
-  };
-  const Cycle end =
-      sim::run_epoch_barriers(from, deadline, shard_epoch(), run_shards, barrier, done);
-  note_drain_end(/*clipped=*/!done(), /*quantized=*/true, end);
-  return end;
+    if (watchdog_ && shards_ > 0) watchdog_->check(now);
+    if (channels_done(0, nch, src)) break;
+  }
+  // Leave every channel as tick() would at the finish's last cycle: one
+  // that did not tick there had no event there, so a tick would only have
+  // stamped the cycle (Controller::skip).
+  if (now > from)
+    for (auto& c : ctrls_) c->skip(now - 1);
+  // Idle with every mailbox delivered: no sourced request is left to
+  // complete, so the retained sinks can go (before a Throw unwinds).
+  if (idle() && std::all_of(mail_.begin(), mail_.end(), [](const auto& b) { return b.empty(); }))
+    sinks_.clear();
+  last_drain_clipped_ = !channels_done(0, nch, src);
+  if (!last_drain_clipped_) return now;
+  ++drain_clips_;
+  if (deadline_policy_ == DeadlinePolicy::Throw) {
+    const std::string why =
+        "drain deadline exhausted at cycle " + std::to_string(now) +
+        " with work still pending (clip #" + std::to_string(drain_clips_) + ")";
+    // Route through the watchdog when armed so the failure leaves the same
+    // flight-recorder artifact a stall would; otherwise throw bare.
+    if (watchdog_) watchdog_->fail(now, why);
+    throw obs::WatchdogError(why, "");
+  }
+  return now;
 }
 
 void MemorySystem::shard_progress(std::vector<obs::ShardProgress>& out) const {
@@ -378,8 +373,8 @@ void MemorySystem::shard_progress(std::vector<obs::ShardProgress>& out) const {
     }
     return p;
   };
-  if (!groups_.empty()) {
-    for (const auto& [beg, end] : groups_) out.push_back(sample(beg, end));
+  if (shards_ > 0) {
+    for (const Group& g : groups_) out.push_back(sample(g.beg, g.end));
     return;
   }
   // No shard plan: per-channel granularity, so a single wedged channel in
@@ -506,7 +501,7 @@ void MemorySystem::fields(Ar& ar) {
               "undelivered barrier mailboxes: checkpoint only at an epoch barrier");
   ar.section("memsys");
   ar.match(std::uint64_t{ctrls_.size()}, "channel count");
-  ar(last_drain_clipped_, last_drain_quantized_, drain_clips_, *data_);
+  ar(last_drain_clipped_, drain_clips_, *data_);
   for (auto& c : chans_) ar(*c);
   for (auto& c : ctrls_) ar(*c);
   // Borrowed victim models, each distinct model exactly once in first-

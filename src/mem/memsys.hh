@@ -5,15 +5,19 @@
 // straight to the data store; timing requests flow through the controllers.
 // This timing/functional split is the standard trace-driven-simulator
 // arrangement (cf. Ramulator).
-// Sharded execution (DESIGN.md "Sharded execution"): set_shards() switches
-// drain() onto an epoch-barrier engine that partitions the channels into
-// contiguous per-shard groups, advances each group independently on a
-// harness::WorkerPool between barriers (each channel on its own event
-// calendar, see run_shard_span), and defers completion callbacks to
-// per-channel mailboxes delivered in canonical (completion cycle, channel,
-// arrival) order at each barrier. Results are byte-identical at any shard
-// width — IMA_SHARDS=1 and IMA_SHARDS=8 produce the same cycle counts,
-// StatRegistry snapshots and corruption ledgers (tests/shard_test.cc,
+//
+// One drain engine (DESIGN.md "Sharded execution") serves drain() and
+// drain_sourced(): every channel is ticked on its own event calendar, and
+// the drain returns the exact finish, the last cycle at which a channel
+// ticked with work plus one. Without a shard plan the channels run as one
+// inline group and completion callbacks fire as requests retire.
+// set_shards() splits them into contiguous groups advanced independently
+// on a harness::WorkerPool between epoch barriers, with completion
+// callbacks deferred to per-channel mailboxes delivered in canonical
+// (completion cycle, channel, arrival) order at each barrier. Open-loop
+// results — end cycle, energy, StatRegistry snapshots, corruption ledgers
+// and checkpoint images — are byte-identical with no plan and at any shard
+// width, epoch and clock mode (tests/shard_test.cc,
 // tests/soa_kernel_test.cc).
 #pragma once
 
@@ -74,18 +78,18 @@ class MemorySystem {
   /// mutation stamp moved since their wake was cached.
   Cycle next_event(Cycle now) const;
 
-  /// Runs until all queues drain or `deadline` passes; returns final cycle.
-  /// Skip-ahead by default (cycle-exact vs. the per-cycle reference);
-  /// set_clock_mode(ClockMode::PerCycle) restores the legacy loop. With a
-  /// shard plan armed (set_shards) this routes to the epoch-barrier engine
-  /// instead; the returned cycle is then EPOCH-QUANTIZED (the first barrier
-  /// at which the system is idle) but identical at every shard width.
-  /// Because of that quantization the return value is a scheduling
-  /// coordinate, NOT a latency endpoint: never subtract it from request
-  /// timestamps — per-request latency must come from the Request::complete
-  /// / arrive / tag stamps delivered to completion callbacks, which are
-  /// exact at any width (last_drain_quantized() tells which regime the
-  /// previous drain ran in).
+  /// Runs until all queues drain or `deadline` passes. Returns the exact
+  /// finish — the last cycle at which any channel ticked with work, plus
+  /// one; `from` when already idle; `deadline` when clipped — with every
+  /// channel left as tick() would leave it at the cycle before, so a
+  /// caller may continue from the returned cycle, charge energy up to it
+  /// or checkpoint there. Skip-ahead by default (cycle-exact vs. the
+  /// per-cycle reference; set_clock_mode(ClockMode::PerCycle) ticks every
+  /// channel every cycle). When no callback enqueues more work, the
+  /// return is the same with no shard plan and at any shard width and
+  /// epoch. With a plan, callbacks run at the barriers, so a closed loop
+  /// that enqueues from them depends on the epoch (see
+  /// sim::conservative_epoch), though never on the width.
   ///
   /// Hitting `deadline` with work still queued is recorded, never silent:
   /// last_drain_clipped() flips true, the drain_deadline_clips counter
@@ -98,21 +102,22 @@ class MemorySystem {
 
   // --- sharded execution ---
 
-  /// Arms the epoch-barrier drain engine: `shards` contiguous channel
-  /// groups (clamped to the channel count) advanced between barriers every
-  /// `epoch` cycles (0 = sim::default_shard_epoch()). shards = 0 disarms
-  /// (legacy serial drain). Call before enqueueing: with a plan armed,
-  /// completion callbacks are deferred to the barrier mailboxes from
-  /// enqueue time on. The host-thread width actually used can be lower
-  /// than `shards` — nested inside a sweep job (WorkerPool::on_worker()),
-  /// with a trace sink attached, or with one HammerVictimModel shared by
-  /// several controllers, the epochs run inline on the caller — but the
-  /// simulated results never depend on that (shard_workers_used() tells).
+  /// Arms a shard plan: `shards` contiguous channel groups (clamped to the
+  /// channel count) advanced independently between barriers every `epoch`
+  /// cycles (0 = sim::default_shard_epoch()). shards = 0 disarms: the
+  /// channels drain as one inline group with inline callbacks. Call before
+  /// enqueueing: with a plan armed, completion callbacks are deferred to
+  /// the barrier mailboxes from enqueue time on. The host-thread width
+  /// actually used can be lower than `shards` — nested inside a sweep job
+  /// (WorkerPool::on_worker()), with a trace sink attached, or with one
+  /// HammerVictimModel shared by several controllers, the epochs run
+  /// inline on the caller — but the simulated results never depend on
+  /// that (shard_workers_used() tells).
   void set_shards(unsigned shards, Cycle epoch = 0);
   unsigned shards() const { return shards_; }
   Cycle shard_epoch() const;
-  /// Host-thread width of the most recent sharded drain (diagnostics: the
-  /// oversubscription test asserts 1 inside sweep jobs).
+  /// Host-thread width of the most recent drain (1 without a plan;
+  /// diagnostics: the oversubscription test asserts 1 inside sweep jobs).
   unsigned shard_workers_used() const { return shard_workers_used_; }
 
   /// Minimum completion-callback latency (CL + BL): the earliest a
@@ -122,12 +127,13 @@ class MemorySystem {
     return dram_cfg_.timings.cl + dram_cfg_.timings.bl;
   }
 
-  /// Per-channel open-loop feeder for sharded drains: next(ch, now, out)
+  /// Per-channel open-loop feeder for drain_sourced: next(ch, now, out)
   /// produces the channel's next request (addresses must decode to `ch`;
   /// returning false means the channel's stream is exhausted for good) and
   /// is called from the owning shard's thread, so it may only touch
-  /// per-channel state. on_complete (optional) is delivered through the
-  /// barrier mailboxes in canonical order on the coordinating thread.
+  /// per-channel state. on_complete (optional) runs on the coordinating
+  /// thread in canonical (completion cycle, channel, arrival) order: as
+  /// requests retire with no plan, through the barrier mailboxes with one.
   ///
   /// Time-dated feeds: a produced request whose `arrive` lies in the
   /// future is held back and admitted at exactly that cycle (or at the
@@ -142,12 +148,11 @@ class MemorySystem {
     std::function<void(std::uint32_t ch, const Request& done)> on_complete;
   };
 
-  /// Epoch-barrier drain with per-channel feeders: runs until every source
-  /// is exhausted and every queue drained (or `deadline`). Requires an
-  /// armed shard plan (set_shards; shards = 1 is the serial reference —
-  /// byte-identical to any wider plan). The returned cycle is
-  /// epoch-quantized — see drain() for why it must never be used as a
-  /// latency endpoint — and deadline exhaustion is surfaced exactly like
+  /// drain() with per-channel feeders: runs until every source is
+  /// exhausted and every queue drained (or `deadline`), with or without a
+  /// shard plan, and returns the exact finish as drain() does — the same
+  /// cycle, stats and completion order with no plan and at any width,
+  /// epoch and clock mode. Deadline exhaustion is surfaced exactly like
   /// drain()'s (clip counter + optional throw): a low-rate open-loop run
   /// that cannot finish inside `deadline` must never silently report a
   /// truncated latency tail. A clipped sourced drain is not losslessly
@@ -156,7 +161,7 @@ class MemorySystem {
   /// treat a clip as fatal for the measurement (or restart the source).
   /// What the clipped call did admit still completes into its own
   /// on_complete — a copy this system retains — exactly once and in
-  /// canonical order, in whichever later sharded drain finishes it.
+  /// canonical order, in whichever later drain finishes it.
   Cycle drain_sourced(const ChannelSource& src, Cycle from, Cycle deadline = 100'000'000);
 
   // --- drain-deadline accounting ---
@@ -175,9 +180,6 @@ class MemorySystem {
   /// Total deadline clips over this system's lifetime (also registered as
   /// the `<prefix>.drain_deadline_clips` counter).
   std::uint64_t drain_deadline_clips() const { return drain_clips_; }
-  /// True iff the most recent drain ran on the epoch-barrier engine, i.e.
-  /// its return value was epoch-quantized.
-  bool last_drain_quantized() const { return last_drain_quantized_; }
 
   /// Appends one ShardProgress per shard group (per channel when no plan
   /// is armed): the obs::Watchdog::set_shard_progress payload.
@@ -219,8 +221,10 @@ class MemorySystem {
   /// the watchdog's wedge signature.
   std::uint64_t progress_token() const;
 
-  /// Arms `wd` on the drain() loop (null disarms). Borrowed pointer; the
-  /// watchdog throws obs::WatchdogError out of drain() when it fires.
+  /// Arms `wd` on the drain loop (null disarms): without a shard plan it
+  /// iterates at every cycle the loop visits, with one it checks at every
+  /// barrier against per-shard anchors. Borrowed pointer; the watchdog
+  /// throws obs::WatchdogError out of the drain when it fires.
   void set_watchdog(obs::Watchdog* wd) { watchdog_ = wd; }
 
   /// Flight-recorder dump: every controller's queues/FSM plus channel bank
@@ -261,32 +265,47 @@ class MemorySystem {
   /// instead of firing on the shard thread. Null stays null.
   CompletionCallback defer_to_mailbox(std::uint32_t ch, CompletionCallback cb);
   /// Delivers all mailboxes in canonical (completion cycle, channel,
-  /// arrival) order — exactly the order the legacy serial drain fires
-  /// callbacks in — then clears them.
+  /// arrival) order — the order a drain without a shard plan fires
+  /// callbacks in as requests retire — then clears them.
   void deliver_mail();
-  /// Advances shard group `g` from `from` to `limit` on a per-channel
-  /// calendar: each channel is fed and ticked only at its own due cycles
-  /// (runs on a pool worker; touches only the group's channels).
-  void run_shard_span(std::size_t g, Cycle from, Cycle limit, const ChannelSource* src);
+  /// A contiguous block of channels advanced by one host thread, and where
+  /// its last span left it (written only by that thread).
+  struct Group {
+    std::uint32_t beg = 0, end = 0;  // channels [beg, end)
+    Cycle stop = 0;                  // cycle the last span reached
+    bool done = false;               // that span stopped with no work left
+  };
+  /// Advances `g` from g.stop towards `limit`, each channel fed and ticked
+  /// at its own wake_ cycles only (runs on a pool worker under a plan;
+  /// touches only the group's channels). `stoppable`: stop after the first
+  /// visit that leaves every channel done (g.stop = that cycle + 1).
+  void run_group(Group& g, Cycle limit, const ChannelSource* src, bool stoppable);
+  /// Channels [beg, end) are idle and, with `src`, fed to exhaustion.
+  bool channels_done(std::uint32_t beg, std::uint32_t end, const ChannelSource* src) const;
   /// Feeds channel `c` from `src` until its queue rejects or the stream
   /// exhausts (shard-thread side).
   void feed_channel(const ChannelSource& src, std::uint32_t c, Cycle now);
   /// Channel `c`'s next due cycle after it was fed (when `fed`) and ticked
-  /// at `now` under SkipAhead: the exact wake rule of run_shard_span.
+  /// at `now` under SkipAhead: the exact wake rule of run_group.
   Cycle wake(std::uint32_t c, Cycle now, bool fed) const;
   /// Host-thread width for this drain: the armed shard count, collapsed to
   /// 1 when nested in a pool region, tracing, or sharing a victim model.
   unsigned decide_shard_workers() const;
-  Cycle drain_epochs(Cycle from, Cycle deadline, const ChannelSource* src);
+  /// The one drain engine behind drain() and drain_sourced(); records a
+  /// clip and enforces DeadlinePolicy::Throw via the watchdog.
+  Cycle run_drain(Cycle from, Cycle deadline, const ChannelSource* src);
   /// Channel `c`'s term of the progress token: its command state-version
   /// plus its retire counts.
   std::uint64_t channel_token(std::uint32_t c) const;
 
-  /// Per-channel wake cache: controller c's next_event, valid while its
-  /// mutation stamp still equals `stamp` (DESIGN.md "Clocking model").
-  struct Wake {
+  /// Per-channel wake cache: controller c's next_event (in a sourced
+  /// drain, possibly its feed's earlier wake), valid while its mutation
+  /// stamp still equals `stamp` (DESIGN.md "Clocking model"). One cache
+  /// line each: shard threads rewrite their channels' wakes every visit.
+  static constexpr std::uint64_t kStale = ~std::uint64_t{0};  // matches no stamp
+  struct alignas(64) Wake {
     Cycle at = 0;
-    std::uint64_t stamp = ~std::uint64_t{0};  // matches no stamp: not cached
+    std::uint64_t stamp = kStale;
   };
 
   dram::DramConfig dram_cfg_;
@@ -296,26 +315,20 @@ class MemorySystem {
   std::vector<std::unique_ptr<Controller>> ctrls_;
   obs::Watchdog* watchdog_ = nullptr;
   sim::ClockMode clock_mode_ = sim::default_clock_mode();
-  mutable std::vector<Wake> wake_;  // per channel; filled by next_event
-
-  /// Records the outcome of a finished drain (clipped = deadline expired
-  /// with work pending); enforces DeadlinePolicy::Throw via the watchdog.
-  void note_drain_end(bool clipped, bool quantized, Cycle now);
+  mutable std::vector<Wake> wake_;  // per channel; also the drain calendar
 
   DeadlinePolicy deadline_policy_ = DeadlinePolicy::Record;
   bool last_drain_clipped_ = false;
-  bool last_drain_quantized_ = false;
   std::uint64_t drain_clips_ = 0;
 
-  unsigned shards_ = 0;  // 0 = legacy serial drain
+  unsigned shards_ = 0;  // 0 = no plan: one inline group
   Cycle shard_epoch_ = 0;
   unsigned shard_workers_used_ = 0;
   bool trace_attached_ = false;
   std::unique_ptr<harness::WorkerPool> pool_;          // lazily built, reused
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> groups_;  // [begin,end) per shard
+  std::vector<Group> groups_;                          // max(shards_, 1) of them
   std::vector<std::vector<Mail>> mail_;                // per channel, shard-written
   std::vector<Feed> feeds_;                            // per channel, shard-written
-  std::vector<std::vector<Cycle>> due_;                // per group calendar, shard-written
   // The on_complete of each sourced drain whose requests may still be in
   // flight, indexed by Mail::sink; released once a drain ends idle.
   std::vector<std::function<void(std::uint32_t, const Request&)>> sinks_;

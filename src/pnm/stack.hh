@@ -16,7 +16,7 @@
 //     results. Cores and vaults interleave every cycle, so this loop runs on
 //     one host thread.
 //   - run_stream: open-loop per-vault offload streams fed through
-//     MemorySystem::drain_sourced on the epoch-barrier shard engine, so
+//     MemorySystem::drain_sourced under a shard plan, so
 //     64–256-vault stacks run across host threads and give byte-identical
 //     results at any shard width (tests/shard_test.cc).
 #pragma once

@@ -78,10 +78,10 @@ class MemoryService {
   /// response.
   void tick(Cycle now);
 
-  /// Run the underlying system until idle (or `deadline`); completions are
-  /// delivered into the response queues as they retire. Composes with an
-  /// armed shard plan (epoch-barrier engine; see MemorySystem::drain for
-  /// the epoch-quantized-return and deadline-clip contracts).
+  /// Run the underlying system until idle (or `deadline`) and return the
+  /// exact finish; completions are delivered into the response queues as
+  /// they retire, or at the epoch barriers under an armed shard plan (see
+  /// MemorySystem::drain for the return and deadline-clip contracts).
   Cycle drain_to(Cycle from, Cycle deadline = 100'000'000);
 
   /// Open-loop serving pump: feeds `src` through

@@ -1,6 +1,6 @@
 # Cross-run determinism check: bench_smoke must produce an equivalent
-# BENCH_smoke.json (modulo host-time keys) at any worker width and under
-# either clock mode. Invoked by ctest as
+# BENCH_smoke.json (modulo host-time keys) at any worker width, shard
+# width and epoch, and under either clock mode. Invoked by ctest as
 #   cmake -DSMOKE_BIN=<bench_smoke> -DDIFF_TOOL=<bench_diff.py>
 #         -DPYTHON=<python3> -P bench_diff_check.cmake
 cmake_minimum_required(VERSION 3.19)
@@ -16,7 +16,7 @@ file(REMOVE_RECURSE "${base_dir}")
 
 # label -> extra environment for that run. The baseline uses the suite's
 # default environment; the variants pin the knobs the report must not see.
-set(runs baseline jobs1 jobs8 percycle shards1 shards8 ckptload)
+set(runs baseline jobs1 jobs8 percycle shards1 shards8 epoch997 ckptload)
 set(env_baseline "")
 set(env_jobs1 "IMA_JOBS=1")
 set(env_jobs8 "IMA_JOBS=8")
@@ -26,6 +26,9 @@ set(env_percycle "IMA_CLOCK=percycle")
 # shard_cycles and the stats snapshot are compared exactly).
 set(env_shards1 "IMA_SHARDS=1")
 set(env_shards8 "IMA_SHARDS=8")
+# Shard barrier spacing: an epoch that divides no default must not move
+# shard_cycles or anything else the sharded phases report.
+set(env_epoch997 "IMA_SHARD_EPOCH=997")
 # Cross-process resume: the checkpoint phase warm-starts from the image the
 # baseline run sealed (instead of the one it writes itself). A restored run
 # in a different process must report the same simulated quantities — the
@@ -47,7 +50,7 @@ foreach(run ${runs})
   endif()
 endforeach()
 
-foreach(run jobs1 jobs8 percycle shards1 shards8 ckptload)
+foreach(run jobs1 jobs8 percycle shards1 shards8 epoch997 ckptload)
   execute_process(
     COMMAND ${PYTHON} ${DIFF_TOOL}
             ${base_dir}/baseline/BENCH_smoke.json

@@ -2,8 +2,10 @@
 # every field of its committed golden report to match (host-time keys
 # masked by tools/bench_diff.py --subset). Invoked by ctest as
 #   cmake -DBENCH_BIN=<bench> -DBENCH_ID=<id> -DGOLDEN=<json>
-#         -DDIFF_TOOL=<bench_diff.py> -DPYTHON=<python3> [-DCLOCK=percycle]
+#         -DDIFF_TOOL=<bench_diff.py> -DPYTHON=<python3> [-DENV=<VAR=value>]
 #         -P bench_golden_check.cmake
+# ENV is one extra environment assignment the report must not see (e.g.
+# IMA_CLOCK=percycle or IMA_SHARD_EPOCH=997).
 cmake_minimum_required(VERSION 3.19)
 
 foreach(var BENCH_BIN BENCH_ID GOLDEN DIFF_TOOL PYTHON)
@@ -12,16 +14,13 @@ foreach(var BENCH_BIN BENCH_ID GOLDEN DIFF_TOOL PYTHON)
   endif()
 endforeach()
 
-set(clock_env "")
-if(CLOCK)
-  set(clock_env "IMA_CLOCK=${CLOCK}")
-endif()
-set(out_dir "${CMAKE_CURRENT_BINARY_DIR}/golden_out/${BENCH_ID}_${CLOCK}")
+string(MAKE_C_IDENTIFIER "${BENCH_ID}_${ENV}" run_label)
+set(out_dir "${CMAKE_CURRENT_BINARY_DIR}/golden_out/${run_label}")
 file(REMOVE_RECURSE "${out_dir}")
 file(MAKE_DIRECTORY "${out_dir}")
 
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env IMA_BENCH_OUT=${out_dir} IMA_BENCH_SMOKE=1 ${clock_env}
+  COMMAND ${CMAKE_COMMAND} -E env IMA_BENCH_OUT=${out_dir} IMA_BENCH_SMOKE=1 ${ENV}
           ${BENCH_BIN}
   RESULT_VARIABLE run_rc
   OUTPUT_VARIABLE run_out
@@ -45,4 +44,4 @@ execute_process(
 if(NOT diff_rc EQUAL 0)
   message(FATAL_ERROR "${reports} drifted from ${GOLDEN}:\n${diff_out}${diff_err}")
 endif()
-message(STATUS "${BENCH_ID} ${CLOCK}: ${diff_out}")
+message(STATUS "${BENCH_ID} ${ENV}: ${diff_out}")

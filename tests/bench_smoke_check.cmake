@@ -137,8 +137,9 @@ endforeach()
 # component's fields(), and the smoke image is deterministic (the same bytes
 # in every build type, clock mode, shard and job width). A layout change
 # must bump ckpt::kVersion on purpose and re-record this hash of the
-# 648,405-byte version-1 image.
-set(ckpt_sha256_recorded 87c4f6e430d835bd0f700398f62056d2fce4b8ba7a1fc0a5dd3f949934d95e9b)
+# 648,404-byte version-2 image (version 1 also carried the removed
+# "last drain was epoch-quantized" flag byte).
+set(ckpt_sha256_recorded f4bfb437ab4d2d722ca1f69da1cb3b65813aac9de8f1c1481a6d264295e16302)
 file(SHA256 "${out_dir}/CKPT_smoke.ckpt" ckpt_sha256)
 if(NOT ckpt_sha256 STREQUAL ckpt_sha256_recorded)
   message(FATAL_ERROR "CKPT_smoke.ckpt layout changed: sha256 ${ckpt_sha256}, recorded "

@@ -8,10 +8,10 @@
 // request is accounted for (`pushed == completed + in_flight` at all
 // times). The drain-deadline suite pins the other PR 8 bugfix: a clipped
 // drain is never silent (counter + last_drain_clipped), DeadlinePolicy::
-// Throw aborts through obs::WatchdogError, the epoch-quantized flag tells
-// callers which return cycles are scheduling coordinates rather than
-// latency endpoints, and what a clipped sourced drain admitted still
-// completes into its own source's on_complete.
+// Throw aborts through obs::WatchdogError, a clipped drain returns its
+// deadline and a resumed one the same end cycle as an uninterrupted run,
+// and what a clipped sourced drain admitted still completes into its own
+// source's on_complete.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -393,16 +393,18 @@ TEST(DrainDeadline, ClipIsCountedNeverSilent) {
   r.addr = 0x40;
   ASSERT_TRUE(sys.enqueue(r));
   // A deadline shorter than one access clips: surfaced, counted, and the
-  // snapshot carries it.
-  sys.drain(0, 1);
+  // snapshot carries it. The return is the deadline itself.
+  EXPECT_EQ(sys.drain(0, 1), 1u);
   EXPECT_TRUE(sys.last_drain_clipped());
   EXPECT_EQ(sys.drain_deadline_clips(), 1u);
-  EXPECT_FALSE(sys.last_drain_quantized())
-      << "serial drain returns an exact cycle, not an epoch coordinate";
-  // Finishing the work clears the sticky flag but not the counter.
-  sys.drain(1);
+  // Finishing the work clears the sticky flag but not the counter, and
+  // ends on the cycle an uninterrupted drain ends on.
+  const Cycle end = sys.drain(1);
   EXPECT_FALSE(sys.last_drain_clipped());
   EXPECT_EQ(sys.drain_deadline_clips(), 1u);
+  mem::MemorySystem ref(small_cfg(1), {});
+  ASSERT_TRUE(ref.enqueue(r));
+  EXPECT_EQ(end, ref.drain(0));
   obs::StatRegistry reg;
   sys.register_stats(reg, "m");
   const auto snap = reg.snapshot();
@@ -424,31 +426,36 @@ TEST(DrainDeadline, ThrowPolicyAbortsThroughWatchdogError) {
   EXPECT_NO_THROW(sys2.drain(0, 1));
 }
 
-TEST(DrainDeadline, SourcedDrainSurfacesClipAndQuantization) {
+TEST(DrainDeadline, SourcedDrainSurfacesClipAndExactEnd) {
+  // 64 reads fill the queue at cycle 0, so the clipped call admits them all
+  // and the resumed one only finishes them.
+  const auto make_source = [](std::uint64_t& fed) {
+    mem::MemorySystem::ChannelSource src;
+    src.next = [&fed](std::uint32_t, Cycle, mem::Request& r) {
+      if (fed >= 64) return false;
+      r = mem::Request{};
+      r.addr = fed++ * kLineBytes;
+      return true;
+    };
+    return src;
+  };
   mem::MemorySystem sys(small_cfg(1), {});
   sys.set_shards(2);
   std::uint64_t fed = 0;
-  mem::MemorySystem::ChannelSource src;
-  src.next = [&](std::uint32_t, Cycle, mem::Request& r) {
-    if (fed >= 64) return false;
-    r = mem::Request{};
-    r.addr = fed++ * kLineBytes;
-    return true;
-  };
-  // Too-short deadline: clipped and epoch-quantized, loudly.
-  sys.drain_sourced(src, 0, 1);
+  const auto src = make_source(fed);
+  // Too-short deadline: clipped loudly, and the return is the deadline.
+  EXPECT_EQ(sys.drain_sourced(src, 0, 1), 1u);
   EXPECT_TRUE(sys.last_drain_clipped());
-  EXPECT_TRUE(sys.last_drain_quantized())
-      << "sourced drains return epoch-quantized cycles — scheduling "
-         "coordinates, never latency endpoints";
   EXPECT_GE(sys.drain_deadline_clips(), 1u);
-  // Let it finish: quantized still (sharded engine), but no new clip.
+  // Let it finish: no new clip, and the same end cycle as one call.
   const auto clips = sys.drain_deadline_clips();
-  sys.drain_sourced(src, 1);
+  const Cycle end = sys.drain_sourced(src, 1);
   EXPECT_FALSE(sys.last_drain_clipped());
-  EXPECT_TRUE(sys.last_drain_quantized());
   EXPECT_EQ(sys.drain_deadline_clips(), clips);
   EXPECT_EQ(fed, 64u);
+  mem::MemorySystem ref(small_cfg(1), {});
+  std::uint64_t ref_fed = 0;
+  EXPECT_EQ(end, ref.drain_sourced(make_source(ref_fed), 0));
 }
 
 /// One sourced completion as its source's on_complete saw it.

@@ -1,11 +1,13 @@
 // Sharded-execution equivalence legs: one simulated machine advanced by the
-// epoch-barrier engine must produce byte-identical results at every shard
-// width and epoch length. Each leg runs the same configuration at
-// IMA-style widths 1, 2 and 4 or 8 and compares cycle counts, StatRegistry
+// drain engine must produce byte-identical results at every shard width
+// and epoch length. Each leg runs the same configuration at IMA-style
+// widths 1, 2 and 4 or 8 and compares cycle counts, StatRegistry
 // snapshots, completion-stream checksums and (where armed) the reliability
 // corruption ledger — across RAIDR row refresh, PARA RowHammer mitigation,
-// a closed loop and the PNM stack's sharded stream. One leg also holds
-// sourced drains under skip-ahead to the per-cycle reference. The width
+// a closed loop and the PNM stack's sharded stream. The open-loop legs run
+// the full matrix of shard plans (none, 1, 2, 8), epochs (997, 8192) and
+// clock modes against the unsharded per-cycle reference, and compare the
+// end cycle, the energy charged up to it and the checkpoint image too. The width
 // matrix over all 8 scheduler kinds lives in SoaGoldenMatrix
 // (soa_kernel_test.cc), which also pins its digests. A separate leg proves
 // IMA_SHARDS composes with IMA_JOBS: nested inside a sweep job the drain
@@ -13,9 +15,11 @@
 // construction, the same bytes.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/ckpt.hh"
 #include "common/clock.hh"
 #include "harness/pool.hh"
 #include "harness/sweep.hh"
@@ -33,28 +37,95 @@ namespace {
 
 using namespace oracle;
 
+/// One leg of the drain-invariance matrix: the oracle Outcome plus what a
+/// caller continuing from the returned cycle sees — the energy charged up
+/// to it and the checkpoint image.
+struct Ends {
+  Outcome out;
+  PicoJoule energy = 0;
+  std::vector<std::uint8_t> image;
+};
+
+/// Runs `drain(sys, out)` (returning the end cycle) on a system from
+/// `make()` under every shard plan {0, 1, 2, 8} x epoch {997, 8192} x clock
+/// mode, and requires each leg to equal the unsharded per-cycle reference
+/// in end cycle, completion checksum, statistics, total_energy(end) and
+/// ckpt::capture image.
+template <typename Make, typename Drain>
+void expect_drain_invariant(const std::string& point, const Make& make, const Drain& drain) {
+  const auto run = [&](unsigned shards, Cycle epoch, sim::ClockMode mode) {
+    const std::unique_ptr<mem::MemorySystem> sys = make();
+    sys->set_shards(shards, epoch);
+    sys->set_clock_mode(mode);
+    Ends e;
+    e.out.cycles = drain(*sys, e.out);
+    EXPECT_TRUE(sys->idle()) << point;
+    EXPECT_FALSE(sys->last_drain_clipped()) << point;
+    e.out.snapshot = render(*sys);
+    e.energy = sys->total_energy(e.out.cycles);
+    e.image = ckpt::capture(*sys).payload;
+    return e;
+  };
+  const Ends ref = run(0, 0, sim::ClockMode::PerCycle);
+  EXPECT_GT(ref.out.cycles, 0u) << point;
+  for (const unsigned shards : {0u, 1u, 2u, 8u}) {
+    for (const Cycle epoch : {Cycle{997}, Cycle{8192}}) {
+      for (const auto mode : {sim::ClockMode::PerCycle, sim::ClockMode::SkipAhead}) {
+        const Ends e = run(shards, epoch, mode);
+        const std::string leg = point + " shards " + std::to_string(shards) + " epoch " +
+                                std::to_string(epoch) + " " + sim::to_string(mode);
+        EXPECT_EQ(e.out.cycles, ref.out.cycles) << leg;
+        EXPECT_EQ(e.out.checksum, ref.out.checksum) << leg;
+        EXPECT_EQ(e.out.snapshot, ref.out.snapshot) << leg;
+        EXPECT_EQ(e.energy, ref.energy) << leg;
+        EXPECT_TRUE(e.image == ref.image) << leg << ": checkpoint image differs";
+      }
+    }
+  }
+}
+
 TEST(Shard, EpochSizeDoesNotChangeTheBytesEither) {
   // Open-loop drains are exact at any epoch: barrier placement only decides
-  // when mailboxes drain, never what they contain or in what order. (The
-  // width matrix over every scheduler kind is SoaGoldenMatrix's.)
-  const auto run = [](unsigned shards, Cycle epoch) {
-    mem::ControllerConfig ctrl;
-    ctrl.sched = mem::SchedKind::FrFcfs;
-    mem::MemorySystem sys(matrix_dram(8), ctrl);
-    sys.set_shards(shards, epoch);
-    Outcome out = run_hashed(sys, 300, 0xC0FFEEull + static_cast<int>(ctrl.sched));
-    // Only checksum and snapshot are compared, so a drain clipped at its
-    // deadline at every epoch would otherwise pass.
-    EXPECT_TRUE(sys.idle());
-    return out;
-  };
-  const Outcome a = run(2, 512);
-  const Outcome b = run(2, 8192);
-  const Outcome c = run(8, 1024);
-  EXPECT_EQ(a.checksum, b.checksum);
-  EXPECT_EQ(a.snapshot, b.snapshot);
-  EXPECT_EQ(a.checksum, c.checksum);
-  EXPECT_EQ(a.snapshot, c.snapshot);
+  // when mailboxes drain, never what they contain, in what order, or where
+  // the drain ends. (The width matrix over every scheduler kind is
+  // SoaGoldenMatrix's.)
+  expect_drain_invariant(
+      "uniform",
+      [] {
+        mem::ControllerConfig ctrl;
+        ctrl.sched = mem::SchedKind::FrFcfs;
+        return std::make_unique<mem::MemorySystem>(matrix_dram(8), ctrl);
+      },
+      [](mem::MemorySystem& sys, Outcome& out) {
+        return drain_hashed(sys, 300, 0xC0FFEEull + static_cast<int>(mem::SchedKind::FrFcfs),
+                            out);
+      });
+  // Skewed: channel 0 carries 3000 ops and the others 10 each, so three
+  // channels finish early and nap through power-down into self-refresh
+  // while channel 0 works on across several barriers. Their groups must
+  // catch up to the exact finish, not to an epoch edge.
+  expect_drain_invariant(
+      "skewed",
+      [] {
+        mem::ControllerConfig ctrl;
+        ctrl.powerdown_timeout = 300;
+        ctrl.selfrefresh_timeout = 3000;
+        return std::make_unique<mem::MemorySystem>(matrix_dram(4), ctrl);
+      },
+      [](mem::MemorySystem& sys, Outcome& out) {
+        auto src = mem::hashed_source(sys, 3000, 0x5CE3ull, kCores, &out.checksum);
+        src.next = [next = src.next, n = std::vector<std::uint64_t>(sys.num_channels(), 0)](
+                       std::uint32_t ch, Cycle now, mem::Request& r) mutable {
+          if (ch != 0 && n[ch]++ >= 10) return false;
+          return next(ch, now, r);
+        };
+        const Cycle end = sys.drain_sourced(src, 0);
+        std::uint64_t sr = 0;
+        for (std::uint32_t c = 1; c < sys.num_channels(); ++c)
+          sr += sys.controller(c).stats().selfrefreshes;
+        EXPECT_GT(sr, 0u) << "the idle channels must reach self-refresh";
+        return end;
+      });
 }
 
 TEST(Shard, SourcedDrainPerCycleMatchesSkipAhead) {
@@ -69,59 +140,43 @@ TEST(Shard, SourcedDrainPerCycleMatchesSkipAhead) {
   // requests back.
   constexpr std::uint64_t kBurst = 96, kBursts = 3;
   constexpr Cycle kGap = 4000;
-  const auto run = [&](bool dated, unsigned shards, sim::ClockMode mode) {
-    mem::ControllerConfig ctrl;
-    if (dated) ctrl.per_core_read_quota = 12;
-    mem::MemorySystem sys(matrix_dram(8), ctrl);
-    sys.set_shards(shards);
-    sys.set_clock_mode(mode);
-    Outcome out;
-    if (!dated) {
-      out.cycles = drain_hashed(sys, 200, 0x5A7ull, out);
-    } else {
-      std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
-      mem::MemorySystem::ChannelSource src;
-      src.next = [&](std::uint32_t ch, Cycle, mem::Request& r) {
-        std::uint64_t& i = cursor[ch];
-        if (i >= kBurst * kBursts) return false;
-        const auto& g = sys.dram_config().geometry;
-        const std::uint64_t h = harness::job_seed(0xDA7Eull, ch * 0x10001ull + i);
-        dram::Coord c;
-        c.channel = ch;
-        c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
-        c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
-        c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
-        r = mem::Request{};
-        r.addr = sys.mapper().encode(c);
-        r.type = i % 5 == 4 ? AccessType::Write : AccessType::Read;
-        r.core = static_cast<std::uint32_t>(i % kCores);
-        r.arrive = (i / kBurst) * kGap + h % 300;
-        ++i;
-        return true;
-      };
-      src.on_complete = [&out](std::uint32_t ch, const mem::Request& done) {
-        out.checksum = mem::fold_completion(out.checksum, ch, done);
-      };
-      out.cycles = sys.drain_sourced(src, 0);
-    }
-    EXPECT_TRUE(sys.idle());
-    EXPECT_FALSE(sys.last_drain_clipped());
-    out.snapshot = render(sys);
-    return out;
-  };
-  for (const bool dated : {false, true}) {
-    const Outcome ref = run(dated, 1, sim::ClockMode::PerCycle);
-    for (const unsigned w : {1u, 2u, 8u}) {
-      for (const auto mode : {sim::ClockMode::PerCycle, sim::ClockMode::SkipAhead}) {
-        const Outcome o = run(dated, w, mode);
-        const std::string leg = std::string(dated ? "dated" : "saturating") + " width " +
-                                std::to_string(w) + " " + sim::to_string(mode);
-        EXPECT_EQ(o.cycles, ref.cycles) << leg;
-        EXPECT_EQ(o.checksum, ref.checksum) << leg;
-        EXPECT_EQ(o.snapshot, ref.snapshot) << leg;
-      }
-    }
-  }
+  expect_drain_invariant(
+      "saturating",
+      [] { return std::make_unique<mem::MemorySystem>(matrix_dram(8), mem::ControllerConfig{}); },
+      [](mem::MemorySystem& sys, Outcome& out) { return drain_hashed(sys, 200, 0x5A7ull, out); });
+  expect_drain_invariant(
+      "dated",
+      [] {
+        mem::ControllerConfig ctrl;
+        ctrl.per_core_read_quota = 12;
+        return std::make_unique<mem::MemorySystem>(matrix_dram(8), ctrl);
+      },
+      [&](mem::MemorySystem& sys, Outcome& out) {
+        std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
+        mem::MemorySystem::ChannelSource src;
+        src.next = [&](std::uint32_t ch, Cycle, mem::Request& r) {
+          std::uint64_t& i = cursor[ch];
+          if (i >= kBurst * kBursts) return false;
+          const auto& g = sys.dram_config().geometry;
+          const std::uint64_t h = harness::job_seed(0xDA7Eull, ch * 0x10001ull + i);
+          dram::Coord c;
+          c.channel = ch;
+          c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
+          c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
+          c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
+          r = mem::Request{};
+          r.addr = sys.mapper().encode(c);
+          r.type = i % 5 == 4 ? AccessType::Write : AccessType::Read;
+          r.core = static_cast<std::uint32_t>(i % kCores);
+          r.arrive = (i / kBurst) * kGap + h % 300;
+          ++i;
+          return true;
+        };
+        src.on_complete = [&out](std::uint32_t ch, const mem::Request& done) {
+          out.checksum = mem::fold_completion(out.checksum, ch, done);
+        };
+        return sys.drain_sourced(src, 0);
+      });
 }
 
 TEST(Shard, RaidrRefreshAndParaMitigationShardIdentically) {

@@ -11,10 +11,10 @@
 //
 //  2. Golden full-sim matrix — end-to-end MemorySystem runs across all 8
 //     scheduler kinds + MISE, SALP, RAIDR + PARA, power-down/self-refresh
-//     and the reliability patrol scrubber, each at shard widths 1, 2 and 8
-//     (byte-identical, the scheduler legs on 8 host threads), pinned to
-//     digests captured on the pre-SoA implementation. Any change to a
-//     simulated cycle, a stat or a completion timestamp shifts the digest.
+//     and the reliability patrol scrubber, each with no shard plan and at
+//     shard widths 1, 2 and 8 (byte-identical, the scheduler legs on 8
+//     host threads), pinned to recorded digests. Any change to a simulated
+//     cycle, a stat or a completion timestamp shifts the digest.
 //
 // Regenerate goldens (only legitimate after an intentional semantic
 // change): IMA_PRINT_GOLDEN=1 ./soa_kernel_test and paste the table.
@@ -659,40 +659,43 @@ struct Golden {
   std::uint64_t digest;
 };
 
-// Captured on the pre-SoA implementation (IMA_PRINT_GOLDEN=1, see header).
+// Re-recorded when sharded drains began to return their exact finish
+// rather than the next epoch edge (IMA_PRINT_GOLDEN=1, see header). The
+// digests before that were captured on the pre-SoA implementation.
 constexpr Golden kGoldens[] = {
-    {"sched_FCFS", 8192ull, 1977713851137742131ull},
-    {"sched_FR-FCFS", 8192ull, 8112210950099755673ull},
-    {"sched_FR-FCFS-Cap", 8192ull, 6366640287369447193ull},
-    {"sched_PAR-BS", 8192ull, 759122456458032669ull},
-    {"sched_ATLAS", 8192ull, 7436846624732688084ull},
-    {"sched_TCM", 8192ull, 8183477544886691945ull},
-    {"sched_BLISS", 8192ull, 13227608855781432484ull},
-    {"sched_RL", 8192ull, 1549382363358106656ull},
-    {"sched_MISE", 8192ull, 6014573777183764025ull},
-    {"salp_FR-FCFS", 8192ull, 1737616015861007931ull},
-    {"salp_PAR-BS", 8192ull, 2071883151684555792ull},
-    // Captured before SALP runs moved onto the timing cache.
-    {"salp_FCFS", 8192ull, 7602631483676465789ull},
-    {"salp_FR-FCFS-Cap", 8192ull, 8577248063979222566ull},
-    {"salp_ATLAS", 8192ull, 774244215740413735ull},
-    {"salp_TCM", 8192ull, 642780686669437589ull},
-    {"salp_BLISS", 8192ull, 7508893401731838475ull},
-    {"salp_RL", 8192ull, 3287240746265523103ull},
-    {"salp_MISE", 8192ull, 2123134245064941624ull},
-    {"raidr_para", 24576ull, 6201781618125693068ull},
-    {"power", 57400ull, 1170436512058155966ull},
-    {"reliability_scrub", 108192ull, 7102296324428830124ull},
+    {"sched_FCFS", 5423ull, 15924776191264318587ull},
+    {"sched_FR-FCFS", 5332ull, 9190859192146109905ull},
+    {"sched_FR-FCFS-Cap", 4874ull, 5907951494821253606ull},
+    {"sched_PAR-BS", 5009ull, 1138425111323682041ull},
+    {"sched_ATLAS", 4971ull, 14822036697033637174ull},
+    {"sched_TCM", 5535ull, 10163723008593717985ull},
+    {"sched_BLISS", 5236ull, 4389494251996553596ull},
+    {"sched_RL", 5135ull, 14590020867819251639ull},
+    {"sched_MISE", 5500ull, 8976799762031266570ull},
+    {"salp_FR-FCFS", 2470ull, 1477906050257769554ull},
+    {"salp_PAR-BS", 2391ull, 16832499614892052052ull},
+    {"salp_FCFS", 2388ull, 9782496295965610926ull},
+    {"salp_FR-FCFS-Cap", 2510ull, 9664012783531059693ull},
+    {"salp_ATLAS", 2425ull, 196728595679544153ull},
+    {"salp_TCM", 2360ull, 15104462110258858928ull},
+    {"salp_BLISS", 2386ull, 17146751656146560186ull},
+    {"salp_RL", 2440ull, 6574598102437892196ull},
+    {"salp_MISE", 2997ull, 13150588663387197384ull},
+    {"raidr_para", 17176ull, 12805175665473698453ull},
+    {"power", 57362ull, 6567938477973948240ull},
+    {"reliability_scrub", 104840ull, 9002253087068744538ull},
 };
 
-/// Runs `run` at shard widths 1, 2 and 8, requires byte-identical
-/// outcomes, and checks them against golden entry `name`. Returns the
-/// width-8 outcome.
+/// Runs `run` with no shard plan and at shard widths 1, 2 and 8, requires
+/// byte-identical outcomes, and checks them against golden entry `name`.
+/// Returns the width-8 outcome.
 template <typename Run>
 Outcome check_point(const std::string& name, Run&& run) {
+  const Outcome w0 = run(0u);
   const Outcome w1 = run(1u);
   const Outcome w2 = run(2u);
   const Outcome w8 = run(8u);
+  EXPECT_EQ(w0, w1) << name << ": a shard plan changed the bytes";
   EXPECT_EQ(w1, w2) << name << ": shard width 2 changed the bytes";
   EXPECT_EQ(w1, w8) << name << ": shard width 8 changed the bytes";
   if (std::getenv("IMA_PRINT_GOLDEN")) {

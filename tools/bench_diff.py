@@ -35,6 +35,9 @@ VOLATILE = (
     # Resolved intra-sim shard width (IMA_SHARDS): a host-parallelism knob —
     # the simulated results are provably width-invariant, the width is not.
     "shards",
+    # Shard barrier spacing (IMA_SHARD_EPOCH): decides only when shard
+    # threads meet — the results are epoch-invariant, the setting is not.
+    "shard_epoch",
 )
 
 
