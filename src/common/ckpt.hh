@@ -50,7 +50,7 @@ namespace ima::ckpt {
 
 /// Current checkpoint format version. Bump on any layout change; restore
 /// refuses mismatched versions rather than guessing.
-inline constexpr std::uint32_t kVersion = 2;
+inline constexpr std::uint32_t kVersion = 3;
 
 /// Leading magic: identifies a file as an IMA checkpoint before anything
 /// else is trusted.

@@ -15,7 +15,9 @@
 //     input" (an enqueue between ticks re-arms the loop because next_event
 //     is re-evaluated after every tick);
 //   - all component state must be a function of `now`, never of how many
-//     times tick() was called, so skipped cycles are provably no-ops.
+//     times tick() was called, and a query that depends on time takes the
+//     cycle it asks about (no cached "last ticked" cycle), so skipped
+//     cycles are provably no-ops that need nothing written in their place.
 //
 // ClockMode::PerCycle keeps the legacy cycle-by-cycle loop (tick every
 // cycle); it is the debugging reference that skip-ahead must match

@@ -456,7 +456,7 @@ bool Controller::try_issue_from(std::vector<QueuedRequest>& q, std::size_t live,
   assert(idx < q.size() && q[idx].live);
 
   QueuedRequest& qr = q[idx];
-  if (refresh_->rank_blocked(qr.coord.rank)) return false;
+  if (refresh_->rank_blocked(qr.coord.rank, now)) return false;
 
   const dram::Cmd cmd = v.required_cmd(idx);
   if (!v.issuable(idx)) return false;
@@ -528,6 +528,11 @@ bool Controller::charge_cache_hit(const dram::Coord& c, Cycle now) {
 
 void Controller::manage_power(Cycle now) {
   const std::uint32_t ranks = chan_.config().geometry.ranks;
+  // Runs before this cycle's refresh tick, so it sees the refresh schedule
+  // as the previous cycle left it.
+  const auto blocked = [&](std::uint32_t r) {
+    return now > 0 && refresh_->rank_blocked(r, now - 1);
+  };
   // rank_work_ (maintained on enqueue/dequeue) replaces the per-tick
   // occupancy scan over all four queues.
   for (std::uint32_t r = 0; r < ranks; ++r) {
@@ -536,7 +541,7 @@ void Controller::manage_power(Cycle now) {
     // (self-refresh handles them internally and stays asleep). Idle time
     // keeps accumulating across refresh naps, so the rank re-enters sleep
     // — or deepens to self-refresh — right after the REF drains.
-    if (state == dram::Channel::PowerState::PowerDown && refresh_->rank_blocked(r)) {
+    if (state == dram::Channel::PowerState::PowerDown && blocked(r)) {
       chan_.wake_rank(r, now);
       ++stats_.rank_wakes;
       IMA_TRACE(trace_, .cycle = now, .kind = obs::EventKind::PowerState,
@@ -561,7 +566,7 @@ void Controller::manage_power(Cycle now) {
       continue;
     }
     if (now <= rank_last_activity_[r]) continue;
-    if (refresh_->rank_blocked(r)) continue;  // let the pending REF go first
+    if (blocked(r)) continue;  // let the pending REF go first
     const Cycle idle = now - rank_last_activity_[r];
     if (cfg_.selfrefresh_timeout && idle >= cfg_.selfrefresh_timeout &&
         state != dram::Channel::PowerState::SelfRefresh) {
@@ -725,7 +730,7 @@ void Controller::dump(std::ostream& os, Cycle now) const {
   const std::uint32_t ranks = chan_.config().geometry.ranks;
   for (std::uint32_t r = 0; r < ranks; ++r) {
     os << "  rank" << r << ": work=" << rank_work_[r]
-       << " blocked=" << (refresh_->rank_blocked(r) ? "yes" : "no")
+       << " blocked=" << (refresh_->rank_blocked(r, now) ? "yes" : "no")
        << " last_activity=" << rank_last_activity_[r] << "\n";
   }
 }

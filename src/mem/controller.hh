@@ -129,18 +129,13 @@ class Controller {
   /// Advance one controller cycle.
   void tick(Cycle now);
 
-  /// Stand-in for tick(now) at a cycle before next_event() with the
-  /// mutation stamp unchanged since that next_event() was computed. A tick
-  /// there changes nothing but the time the refresh policy stamps, so this
-  /// applies exactly that (RefreshPolicy::skip) and the controller, its
-  /// checkpoint image included, ends as a tick would have left it.
-  void skip(Cycle now) { refresh_->skip(now); }
-
   /// Mutation stamp: bumped by every public mutator that can move
   /// next_event() — tick, enqueue, enqueue_pim, the set_scheduler /
   /// set_refresh_policy / set_rowhammer / set_victim_model installers and a
   /// checkpoint restore. While it holds, a next_event() computed earlier
-  /// still stands (MemorySystem's wake cache). set_trace changes no timing;
+  /// still stands and a tick before it would change nothing, so
+  /// MemorySystem's wake cache does not tick the controller until then.
+  /// set_trace changes no timing;
   /// the channel() and scheduler() handles bypass the stamp, so callers
   /// that mutate through them must not interleave with a skip-ahead tick
   /// loop. Scratch like queue_stamp_: not checkpointed.

@@ -40,12 +40,11 @@ bool MemorySystem::enqueue(Request req, CompletionCallback cb) {
 void MemorySystem::tick(Cycle now) {
   // Channel order matters: a completion callback that enqueues into a
   // later channel moves its stamp, so that channel still ticks this cycle.
-  const bool skip_ahead = clock_mode_ == sim::ClockMode::SkipAhead;
+  const bool per_cycle = clock_mode_ == sim::ClockMode::PerCycle;
   for (std::size_t c = 0; c < ctrls_.size(); ++c) {
-    Controller& ctrl = *ctrls_[c];
     const Wake& w = wake_[c];
-    if (skip_ahead && now < w.at && w.stamp == ctrl.mutation_stamp()) ctrl.skip(now);
-    else ctrl.tick(now);
+    if (per_cycle || now >= w.at || w.stamp != ctrls_[c]->mutation_stamp())
+      ctrls_[c]->tick(now);
   }
 }
 
@@ -339,11 +338,6 @@ Cycle MemorySystem::run_drain(Cycle from, Cycle deadline, const ChannelSource* s
     if (watchdog_ && shards_ > 0) watchdog_->check(now);
     if (channels_done(0, nch, src)) break;
   }
-  // Leave every channel as tick() would at the finish's last cycle: one
-  // that did not tick there had no event there, so a tick would only have
-  // stamped the cycle (Controller::skip).
-  if (now > from)
-    for (auto& c : ctrls_) c->skip(now - 1);
   // Idle with every mailbox delivered: no sourced request is left to
   // complete, so the retained sinks can go (before a Throw unwinds).
   if (idle() && std::all_of(mail_.begin(), mail_.end(), [](const auto& b) { return b.empty(); }))

@@ -69,8 +69,8 @@ class MemorySystem {
 
   /// Advances all controllers one cycle. Under SkipAhead a controller
   /// whose cached wake (below) lies after `now` and whose mutation stamp
-  /// has not moved since is skipped — Controller::skip, not tick — because
-  /// a tick before its own next_event is a no-op.
+  /// has not moved since is not ticked: a tick before its own next_event
+  /// is a no-op (common/clock.hh).
   void tick(Cycle now);
 
   /// Earliest future cycle at which any controller has work
@@ -80,12 +80,13 @@ class MemorySystem {
 
   /// Runs until all queues drain or `deadline` passes. Returns the exact
   /// finish — the last cycle at which any channel ticked with work, plus
-  /// one; `from` when already idle; `deadline` when clipped — with every
-  /// channel left as tick() would leave it at the cycle before, so a
-  /// caller may continue from the returned cycle, charge energy up to it
-  /// or checkpoint there. Skip-ahead by default (cycle-exact vs. the
-  /// per-cycle reference; set_clock_mode(ClockMode::PerCycle) ticks every
-  /// channel every cycle). When no callback enqueues more work, the
+  /// one; `from` when already idle; `deadline` when clipped. A channel is
+  /// ticked only at its own events, and ticking it at any other cycle
+  /// would change nothing, so a caller may continue from the returned
+  /// cycle, charge energy up to it or checkpoint there. Skip-ahead by
+  /// default (cycle-exact vs. the per-cycle reference;
+  /// set_clock_mode(ClockMode::PerCycle) ticks every channel every
+  /// cycle). When no callback enqueues more work, the
   /// return is the same with no shard plan and at any shard width and
   /// epoch. With a plan, callbacks run at the barriers, so a closed loop
   /// that enqueues from them depends on the epoch (see

@@ -37,7 +37,7 @@ namespace {
 class NoRefresh final : public RefreshPolicy {
  public:
   bool tick(dram::Channel&, Cycle) override { return false; }
-  bool rank_blocked(std::uint32_t) const override { return false; }
+  bool rank_blocked(std::uint32_t, Cycle) const override { return false; }
   Cycle next_event(Cycle) const override { return kCycleNever; }
   std::string name() const override { return "none"; }
 };
@@ -54,16 +54,12 @@ class AllBankRefresh final : public RefreshPolicy {
   }
 
   bool tick(dram::Channel& chan, Cycle now) override {
-    last_seen_now_ = now;
     for (std::uint32_t r = 0; r < next_due_.size(); ++r) {
-      // Self-refreshing ranks maintain their own cells.
+      // Self-refreshing ranks maintain their own cells; their due time is
+      // re-armed on wake (on_rank_wake).
       const bool sr = chan.rank_power(r) == dram::Channel::PowerState::SelfRefresh;
       sr_at_last_tick_[r] = sr;
-      if (sr) {
-        next_due_[r] = now + interval_;
-        continue;
-      }
-      if (now < next_due_[r]) continue;
+      if (sr || now < next_due_[r]) continue;
       dram::Coord c;
       c.rank = r;
       if (chan.can_issue(dram::Cmd::Ref, c, now)) {
@@ -83,17 +79,8 @@ class AllBankRefresh final : public RefreshPolicy {
     return false;
   }
 
-  // A tick before next_event() issues nothing: it only stamps `now` and
-  // slides the due times of self-refreshing ranks (whose power state only
-  // a tick can change, so sr_at_last_tick_ still holds).
-  void skip(Cycle now) override {
-    last_seen_now_ = now;
-    for (std::uint32_t r = 0; r < next_due_.size(); ++r)
-      if (sr_at_last_tick_[r]) next_due_[r] = now + interval_;
-  }
-
-  bool rank_blocked(std::uint32_t rank) const override {
-    return rank < next_due_.size() && next_due_[rank] <= last_seen_now_;
+  bool rank_blocked(std::uint32_t rank, Cycle now) const override {
+    return rank < next_due_.size() && next_due_[rank] <= now && !sr_at_last_tick_[rank];
   }
 
   Cycle blocked_since(std::uint32_t rank) const override {
@@ -108,7 +95,8 @@ class AllBankRefresh final : public RefreshPolicy {
        << ", refs_issued=" << refs_issued_ << ", prealls_forced=" << prealls_forced_ << "\n";
     for (std::uint32_t r = 0; r < next_due_.size(); ++r) {
       os << "    rank" << r << " next_due=" << next_due_[r];
-      if (next_due_[r] <= now) os << " (overdue by " << now - next_due_[r] << ")";
+      if (sr_at_last_tick_[r]) os << " (self-refreshing)";
+      else if (next_due_[r] <= now) os << " (overdue by " << now - next_due_[r] << ")";
       os << "\n";
     }
   }
@@ -126,10 +114,10 @@ class AllBankRefresh final : public RefreshPolicy {
   }
 
   void on_rank_wake(std::uint32_t rank, Cycle now) override {
-    // The per-cycle loop slides a self-refreshing rank's due time forward
-    // every cycle; the last slide before a wake at `now` happened at
-    // now - 1. Re-arming to the same value keeps both clock modes — and
-    // the skip-ahead gap the slide never ran in — on one schedule.
+    // A full interval from the last cycle the rank maintained its own cells,
+    // now - 1. Earlier models slid a self-refreshing rank's due time to
+    // tick + interval at every tick, leaving exactly this value at the wake;
+    // keeping it keeps every recorded REF cycle where it was.
     if (rank < next_due_.size()) next_due_[rank] = now - 1 + interval_;
     if (rank < sr_at_last_tick_.size()) sr_at_last_tick_[rank] = false;
   }
@@ -145,7 +133,7 @@ class AllBankRefresh final : public RefreshPolicy {
   void load_state(ckpt::Source& s) override { s(*this); }
   template <class Ar>
   void fields(Ar& ar) {
-    ar(refs_issued_, prealls_forced_, next_due_, sr_at_last_tick_, last_seen_now_);
+    ar(refs_issued_, prealls_forced_, next_due_, sr_at_last_tick_);
   }
 
  private:
@@ -153,10 +141,7 @@ class AllBankRefresh final : public RefreshPolicy {
   std::uint64_t refs_issued_ = 0;
   std::uint64_t prealls_forced_ = 0;
   std::vector<Cycle> next_due_;
-  std::vector<bool> sr_at_last_tick_;  // ranks excluded from next_event
-  // rank_blocked() needs "now"; the controller calls tick() first each
-  // cycle, which caches it here.
-  Cycle last_seen_now_ = 0;
+  std::vector<bool> sr_at_last_tick_;  // never blocked, no next_event
 };
 
 /// RAIDR. Refresh work is expressed as row refreshes per base window per
@@ -213,7 +198,7 @@ class RaidrRefresh final : public RefreshPolicy {
     return false;
   }
 
-  bool rank_blocked(std::uint32_t) const override { return false; }
+  bool rank_blocked(std::uint32_t, Cycle) const override { return false; }
 
   Cycle next_event(Cycle now) const override {
     Cycle next = kCycleNever;

@@ -53,8 +53,10 @@ class RefreshPolicy {
   /// Returns true if it used the command slot.
   virtual bool tick(dram::Channel& chan, Cycle now) = 0;
 
-  /// True if normal traffic to `rank` should be held back (refresh due).
-  virtual bool rank_blocked(std::uint32_t rank) const = 0;
+  /// True if normal traffic to `rank` should be held back at cycle `now`
+  /// (refresh due). Takes the cycle rather than remembering the last tick,
+  /// so a controller need not tick the policy before its next_event().
+  virtual bool rank_blocked(std::uint32_t rank, Cycle now) const = 0;
 
   /// The cycle at which `rank` became blocked (the due time whose REF has
   /// not issued yet), kCycleNever when the policy never blocks the rank.
@@ -71,13 +73,6 @@ class RefreshPolicy {
   /// (see common/clock.hh for the contract). Called after tick(now); the
   /// conservative default degenerates the event loop to per-cycle.
   virtual Cycle next_event(Cycle now) const { return now + 1; }
-
-  /// Stand-in for a tick(chan, now) that would issue nothing, at a cycle
-  /// the controller skips because it lies before its next_event. Writes
-  /// what such a tick still writes — state stamped with `now` — so a
-  /// skipped cycle leaves the policy, checkpoint image included, exactly
-  /// as a ticked one. Default: a tick that issues nothing writes nothing.
-  virtual void skip(Cycle /*now*/) {}
 
   /// A self-refreshing rank is leaving self-refresh at `now` (the cells
   /// were maintained internally up to this point). Policies that track

@@ -84,42 +84,3 @@ if(GOLDEN_SMOKE)
   endif()
   message(STATUS "pre-SoA golden vs baseline: ${diff_out}")
 endif()
-
-# Same matrix for the open-loop serving bench (smoke-scaled): BENCH_C25.json
-# must be equivalent at any pool width and any intra-sim shard width — the
-# facade + time-dated sources keep the whole latency distribution, not just
-# aggregate counters, byte-identical.
-if(C25_BIN)
-  set(c25_runs c25_baseline c25_jobs1 c25_jobs8 c25_shards1 c25_shards8)
-  set(env_c25_baseline "")
-  set(env_c25_jobs1 "IMA_JOBS=1")
-  set(env_c25_jobs8 "IMA_JOBS=8")
-  set(env_c25_shards1 "IMA_SHARDS=1")
-  set(env_c25_shards8 "IMA_SHARDS=8")
-  foreach(run ${c25_runs})
-    set(out_dir "${base_dir}/${run}")
-    file(MAKE_DIRECTORY "${out_dir}")
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E env IMA_BENCH_OUT=${out_dir} IMA_BENCH_SMOKE=1
-              ${env_${run}} ${C25_BIN}
-      RESULT_VARIABLE run_rc
-      OUTPUT_VARIABLE run_out
-      ERROR_VARIABLE run_err)
-    if(NOT run_rc EQUAL 0)
-      message(FATAL_ERROR "bench_c25_serving (${run}) exited with ${run_rc}:\n${run_out}\n${run_err}")
-    endif()
-  endforeach()
-  foreach(run c25_jobs1 c25_jobs8 c25_shards1 c25_shards8)
-    execute_process(
-      COMMAND ${PYTHON} ${DIFF_TOOL}
-              ${base_dir}/c25_baseline/BENCH_C25.json
-              ${base_dir}/${run}/BENCH_C25.json
-      RESULT_VARIABLE diff_rc
-      OUTPUT_VARIABLE diff_out
-      ERROR_VARIABLE diff_err)
-    if(NOT diff_rc EQUAL 0)
-      message(FATAL_ERROR "BENCH_C25.json differs: c25_baseline vs ${run}:\n${diff_out}${diff_err}")
-    endif()
-    message(STATUS "c25_baseline vs ${run}: ${diff_out}")
-  endforeach()
-endif()

@@ -137,9 +137,10 @@ endforeach()
 # component's fields(), and the smoke image is deterministic (the same bytes
 # in every build type, clock mode, shard and job width). A layout change
 # must bump ckpt::kVersion on purpose and re-record this hash of the
-# 648,404-byte version-2 image (version 1 also carried the removed
-# "last drain was epoch-quantized" flag byte).
-set(ckpt_sha256_recorded f4bfb437ab4d2d722ca1f69da1cb3b65813aac9de8f1c1481a6d264295e16302)
+# 648,388-byte version-3 image (version 2 also carried all-bank refresh's
+# cached last-ticked cycle, eight bytes per controller; version 1 also the
+# removed "last drain was epoch-quantized" flag byte).
+set(ckpt_sha256_recorded 8f41558f39761ef2fda0ae3fae43f24b3010ba1d1781e7b328d34f1a14b1fd75)
 file(SHA256 "${out_dir}/CKPT_smoke.ckpt" ckpt_sha256)
 if(NOT ckpt_sha256 STREQUAL ckpt_sha256_recorded)
   message(FATAL_ERROR "CKPT_smoke.ckpt layout changed: sha256 ${ckpt_sha256}, recorded "

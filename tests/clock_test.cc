@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -482,16 +483,16 @@ TEST(ClockExact, HybridMemoryDrain) {
   EXPECT_GT(sa.second.promotions, 0u);
 }
 
-// MemorySystem's wake cache skips a controller at a visited cycle before its
-// own next_event while its mutation stamp holds. Skewed channel load is where
+// MemorySystem's wake cache does not tick a controller at a visited cycle
+// before its own next_event while its mutation stamp holds. Skewed channel load is where
 // that pays and where it can go wrong: four channels, core 0 streaming
 // through channel 0 alone (a stride of one line per channel under
 // RoBaRaCoCh), cores 1..3 touching every channel rarely, with all-bank
 // refresh and both power-state timeouts on. The idle channels sleep, wake
 // and refresh between the hot channel's events. Both clock modes must end on
 // the same cycle with the same statistics and, once drained, the same
-// checkpoint image: a skipped controller still stamps the cycle into its
-// refresh policy, as a tick there would.
+// checkpoint image: an untouched controller's state answers for every cycle
+// it was not ticked at.
 struct SkewedOutcome {
   Cycle end = 0;
   std::string render;
@@ -601,6 +602,125 @@ TEST(ClockExact, PimEnqueuedBetweenTicksWakesSkippedChannel) {
   EXPECT_EQ(pc.end, sa.end);
   EXPECT_EQ(pc.render, sa.render);
   EXPECT_TRUE(pc.image == sa.image) << "checkpoint images differ between clock modes";
+}
+
+// One controller driven directly, with no MemorySystem around it: one twin is
+// ticked every cycle, the other only at its own next_event cycles (and at the
+// cycles the test enqueues), with nothing called in between. The contract
+// (common/clock.hh) says the untouched cycles are no-ops, so both twins must
+// serve the same requests at the same cycles and end with the same
+// statistics and checkpoint images. The load sleeps long enough for ranks to
+// power down and self-refresh across refresh due times, then wakes them.
+struct DirectRun {
+  std::size_t offered = 0;
+  std::uint64_t served = 0;
+  std::uint64_t completion_sum = 0;  // sum of id * complete
+  std::string render;
+  std::vector<std::uint8_t> image;
+  mem::Controller::Stats stats;
+  std::uint64_t refreshes = 0;  // REFs plus RAIDR row refreshes
+};
+
+struct Arrival {
+  Cycle at;
+  Addr addr;
+  AccessType type;
+};
+
+std::vector<Arrival> direct_load(const dram::Geometry& g) {
+  Rng rng(23);
+  std::vector<Arrival> load;
+  const auto add = [&](Cycle at) {
+    const Addr addr = rng.next_below(g.channel_bytes()) & ~Addr{kLineBytes - 1};
+    load.push_back({at, addr, rng.next_below(5) == 0 ? AccessType::Write : AccessType::Read});
+  };
+  for (Cycle t = 0; t < 6'000; t += 37) add(t);        // busy: ranks stay active
+  for (int i = 0; i < 40; ++i) add(30'000);            // after a self-refresh nap
+  for (int i = 0; i < 4; ++i) add(31'000);             // after a power-down nap
+  for (Cycle t = 60'000; t < 90'000; t += 401) add(t);  // power down between requests
+  for (int i = 0; i < 24; ++i) add(150'000);           // after several tREFI asleep
+  return load;
+}
+
+DirectRun run_direct(bool every_cycle, bool raidr) {
+  dram::DramConfig cfg = dram::DramConfig::ddr4_2400();
+  cfg.geometry.channels = 1;
+  cfg.geometry.ranks = 2;
+  cfg.geometry.banks = 8;
+  cfg.geometry.subarrays = 4;
+  cfg.geometry.rows_per_subarray = 64;
+  cfg.geometry.columns = 32;
+  mem::ControllerConfig ccfg;
+  ccfg.num_cores = 1;
+  ccfg.powerdown_timeout = 300;
+  ccfg.selfrefresh_timeout = 3'000;
+  dram::AddressMapper mapper(cfg.geometry, dram::MapScheme::RoBaRaCoCh);
+  dram::Channel chan(cfg, 0, nullptr);
+  mem::Controller ctrl(chan, mapper, ccfg);
+  if (raidr) {
+    const std::uint64_t rows = std::uint64_t{cfg.geometry.ranks} * cfg.geometry.banks *
+                               cfg.geometry.rows_per_bank();
+    ctrl.set_refresh_policy(
+        mem::make_raidr(cfg, mem::RetentionProfile::generate(rows, 1.0, 0.0, 5)));
+  }
+
+  DirectRun out;
+  const std::vector<Arrival> load = direct_load(cfg.geometry);
+  out.offered = load.size();
+  std::size_t next_arrival = 0;
+  const Cycle end = 200'000;
+  for (Cycle now = 0; now < end;) {
+    for (; next_arrival < load.size() && load[next_arrival].at == now; ++next_arrival) {
+      mem::Request r;
+      r.addr = load[next_arrival].addr;
+      r.type = load[next_arrival].type;
+      r.arrive = now;
+      EXPECT_TRUE(ctrl.enqueue(r, [&out](const mem::Request& done) {
+        ++out.served;
+        out.completion_sum += done.id * done.complete;
+      }));
+    }
+    ctrl.tick(now);
+    if (every_cycle) {
+      ++now;
+      continue;
+    }
+    Cycle next = std::min(ctrl.next_event(now), end);
+    if (next_arrival < load.size()) next = std::min(next, load[next_arrival].at);
+    now = next;
+  }
+  EXPECT_EQ(next_arrival, load.size());
+  EXPECT_TRUE(ctrl.idle());
+  obs::StatRegistry reg;
+  ctrl.register_stats(reg, "ctrl");
+  out.render = reg.snapshot().render();
+  out.image = ckpt::capture(ctrl).payload;
+  const std::vector<std::uint8_t> chan_image = ckpt::capture(chan).payload;
+  out.image.insert(out.image.end(), chan_image.begin(), chan_image.end());
+  out.stats = ctrl.stats();
+  out.refreshes = chan.stats().refs + chan.stats().ref_rows;
+  return out;
+}
+
+TEST(ClockExact, ControllerTickedOnlyAtItsEventsMatchesPerCycle) {
+  for (const bool raidr : {false, true}) {
+    SCOPED_TRACE(raidr ? "RAIDR" : "all-bank");
+    const DirectRun pc = run_direct(true, raidr);
+    const DirectRun ev = run_direct(false, raidr);
+    EXPECT_EQ(pc.served, pc.offered);
+    EXPECT_EQ(pc.served, ev.served);
+    EXPECT_EQ(pc.completion_sum, ev.completion_sum);
+    EXPECT_EQ(pc.render, ev.render);
+    EXPECT_TRUE(pc.image == ev.image) << "checkpoint images differ";
+    // The load covers what it claims: refreshes and, under all-bank refresh
+    // (whose forced PREALLs close the rows RAIDR leaves open), naps in both
+    // power states and wakes.
+    EXPECT_GT(ev.refreshes, 0u);
+    if (raidr) continue;
+    EXPECT_GT(ev.stats.powerdowns, 0u);
+    EXPECT_GT(ev.stats.selfrefreshes, 0u);
+    EXPECT_GT(ev.stats.rank_wakes, 0u);
+  }
 }
 
 }  // namespace

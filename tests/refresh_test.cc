@@ -81,6 +81,38 @@ TEST(AllBankRefresh, PrechargesOpenBanksWhenDue) {
   EXPECT_GE(chan.stats().pres, 1u);  // had to close the bank first
 }
 
+// rank_blocked answers for the cycle it is asked about, whatever cycles were
+// ticked before: the controller asks about cycles it never ticked.
+TEST(AllBankRefresh, RankBlockedFromTheDueCycleOnExceptInSelfRefresh) {
+  auto cfg = cfg_small();
+  dram::Channel chan(cfg, 0, nullptr);
+  auto pol = make_all_bank_refresh(cfg);
+  const Cycle due = cfg.timings.refi;  // one rank: no stagger
+  EXPECT_FALSE(pol->rank_blocked(0, due - 1));
+  EXPECT_TRUE(pol->rank_blocked(0, due));
+  EXPECT_TRUE(pol->rank_blocked(0, due + 1000));
+  // Ticks that issue nothing change no answer.
+  for (Cycle now = 0; now < due; now += 97) EXPECT_FALSE(pol->tick(chan, now));
+  EXPECT_FALSE(pol->rank_blocked(0, due - 1));
+  EXPECT_TRUE(pol->rank_blocked(0, due));
+
+  // A self-refreshing rank keeps its own cells: no REF at the due cycle, and
+  // never blocked, however late.
+  chan.enter_power_state(0, dram::Channel::PowerState::SelfRefresh, due);
+  EXPECT_FALSE(pol->tick(chan, due));
+  EXPECT_FALSE(pol->rank_blocked(0, due));
+  EXPECT_FALSE(pol->rank_blocked(0, 50 * due));
+  EXPECT_EQ(pol->next_event(due), kCycleNever);
+
+  // Waking re-arms a full interval from the cycle before the wake.
+  const Cycle wake = 5 * due;
+  pol->on_rank_wake(0, wake);
+  chan.wake_rank(0, wake);
+  EXPECT_FALSE(pol->rank_blocked(0, wake - 1 + due - 1));
+  EXPECT_TRUE(pol->rank_blocked(0, wake - 1 + due));
+  EXPECT_EQ(chan.stats().refs, 0u);
+}
+
 TEST(Raidr, RowRefreshRateMatchesProfile) {
   auto cfg = cfg_small();
   dram::Channel chan(cfg, 0, nullptr);
@@ -121,7 +153,8 @@ TEST(Raidr, NeverBlocksRanks) {
   auto cfg = cfg_small();
   auto profile = RetentionProfile::generate(64, 0.1, 0.1, 5);
   auto pol = make_raidr(cfg, profile);
-  EXPECT_FALSE(pol->rank_blocked(0));
+  EXPECT_FALSE(pol->rank_blocked(0, 0));
+  EXPECT_FALSE(pol->rank_blocked(0, static_cast<Cycle>(cfg.timings.refi) * 8192));
 }
 
 TEST(Raidr, ForcesPreallOnIdleOpenBankInsteadOfDeadlocking) {

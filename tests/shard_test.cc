@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -283,6 +284,31 @@ TEST(Shard, PnmStackStreamIsWidthInvariant) {
   EXPECT_EQ(w1.reads, 8u * 150u);
   EXPECT_EQ(w1.writes, 8u * 50u);
   EXPECT_EQ(w1.pim_ops, 8u * 12u);
+}
+
+// A stream that can never drain must fail loudly at run_stream's cycle limit,
+// not return a truncated result. A zero-slot read queue rejects every read,
+// so the feeders wait forever on the first one.
+TEST(Shard, PnmStreamClipThrows) {
+  // Per-cycle clocking would walk all 2e9 cycles of the limit one by one.
+  if (sim::default_clock_mode() == sim::ClockMode::PerCycle)
+    GTEST_SKIP() << "walks the 2e9-cycle limit; runs under skip-ahead only";
+  pnm::PnmConfig cfg;
+  cfg.vaults = 4;
+  cfg.vault_dram.geometry.banks = 8;
+  cfg.vault_dram.geometry.subarrays = 4;
+  cfg.vault_dram.geometry.rows_per_subarray = 256;
+  cfg.vault_dram.geometry.columns = 32;
+  cfg.ctrl.read_queue_size = 0;
+  pnm::PnmStack stack(cfg);
+  try {
+    (void)stack.run_stream(/*ops_per_vault=*/64, /*seed=*/1, /*shards=*/1);
+    FAIL() << "an undrainable stream returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("streams not drained at the 2000000000-cycle limit"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Shard, ClosedLoopEnqueueDrainMatchesAcrossWidths) {
