@@ -5,7 +5,10 @@
 // times show the classic serving curve — p50 memory latency flat until the
 // knee, p99/p999 exploding as offered load approaches channel saturation —
 // and the open-loop accounting loses nothing: every arrival completes, at
-// every IMA_JOBS / IMA_SHARDS width, byte-identically.
+// every IMA_JOBS / IMA_SHARDS width, byte-identically (the golden_C25_jobs*
+// and golden_C25_shards* ctest variants rerun it at widths 1 and 8 against
+// tests/golden/BENCH_C25_smoke.json, whose end_cycle, checksum and
+// completions cover every completion's address and cycle).
 //
 // Latency here is source-to-data: Request::complete minus the *intended*
 // arrival stamp carried in Request::tag, so time spent waiting for a queue
@@ -213,26 +216,6 @@ int main() {
     std::cerr << "serving bench: lost requests, clipped drain, span mismatch "
                  "or flat tail under load\n";
     return 1;
-  }
-
-  // In-binary width check on the heaviest point: 1 shard vs the wide plan
-  // must agree bit-for-bit (checksum covers every completion's address and
-  // cycle). The cross-process IMA_JOBS/IMA_SHARDS matrix lives in
-  // bench_diff_check.
-  {
-    const PointOut serial = run_point(means.back(), inferences, 1);
-    unsigned wide = harness::default_shards();
-    if (wide == 0) wide = 8;
-    const PointOut sharded = run_point(means.back(), inferences, wide);
-    const bool equal = serial.checksum == sharded.checksum &&
-                       serial.end == sharded.end &&
-                       serial.completions == sharded.completions;
-    bench::record_metric("serving_shard_equal", equal ? 1 : 0);
-    if (!equal) {
-      std::cerr << "serving bench: 1-shard and " << wide
-                << "-shard runs diverge\n";
-      return 1;
-    }
   }
 
   bench::print_shape(

@@ -4,11 +4,12 @@
 // and validates both artifacts, so a broken exporter fails CI instead of
 // silently producing garbage artifacts for every real experiment.
 //
-// It also smoke-tests the sweep engine: the same 8-point scheduler sweep
-// runs serial (jobs=1) and at the default width, the results must match
-// exactly (the determinism contract), and the wall clocks + worker count
-// land in BENCH_smoke.json so CI records the parallel speedup on whatever
-// machine ran it.
+// It also smoke-tests the sweep engine and the sharded drain, each run once
+// at its default width. Their simulated results land in BENCH_smoke.json,
+// and the golden_smoke_* ctest variants (tests/CMakeLists.txt) rerun the
+// binary under IMA_JOBS, IMA_SHARDS, IMA_SHARD_EPOCH, IMA_CLOCK and
+// IMA_CKPT_LOAD against tests/golden/BENCH_smoke_smoke.json: that matrix is
+// the cross-width, cross-clock and cross-process determinism check.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -195,9 +196,8 @@ int main() {
 
   loaded_rep();
 
-  // Sweep-engine smoke: the 8-scheduler matrix serial vs parallel. Beyond
-  // recording the speedup, this is the in-binary determinism check — any
-  // cross-width divergence fails CI here.
+  // Sweep-engine smoke: the 8-scheduler matrix at the default width, each
+  // scheduler's per-core throughput recorded for the golden to pin.
   {
     const std::vector<mem::SchedKind> kinds = {
         mem::SchedKind::Fcfs,  mem::SchedKind::FrFcfs, mem::SchedKind::FrFcfsCap,
@@ -209,36 +209,29 @@ int main() {
       return bench::run_mc(dram_cfg, ctrl, mem::make_scheduler(kind, 4, 13),
                            bench::hetero_mix(21), 30'000);
     };
-    harness::SweepOptions serial;
-    serial.jobs = 1;
-    const auto ref = harness::run_sweep(kinds, job, serial);
     const auto par = harness::run_sweep(kinds, job);
-    if (!ref.ok() || !par.ok()) {
+    if (!par.ok()) {
       std::cerr << "sweep smoke: a job failed\n";
       return 1;
     }
     for (std::size_t i = 0; i < kinds.size(); ++i) {
-      if (ref.at(i).served_per_kcycle != par.at(i).served_per_kcycle) {
-        std::cerr << "sweep smoke: serial and " << par.workers
-                  << "-worker results diverge at job " << i << "\n";
-        return 1;
-      }
+      const auto& served = par.at(i).served_per_kcycle;
+      for (std::size_t core = 0; core < served.size(); ++core)
+        bench::record_metric("sweep_served_per_kcycle." + std::string(mem::to_string(kinds[i])) +
+                                 ".core" + std::to_string(core),
+                             served[core]);
     }
     Table sw({"metric", "value"});
     sw.add_row({"sweep jobs", Table::fmt_int(kinds.size())});
     sw.add_row({"workers", Table::fmt_int(par.workers)});
-    sw.add_row({"serial wall (s)", Table::fmt(ref.wall_seconds, 3)});
-    sw.add_row({"parallel wall (s)", Table::fmt(par.wall_seconds, 3)});
-    const double speedup =
-        par.wall_seconds > 0 ? ref.wall_seconds / par.wall_seconds : 0;
-    sw.add_row({"speedup", Table::fmt_ratio(speedup)});
+    sw.add_row({"wall (s)", Table::fmt(par.wall_seconds, 3)});
+    // The title states the relation golden_smoke_jobs1/jobs8 check; the
+    // pre-SoA golden (tests/golden/BENCH_smoke_presoa.json) pins it.
     bench::print_table(sw, "sweep engine (serial vs parallel, results identical)");
 
     bench::record_metric("sweep_jobs", static_cast<double>(kinds.size()));
     bench::record_metric("sweep_workers", static_cast<double>(par.workers));
-    bench::record_metric("sweep_wall_seconds_serial", ref.wall_seconds);
     bench::record_metric("sweep_wall_seconds", par.wall_seconds);
-    bench::record_metric("sweep_speedup", speedup);
   }
 
   // Loaded-controller throughput; its host rate is reported last.
@@ -252,68 +245,46 @@ int main() {
   }
 
   // Sharded intra-sim execution smoke: one 8-channel machine drained by the
-  // epoch-barrier engine serial (1 shard) and wide (IMA_SHARDS, default 8).
-  // The in-binary cross-width determinism check — cycle count, completion
-  // checksum and StatRegistry snapshot must match exactly — plus the wall
-  // clocks, so CI records the intra-sim speedup on whatever host ran it.
+  // epoch-barrier engine at the wide width (IMA_SHARDS, default 8). Its end
+  // cycle, completion checksum and stats land in the report for the golden
+  // to pin at every shard width and epoch.
   {
-    struct ShardOutcome {
-      Cycle cycles = 0;
-      std::uint64_t checksum = 0;
-      std::string snapshot;
-      unsigned workers = 0;
-      double wall = 0;
-    };
-    const std::uint64_t ops = bench::smoke_scaled(20'000, 2'000);
-    const auto run = [ops](unsigned shards) {
-      auto dram_cfg = dram::DramConfig::ddr4_2400();
-      dram_cfg.geometry.channels = 8;
-      mem::MemorySystem sys(dram_cfg, mem::ControllerConfig{});
-      sys.set_shards(shards);
-      ShardOutcome out;
-      const auto src = mem::hashed_source(sys, ops, /*seed=*/0x5AAD, /*cores=*/1, &out.checksum);
-      const auto start = std::chrono::steady_clock::now();
-      out.cycles = sys.drain_sourced(src, 0);
-      out.wall =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-      out.workers = sys.shard_workers_used();
-      obs::StatRegistry sreg;
-      sys.register_stats(sreg, "m");
-      out.snapshot = sreg.snapshot().render();
-      return out;
-    };
     unsigned wide = harness::default_shards();
     if (wide == 0) wide = 8;
-    const ShardOutcome serial = run(1);
-    const ShardOutcome sharded = run(wide);
-    const bool equal = serial.cycles == sharded.cycles &&
-                       serial.checksum == sharded.checksum &&
-                       serial.snapshot == sharded.snapshot;
-    if (!equal) {
-      std::cerr << "sharded smoke: 1-shard and " << wide
-                << "-shard results diverge (cycles " << serial.cycles << " vs "
-                << sharded.cycles << ")\n";
-      return 1;
-    }
-    const double shard_speedup = sharded.wall > 0 ? serial.wall / sharded.wall : 0;
+    auto dram_cfg = dram::DramConfig::ddr4_2400();
+    dram_cfg.geometry.channels = 8;
+    mem::MemorySystem sys(dram_cfg, mem::ControllerConfig{});
+    sys.set_shards(wide);
+    std::uint64_t checksum = 0;
+    const auto src = mem::hashed_source(sys, bench::smoke_scaled(20'000, 2'000),
+                                        /*seed=*/0x5AAD, /*cores=*/1, &checksum);
+    const auto start = std::chrono::steady_clock::now();
+    const Cycle cycles = sys.drain_sourced(src, 0);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    obs::StatRegistry sreg;
+    sys.register_stats(sreg, "shard");
+    bench::record_snapshot(sreg.snapshot());
+
     Table st({"metric", "value"});
     st.add_row({"channels", "8"});
     st.add_row({"shards", Table::fmt_int(wide)});
-    st.add_row({"host workers used", Table::fmt_int(sharded.workers)});
-    st.add_row({"cycles", Table::fmt_si(static_cast<double>(sharded.cycles), 0)});
-    st.add_row({"serial wall (s)", Table::fmt(serial.wall, 3)});
-    st.add_row({"sharded wall (s)", Table::fmt(sharded.wall, 3)});
-    st.add_row({"speedup", Table::fmt_ratio(shard_speedup)});
+    st.add_row({"host workers used", Table::fmt_int(sys.shard_workers_used())});
+    st.add_row({"cycles", Table::fmt_si(static_cast<double>(cycles), 0)});
+    st.add_row({"sharded wall (s)", Table::fmt(wall, 3)});
+    // The title states the relation golden_smoke_shards1/shards8 check; the
+    // pre-SoA golden pins it.
     bench::print_table(st, "sharded drain (1 vs wide, results byte-identical)");
 
     bench::record_metric("shard_channels", 8);
-    bench::record_metric("shard_cycles", static_cast<double>(sharded.cycles));
+    bench::record_metric("shard_cycles", static_cast<double>(cycles));
+    bench::record_metric("shard_checksum", static_cast<double>(checksum % 1000003));
     bench::record_metric("shard_epoch", static_cast<double>(sim::default_shard_epoch()));
-    bench::record_metric("shard_equal", equal ? 1 : 0);
-    bench::record_metric("shard_workers", static_cast<double>(sharded.workers));
-    bench::record_metric("shard_wall_seconds_serial", serial.wall);
-    bench::record_metric("shard_wall_seconds", sharded.wall);
-    bench::record_metric("shard_speedup", shard_speedup);
+    // Constant since the 1-shard leg moved to golden_smoke_shards1: the
+    // pre-SoA golden recorded the old in-binary check's stamp.
+    bench::record_metric("shard_equal", 1);
+    bench::record_metric("shard_workers", static_cast<double>(sys.shard_workers_used()));
+    bench::record_metric("shard_wall_seconds", wall);
   }
 
   loaded_rep();
@@ -477,8 +448,8 @@ int main() {
   // must be cheaper than re-running the warmup (the amortization every
   // warm-started sweep depends on). IMA_CKPT_LOAD=<path> makes the twin
   // warm-start from a prior run's image instead: the image format is
-  // deterministic, so the report must not change — bench_diff_check pins
-  // exactly that cross-process resume.
+  // deterministic, so the report must not change — golden_smoke_ckptload
+  // pins exactly that cross-process resume.
   {
     sim::SystemConfig ck;
     ck.num_cores = 2;

@@ -87,7 +87,6 @@ struct Timings {
   bool salp = false;
 
   Cycle read_latency() const { return cl + bl; }
-  Cycle write_latency() const { return cwl + bl; }
   double ns(Cycle cycles) const { return static_cast<double>(cycles) * tck_ns; }
 };
 

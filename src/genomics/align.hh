@@ -48,8 +48,6 @@ class GenasmMatcher {
     return text_len + max_errors + words_ * 2;
   }
 
-  std::size_t pattern_length() const { return m_; }
-
  private:
   std::size_t m_ = 0;
   std::size_t words_ = 0;

@@ -158,7 +158,6 @@ class Controller {
   }
   std::size_t read_queue_depth() const { return read_q_live_; }
   std::size_t write_queue_depth() const { return write_q_live_; }
-  std::size_t pim_queue_depth() const { return pim_q_.size(); }
 
   struct Stats {
     std::uint64_t reads_done = 0;

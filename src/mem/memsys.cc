@@ -37,15 +37,17 @@ bool MemorySystem::enqueue(Request req, CompletionCallback cb) {
   return ctrls_[coord.channel]->enqueue(req, std::move(cb));
 }
 
+inline bool MemorySystem::due(std::size_t c, Cycle now) const {
+  const Wake& w = wake_[c];
+  return clock_mode_ == sim::ClockMode::PerCycle || now >= w.at ||
+         w.stamp != ctrls_[c]->mutation_stamp();
+}
+
 void MemorySystem::tick(Cycle now) {
   // Channel order matters: a completion callback that enqueues into a
   // later channel moves its stamp, so that channel still ticks this cycle.
-  const bool per_cycle = clock_mode_ == sim::ClockMode::PerCycle;
-  for (std::size_t c = 0; c < ctrls_.size(); ++c) {
-    const Wake& w = wake_[c];
-    if (per_cycle || now >= w.at || w.stamp != ctrls_[c]->mutation_stamp())
-      ctrls_[c]->tick(now);
-  }
+  for (std::size_t c = 0; c < ctrls_.size(); ++c)
+    if (due(c, now)) ctrls_[c]->tick(now);
 }
 
 Cycle MemorySystem::next_event(Cycle now) const {
@@ -234,15 +236,13 @@ void MemorySystem::run_group(Group& g, Cycle limit, const ChannelSource* src, bo
   while (!done && now < limit) {
     if (wd) wd->iterate(now);
     for (std::uint32_t c = beg; c < end; ++c) {
-      Wake& w = wake_[c];
-      if (per_cycle || now >= w.at || w.stamp != ctrls_[c]->mutation_stamp()) {
-        if (src) feed_channel(*src, c, now);
-        ctrls_[c]->tick(now);
-        w.stamp = kStale;  // re-armed below, once every callback of `now` fired
-      }
+      if (!due(c, now)) continue;
+      if (src) feed_channel(*src, c, now);
+      ctrls_[c]->tick(now);
     }
-    // Re-arm every channel whose stamp moved, including one visited before
-    // an inline callback enqueued into it this cycle.
+    // Re-arm every channel whose stamp moved: each one ticked above (a tick
+    // always moves it), and one visited before an inline callback enqueued
+    // into it this cycle.
     Cycle next = kCycleNever;
     for (std::uint32_t c = beg; c < end; ++c) {
       Wake& w = wake_[c];

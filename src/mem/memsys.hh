@@ -174,7 +174,6 @@ class MemorySystem {
   /// obs::WatchdogError when none is armed).
   enum class DeadlinePolicy : std::uint8_t { Record, Throw };
   void set_deadline_policy(DeadlinePolicy p) { deadline_policy_ = p; }
-  DeadlinePolicy deadline_policy() const { return deadline_policy_; }
   /// True iff the most recent drain()/drain_sourced() returned because the
   /// deadline expired, not because the system went idle.
   bool last_drain_clipped() const { return last_drain_clipped_; }
@@ -286,6 +285,9 @@ class MemorySystem {
   /// Feeds channel `c` from `src` until its queue rejects or the stream
   /// exhausts (shard-thread side).
   void feed_channel(const ChannelSource& src, std::uint32_t c, Cycle now);
+  /// Channel `c` is ticked (and fed) at `now`: every cycle under PerCycle,
+  /// else once its cached wake has come or its mutation stamp moved.
+  bool due(std::size_t c, Cycle now) const;
   /// Channel `c`'s next due cycle after it was fed (when `fed`) and ticked
   /// at `now` under SkipAhead: the exact wake rule of run_group.
   Cycle wake(std::uint32_t c, Cycle now, bool fed) const;

@@ -82,7 +82,6 @@ class Report {
   bool complete() const { return complete_; }
 
   const std::string& id() const { return id_; }
-  std::size_t num_tables() const { return tables_.size(); }
 
   void write_json(std::ostream& os) const;
   /// Tables only; multiple tables are separated by a blank line and a

@@ -67,7 +67,6 @@ class TimeSeries {
   void advance(Cycle now);
 
   const TimeSeriesData& data() const { return data_; }
-  std::size_t num_tracks() const { return reads_.size(); }
 
  private:
   TimeSeriesData data_;

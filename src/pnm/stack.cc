@@ -110,6 +110,14 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
   // Per-vault event calendar: vault v is ticked only from cycle due[v] on.
   // A tick re-arms it at the vault's own next_event, an enqueue at the next
   // cycle; PerCycle ticks every vault every cycle.
+  // Why not MemorySystem's own wake cache (mem.tick / mem.next_event): it
+  // gives the same bytes, but it recomputes a vault's next_event after every
+  // enqueue into a vault it did not tick, and the cores enqueue far more
+  // often than the vaults tick. On C4 smoke that traded 25.39M -> 22.48M
+  // controller ticks for 25.36M -> 28.91M next_event calls, and perfbench
+  // pnm_graph ran 16% slower (median 0.1802 -> 0.2086 s, Release, 4-vCPU
+  // Xeon). Arming an enqueued channel for the next cycle instead of
+  // recomputing its wake still left pnm_graph 8% slower.
   std::vector<Cycle> due(cfg_.vaults, 0);
 
   // One core's work at `now`; returns the earliest cycle at which its next

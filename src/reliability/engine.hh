@@ -152,7 +152,6 @@ class Engine {
   bool row_retired(const dram::Coord& c) const {
     return retired_.count(injector_.row_site(c)) > 0;
   }
-  const std::vector<dram::Coord>& retired_rows() const { return retired_list_; }
   bool line_poisoned(const dram::Coord& c) const {
     return poisoned_.count(injector_.line_key(c)) > 0;
   }

@@ -31,8 +31,6 @@ class FaultInjector {
   FaultInjector(dram::DataStore* data, const dram::Geometry& g, std::uint64_t seed)
       : data_(data), geom_(g), seed_(seed) {}
 
-  void set_seed(std::uint64_t seed) { seed_ = seed; }
-
   /// RowHammer crossing: flips `bits` uniformly random bits across the
   /// victim row. Returns the number of bits flipped.
   std::uint32_t hammer_flip(const dram::Coord& row, std::uint32_t bits);

@@ -2,10 +2,11 @@
 # every field of its committed golden report to match (host-time keys
 # masked by tools/bench_diff.py --subset). Invoked by ctest as
 #   cmake -DBENCH_BIN=<bench> -DBENCH_ID=<id> -DGOLDEN=<json>
-#         -DDIFF_TOOL=<bench_diff.py> -DPYTHON=<python3> [-DENV=<VAR=value>]
-#         -P bench_golden_check.cmake
+#         -DDIFF_TOOL=<bench_diff.py> -DPYTHON=<python3>
+#         [-DVARIANT=<name> -DENV=<VAR=value>] -P bench_golden_check.cmake
 # ENV is one extra environment assignment the report must not see (e.g.
-# IMA_CLOCK=percycle or IMA_SHARD_EPOCH=997).
+# IMA_CLOCK=percycle or IMA_SHARD_EPOCH=997); VARIANT names the run, and
+# its output lands in golden_out/<id>_<variant> (golden_out/<id>_ without).
 cmake_minimum_required(VERSION 3.19)
 
 foreach(var BENCH_BIN BENCH_ID GOLDEN DIFF_TOOL PYTHON)
@@ -14,8 +15,7 @@ foreach(var BENCH_BIN BENCH_ID GOLDEN DIFF_TOOL PYTHON)
   endif()
 endforeach()
 
-string(MAKE_C_IDENTIFIER "${BENCH_ID}_${ENV}" run_label)
-set(out_dir "${CMAKE_CURRENT_BINARY_DIR}/golden_out/${run_label}")
+set(out_dir "${CMAKE_CURRENT_BINARY_DIR}/golden_out/${BENCH_ID}_${VARIANT}")
 file(REMOVE_RECURSE "${out_dir}")
 file(MAKE_DIRECTORY "${out_dir}")
 
