@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -39,6 +40,30 @@
 
 using namespace ima;
 
+namespace {
+
+// The loaded phase's reference work: simulator-free and fixed — a
+// xorshift walk of dependent read-modify-writes over a 256 KB table, which
+// stays cache-resident like the controller's state. Branch-free, so -O2
+// and -O3 compile it alike. Returns a checksum so it cannot be optimized
+// away; every call does the same work.
+std::uint64_t reference_loop() {
+  std::vector<std::uint32_t> table(1u << 16);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  std::uint64_t sum = 0;
+  for (std::uint32_t i = 0; i < 2'000'000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    std::uint32_t& t = table[(x ^ sum) & 0xFFFF];
+    t = t * 0x9E3779B1u + static_cast<std::uint32_t>(x >> 32);
+    sum += t;
+  }
+  return sum;
+}
+
+}  // namespace
+
 int main() {
   bench::print_header(
       "smoke: telemetry pipeline",
@@ -54,16 +79,28 @@ int main() {
   // Loaded-controller throughput: MLP injectors keep the queues saturated,
   // so this measures the issue-loop fast path (memoized timing checks +
   // busy skip-ahead), not idle-gap skipping. The number lands in
-  // BENCH_smoke.json as host_cycles_per_sec_loaded, where
-  // bench_smoke_check.cmake holds a regression floor against it. A shared
-  // CPU only ever slows the code, so repetition times are bimodal: the
-  // phase runs seven times, spread over this whole binary and rotated over
-  // the allowed CPUs (a neighbour contends for one CPU at a time), so one
-  // busy spell or busy CPU cannot slow them all, and the rate comes from
-  // the fastest repetition (the fast mode: the code's own speed).
+  // BENCH_smoke.json as host_cycles_per_sec_loaded. A shared CPU only ever
+  // slows the code, so repetition times are bimodal: the phase runs seven
+  // times, spread over this whole binary and rotated over the allowed CPUs
+  // (a neighbour contends for one CPU at a time), so one busy spell or
+  // busy CPU cannot slow them all, and the rate comes from the fastest
+  // repetition (the fast mode: the code's own speed).
+  //
+  // A host that stays slow for the whole run slows every repetition, so
+  // each one is followed, on the same pinned CPU, by a fixed reference
+  // loop that touches no simulator code. bench_smoke_check.cmake floors
+  // the ratio of the fastest loaded rate to the fastest reference rate
+  // (host_cycles_per_sec_loaded_ref_ratio: simulated cycles per reference
+  // loop), which a uniformly slow host leaves in place and a slower
+  // simulator lowers. Both sides of the ratio are timed in process CPU
+  // time: a neighbour time-sharing the CPU can otherwise hand the short
+  // reference loop a clean slice that the loaded phase never gets.
   const Cycle loaded_cycles = 300'000;
   int loaded_reps = 0;
-  double loaded_secs = 0;  // fastest repetition
+  double loaded_secs = 0;      // fastest repetition, wall
+  double loaded_cpu_secs = 0;  // fastest repetition, CPU
+  double ref_cpu_secs = 0;     // fastest reference loop, CPU
+  std::uint64_t ref_checksum = 0;
   bench::McResult loaded;
   const auto loaded_rep = [&] {
 #ifdef __linux__
@@ -81,19 +118,30 @@ int main() {
 #endif
     auto dram_cfg = dram::DramConfig::ddr4_2400();
     mem::ControllerConfig ctrl;
+    const std::clock_t cpu_start = std::clock();
     const auto start = std::chrono::steady_clock::now();
     auto res = bench::run_mc(dram_cfg, ctrl, mem::make_scheduler(mem::SchedKind::FrFcfs, 4, 17),
                              bench::hetero_mix(31), loaded_cycles);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    const auto end = std::chrono::steady_clock::now();
+    const std::clock_t cpu_mid = std::clock();
+    const std::uint64_t checksum = reference_loop();
+    const std::clock_t cpu_end = std::clock();
+    const double secs = std::chrono::duration<double>(end - start).count();
+    const double cpu_secs = static_cast<double>(cpu_mid - cpu_start) / CLOCKS_PER_SEC;
+    const double ref_secs = static_cast<double>(cpu_end - cpu_mid) / CLOCKS_PER_SEC;
 #ifdef __linux__
     if (pin) sched_setaffinity(0, sizeof allowed, &allowed);
 #endif
-    if (loaded_reps > 0 && res.served_per_kcycle != loaded.served_per_kcycle) {
+    if (loaded_reps > 0 && (res.served_per_kcycle != loaded.served_per_kcycle ||
+                            checksum != ref_checksum)) {
       std::cerr << "loaded phase: repetition " << loaded_reps << " diverges from the first\n";
       std::exit(1);
     }
-    if (loaded_reps++ == 0 || secs < loaded_secs) loaded_secs = secs;
+    const bool first = loaded_reps++ == 0;
+    if (first || secs < loaded_secs) loaded_secs = secs;
+    if (first || cpu_secs < loaded_cpu_secs) loaded_cpu_secs = cpu_secs;
+    if (first || ref_secs < ref_cpu_secs) ref_cpu_secs = ref_secs;
+    ref_checksum = checksum;
     loaded = std::move(res);
   };
   loaded_rep();
@@ -525,8 +573,11 @@ int main() {
   }
 
   loaded_rep();
-  bench::record_metric("host_cycles_per_sec_loaded",
-                       loaded_secs > 0 ? static_cast<double>(loaded_cycles) / loaded_secs : 0);
+  const double loaded_cps = loaded_secs > 0 ? static_cast<double>(loaded_cycles) / loaded_secs : 0;
+  bench::record_metric("host_cycles_per_sec_loaded", loaded_cps);
+  bench::record_metric(
+      "host_cycles_per_sec_loaded_ref_ratio",
+      loaded_cpu_secs > 0 ? static_cast<double>(loaded_cycles) / loaded_cpu_secs * ref_cpu_secs : 0);
 
   bench::print_shape(
       "non-zero instructions, DRAM reads and trace events; reliability phase "

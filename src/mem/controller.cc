@@ -16,6 +16,54 @@ namespace ima::mem {
 // enqueue/compaction never reallocates.
 constexpr std::size_t kCompactDead = 16;
 
+void QueueOcc::reset(std::size_t unit_count, std::size_t cores) {
+  cnt.assign(unit_count, Unit{});
+  listed.assign(unit_count, 0);
+  units.clear();
+  units.reserve(unit_count);
+  core_live.assign(cores, 0);
+  live = 0;
+}
+
+void QueueOcc::add(std::uint32_t unit, std::uint32_t core, bool match) {
+  if (!listed[unit]) {
+    listed[unit] = 1;
+    // Sorted insertion (rare: first touch of a drained unit). Unit ids
+    // carry the rank in their high bits, so iterating in id order groups
+    // ranks and the kernel's scan_gates memo fires once per rank.
+    units.insert(std::lower_bound(units.begin(), units.end(), unit), unit);
+  }
+  ++cnt[unit].total;
+  if (match) ++cnt[unit].match;
+  if (core >= core_live.size()) core_live.resize(std::size_t{core} + 1, 0);
+  ++core_live[core];
+  ++live;
+}
+
+void QueueOcc::remove(std::uint32_t unit, std::uint32_t core) {
+  assert(cnt[unit].total > 0 && core_live[core] > 0 && live > 0);
+  --cnt[unit].total;
+  --cnt[unit].match;
+  --core_live[core];
+  --live;
+}
+
+void QueueOcc::rebuild(const dram::Channel& chan, const std::vector<QueuedRequest>& q,
+                       const QueueScanMeta* meta) {
+  for (const std::uint32_t u : units) {
+    cnt[u] = Unit{};
+    listed[u] = 0;
+  }
+  units.clear();
+  std::fill(core_live.begin(), core_live.end(), 0);
+  live = 0;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    const QueueScanMeta& m = meta[i];
+    if (!(m.flags & QueueScanMeta::kLive)) continue;
+    add(m.unit, q[i].req.core, chan.unit_open(m.unit) && chan.unit_row(m.unit) == m.row);
+  }
+}
+
 Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
                        const ControllerConfig& cfg)
     : chan_(chan), mapper_(mapper), cfg_(cfg), cores_(cfg.num_cores) {
@@ -23,16 +71,11 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
   write_q_.reserve(cfg.write_queue_size + kCompactDead);
   read_meta_.reserve(cfg.read_queue_size + kCompactDead);
   write_meta_.reserve(cfg.write_queue_size + kCompactDead);
-  for (auto& oc : occ_) {
-    oc.cnt.assign(chan.unit_count(), UnitCnt{});
-    oc.listed.assign(chan.unit_count(), 0);
-    oc.units.reserve(chan.unit_count());
-  }
+  for (QueueOcc& oc : occ_) oc.reset(chan.unit_count(), cfg.num_cores);
   // One burst issues per cycle and completes within a fixed latency, so
   // the inflight heap stays far below the combined queue capacity:
   // reserving that up front makes heap growth a cold path.
   inflight_.reserve(cfg.read_queue_size + cfg.write_queue_size);
-  read_q_count_.assign(cfg.num_cores, 0);
   rank_last_activity_.assign(chan.config().geometry.ranks, 0);
   rank_work_.assign(chan.config().geometry.ranks, 0);
   if (cfg.record_spans) spans_ = std::make_unique<SpanRecorders>();
@@ -114,8 +157,6 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
     return false;
   }
   auto& q = req.type == AccessType::Read ? read_q_ : write_q_;
-  if (req.type == AccessType::Read && req.core < read_q_count_.size())
-    ++read_q_count_[req.core];
   req.id = next_req_id_++;
   QueuedRequest qr;
   qr.coord = mapper_.decode(req.addr);
@@ -125,30 +166,20 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   if (req.core < cores_.size()) ++cores_[req.core].outstanding;
   ++rank_work_[qr.coord.rank];
   const bool is_read = req.type == AccessType::Read;
-  std::size_t& live = is_read ? read_q_live_ : write_q_live_;
+  QueueOcc& oc = occ_[is_read ? 0 : 1];
   bool& sorted = is_read ? read_q_sorted_ : write_q_sorted_;
   Cycle& last = is_read ? read_q_last_arrive_ : write_q_last_arrive_;
   // Order restarts when only tombstones remain; otherwise one
   // out-of-order arrival pins the queue to the argmin scan path until it
   // fully drains (tombstone compaction never reorders).
-  if (live == 0) sorted = true;
+  if (oc.live == 0) sorted = true;
   else if (req.arrive < last) sorted = false;
   last = req.arrive;
-  ++live;
   q.push_back(std::move(qr));
   auto& meta = is_read ? read_meta_ : write_meta_;
   meta.push_back(scan_meta(chan_, q.back()));
-  UnitOcc& oc = occ_[is_read ? 0 : 1];
-  const std::uint32_t u = meta.back().unit;
-  if (!oc.listed[u]) {
-    oc.listed[u] = 1;
-    // Sorted insertion (rare: first touch of a drained unit). Unit ids
-    // carry the rank in their high bits, so iterating in id order groups
-    // ranks and the kernel's scan_gates memo fires once per rank.
-    oc.units.insert(std::lower_bound(oc.units.begin(), oc.units.end(), u), u);
-  }
-  ++oc.cnt[u].total;
-  if (chan_.unit_open(u) && chan_.unit_row(u) == meta.back().row) ++oc.cnt[u].match;
+  const QueueScanMeta& m = meta.back();
+  oc.add(m.unit, req.core, chan_.unit_open(m.unit) && chan_.unit_row(m.unit) == m.row);
   ++queue_stamp_[is_read ? 0 : 1];
   ++mutation_stamp_;
   // This queue's stashed min does not cover the new request.
@@ -282,10 +313,6 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
     cores_[qr.req.core].attained_service += tm.bl;
     ++cores_[qr.req.core].served_in_quantum;
   }
-  if (qr.req.type == AccessType::Read && qr.req.core < read_q_count_.size() &&
-      read_q_count_[qr.req.core] > 0)
-    --read_q_count_[qr.req.core];
-
   qr.req.served = now;
   inflight_.push_back(Inflight{done, qr.req, std::move(qr.cb)});
   std::push_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
@@ -300,15 +327,11 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
   ++queue_stamp_[is_read ? 0 : 1];
   std::vector<QueueScanMeta>& meta = is_read ? read_meta_ : write_meta_;
   meta[idx].flags = 0;
-  // A RD/WR only ever serves a row hit at an open unit, so the entry is
-  // counted in match (exact while clean; garbage-tolerant while occ_dirty_,
-  // which the next rebuild overwrites).
-  UnitCnt& c = occ_[is_read ? 0 : 1].cnt[meta[idx].unit];
-  --c.total;
-  --c.match;
-  std::size_t& live = is_read ? read_q_live_ : write_q_live_;
-  --live;
-  if (q.size() - live >= kCompactDead) {
+  // Exact while clean; garbage-tolerant in `match` while occ_dirty_, which
+  // the next rebuild overwrites.
+  QueueOcc& oc = occ_[is_read ? 0 : 1];
+  oc.remove(meta[idx].unit, qr.req.core);
+  if (q.size() - oc.live >= kCompactDead) {
     // Stable in-place compaction of the queue and its scan metadata in
     // lockstep (remove_if is stable; this is the same survivor order).
     std::size_t w = 0;
@@ -333,7 +356,7 @@ void Controller::refresh_unit_occ(std::uint32_t unit) {
   const bool open = chan_.unit_open(unit);
   const std::uint32_t row = open ? chan_.unit_row(unit) : 0;
   for (std::size_t qi = 0; qi < 2; ++qi) {
-    UnitOcc& oc = occ_[qi];
+    QueueOcc& oc = occ_[qi];
     if (oc.cnt[unit].total == 0) {
       oc.cnt[unit].match = 0;
       continue;
@@ -356,12 +379,12 @@ void Controller::refresh_unit_occ(std::uint32_t unit) {
 
 Cycle Controller::queue_kernel_min(std::size_t qi, Cycle now) const {
   Cycle qmin = kCycleNever;
-  UnitOcc& oc = occ_[qi];
+  QueueOcc& oc = occ_[qi];
   std::uint32_t gates_rank = ~0u;
   dram::Channel::ScanGates g{};
   for (std::size_t k = 0; k < oc.units.size();) {
     const std::uint32_t u = oc.units[k];
-    const UnitCnt c = oc.cnt[u];
+    const QueueOcc::Unit c = oc.cnt[u];
     if (c.total == 0) {  // drained unit: lazy stable erase (keeps order)
       oc.listed[u] = 0;
       oc.units.erase(oc.units.begin() + static_cast<std::ptrdiff_t>(k));
@@ -396,61 +419,55 @@ Cycle Controller::stashed_issue_min(std::size_t qi, Cycle now) const {
   // get precisely the recomputed answer without the scan.
   const std::uint64_t ver = chan_.state_version();
   if (issue_min_valid_[qi] && issue_min_version_[qi] == ver) return issue_min_[qi];
-  if (occ_dirty_) {
-    rebuild_occ();
-    occ_dirty_ = false;
-  }
+  clean_occ();
   issue_min_[qi] = queue_kernel_min(qi, now);
   issue_min_version_[qi] = ver;
   issue_min_valid_[qi] = true;
   return issue_min_[qi];
 }
 
-void Controller::rebuild_occ() const {
-  // PIM rewrote row state underneath the counts. total/listed stay exact
-  // (PIM never consumes demand queue entries); only the row-match counts
-  // need recomputing against the channel's current open rows.
-  for (std::size_t qi = 0; qi < 2; ++qi) {
-    UnitOcc& oc = occ_[qi];
-    for (const std::uint32_t u : oc.units) oc.cnt[u].match = 0;
-    const auto& meta = qi == 0 ? read_meta_ : write_meta_;
-    for (const QueueScanMeta& m : meta) {
-      if (!(m.flags & QueueScanMeta::kLive)) continue;
-      if (chan_.unit_open(m.unit) && chan_.unit_row(m.unit) == m.row) ++oc.cnt[m.unit].match;
-    }
-  }
+void Controller::clean_occ() const {
+  // PIM rewrote row state underneath the match counts; recount both queues.
+  if (!occ_dirty_) return;
+  occ_[0].rebuild(chan_, read_q_, read_meta_.data());
+  occ_[1].rebuild(chan_, write_q_, write_meta_.data());
+  occ_dirty_ = false;
 }
 
 bool Controller::try_issue_request(Cycle now) {
+  const std::size_t reads = occ_[0].live, writes = occ_[1].live;
   if (draining_writes_) {
-    if (write_q_live_ <= cfg_.write_drain_low) draining_writes_ = false;
-  } else if (write_q_live_ >= cfg_.write_drain_high) {
+    if (writes <= cfg_.write_drain_low) draining_writes_ = false;
+  } else if (writes >= cfg_.write_drain_high) {
     draining_writes_ = true;
   }
-  const bool use_writes = draining_writes_ || (read_q_live_ == 0 && write_q_live_ > 0);
-  if (use_writes ? try_issue_from(write_q_, write_q_live_, now)
-                 : try_issue_from(read_q_, read_q_live_, now))
-    return true;
+  const bool use_writes = draining_writes_ || (reads == 0 && writes > 0);
+  if (try_issue_from(use_writes ? write_q_ : read_q_, now)) return true;
   // If the scheduler declined every read (e.g. a QoS/sampling policy is
   // holding them back), drain writes opportunistically instead of idling —
   // otherwise held-back writers can deadlock against a non-empty read queue.
-  if (!use_writes && write_q_live_ > 0) return try_issue_from(write_q_, write_q_live_, now);
+  if (!use_writes && writes > 0) return try_issue_from(write_q_, now);
   return false;
 }
 
-bool Controller::try_issue_from(std::vector<QueuedRequest>& q, std::size_t live, Cycle now) {
-  if (live == 0) return false;
-
+bool Controller::try_issue_from(std::vector<QueuedRequest>& q, Cycle now) {
   const bool is_read = &q == &read_q_;
+  const std::size_t qi = is_read ? 0 : 1;
+  if (occ_[qi].live == 0) return false;
+
   const SchedView v = view(now, is_read);
   sched_->tick(v, q);
-  // Proven-idle skip: while the stashed queue-kernel min (which covers
-  // BOTH queues) lies in the future, no queued command is legal, so a pick
-  // could only return a request the issuable() gate below rejects — with
-  // zero state change. Eliding the scan is observably identical for pure
-  // picks; impure policies (RL) keep their exact call cadence.
-  const std::size_t qi = is_read ? 0 : 1;
-  if (sched_pick_pure_ && stashed_issue_min(qi, now) > now) return false;
+  // Proven-idle skip: while the stashed queue-kernel min lies in the
+  // future, no queued command of this queue is legal, so a pick could only
+  // return a request the issuable() gate below rejects — with zero state
+  // change. Eliding the scan is observably identical for pure picks;
+  // impure policies (RL) keep their exact call cadence, and may read the
+  // view's occupancy, so they get it exact.
+  if (sched_pick_pure_) {
+    if (stashed_issue_min(qi, now) > now) return false;
+  } else {
+    clean_occ();
+  }
   const std::size_t idx = sched_->pick(q, v);
   if (idx == kNoPick) return false;
   assert(idx < q.size() && q[idx].live);
@@ -600,7 +617,7 @@ Cycle Controller::next_event(Cycle now) const {
   // return immediately — under saturation the queue scan usually stops
   // within a handful of entries.
   const bool queued =
-      read_q_live_ > 0 || write_q_live_ > 0 || !pim_q_.empty() || !victim_q_.empty();
+      occ_[0].live > 0 || occ_[1].live > 0 || !pim_q_.empty() || !victim_q_.empty();
 
   Cycle next = kCycleNever;
   if (!inflight_.empty()) next = std::min(next, inflight_.front().done);
@@ -632,7 +649,7 @@ Cycle Controller::next_event(Cycle now) const {
     // opportunistic write fallback can select either one at the next
     // issue opportunity.
     //
-    // Occupancy-count SoA kernel: the per-queue UnitOcc aggregates (see
+    // Occupancy-count SoA kernel: the per-queue QueueOcc counts (see
     // controller.hh) already know, per occupied unit, how many live
     // requests sit there and how many target the open row, so the fold
     // visits occupied units — O(banks touched), no per-request classify
@@ -701,8 +718,8 @@ void Controller::attribute_refresh_block(std::uint32_t rank, Cycle now) {
 
 void Controller::dump(std::ostream& os, Cycle now) const {
   os << "controller chan" << chan_.id() << " @ cycle " << now << "\n"
-     << "  read_q: " << read_q_live_ << " live / " << read_q_.size()
-     << " slots, write_q: " << write_q_live_ << " live / " << write_q_.size()
+     << "  read_q: " << occ_[0].live << " live / " << read_q_.size()
+     << " slots, write_q: " << occ_[1].live << " live / " << write_q_.size()
      << " slots" << (draining_writes_ ? " (draining writes)" : "") << "\n"
      << "  inflight: " << inflight_.size() << ", victim_q: " << victim_q_.size()
      << ", pim_q: " << pim_q_.size() << "\n";
@@ -811,9 +828,9 @@ void Controller::register_stats(obs::StatRegistry& reg, const std::string& prefi
     reg.running(obs::join_path(prefix, "read_latency"), &stats_.read_latency.stat());
   }
   reg.gauge(obs::join_path(prefix, "read_queue_depth"),
-            [this] { return static_cast<double>(read_q_live_); });
+            [this] { return static_cast<double>(occ_[0].live); });
   reg.gauge(obs::join_path(prefix, "write_queue_depth"),
-            [this] { return static_cast<double>(write_q_live_); });
+            [this] { return static_cast<double>(occ_[1].live); });
   sched_->register_stats(reg, obs::join_path(prefix, "sched"));
   refresh_->register_stats(reg, obs::join_path(prefix, "refresh"));
   if (mitigation_) mitigation_->register_stats(reg, obs::join_path(prefix, "rowhammer"));

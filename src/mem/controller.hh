@@ -107,10 +107,10 @@ class Controller {
   /// True if a request of this type (from `core`, if quotas are enabled)
   /// can be accepted right now.
   bool can_accept(AccessType type, std::uint32_t core = kAnyCore) const {
-    if (type == AccessType::Write) return write_q_live_ < cfg_.write_queue_size;
-    if (read_q_live_ >= cfg_.read_queue_size) return false;
-    if (cfg_.per_core_read_quota > 0 && core != kAnyCore && core < read_q_count_.size())
-      return read_q_count_[core] < cfg_.per_core_read_quota;
+    if (type == AccessType::Write) return occ_[1].live < cfg_.write_queue_size;
+    if (occ_[0].live >= cfg_.read_queue_size) return false;
+    if (cfg_.per_core_read_quota > 0 && core < cfg_.num_cores)
+      return occ_[0].core_live[core] < cfg_.per_core_read_quota;
     return true;
   }
 
@@ -153,11 +153,11 @@ class Controller {
     // victim_q_ matters: pending RowHammer neighbour refreshes are real
     // work and must not be skipped past just because the request queues
     // drained.
-    return read_q_live_ == 0 && write_q_live_ == 0 && pim_q_.empty() &&
-           victim_q_.empty() && inflight_.empty();
+    return occ_[0].live == 0 && occ_[1].live == 0 && pim_q_.empty() && victim_q_.empty() &&
+           inflight_.empty();
   }
-  std::size_t read_queue_depth() const { return read_q_live_; }
-  std::size_t write_queue_depth() const { return write_q_live_; }
+  std::size_t read_queue_depth() const { return occ_[0].live; }
+  std::size_t write_queue_depth() const { return occ_[1].live; }
 
   struct Stats {
     std::uint64_t reads_done = 0;
@@ -244,7 +244,7 @@ class Controller {
   bool try_issue_victim_refresh(Cycle now);
   bool try_issue_pim(Cycle now);
   bool try_issue_request(Cycle now);
-  bool try_issue_from(std::vector<QueuedRequest>& q, std::size_t live, Cycle now);
+  bool try_issue_from(std::vector<QueuedRequest>& q, Cycle now);
   /// Called from the ref_hook when a blanket REF finally issues on `rank`:
   /// charges the [blocked_since, now) window to every live queued request
   /// of that rank (span telemetry; no-op unless record_spans).
@@ -254,16 +254,20 @@ class Controller {
   std::uint64_t charge_key(const dram::Coord& c, std::uint32_t row) const;
 
   /// Builds the per-decision scheduler view over the read or write queue,
-  /// entering the timing cache's epoch for `now`.
+  /// entering the timing cache's epoch for `now`. The occupancy it points
+  /// at may be stale after PIM; try_issue_from rebuilds it before an
+  /// impure pick, never here (pure-pick policies do not pay for it).
   SchedView view(Cycle now, bool is_read) const {
     timing_cache_.begin(now);
+    const std::size_t qi = is_read ? 0 : 1;
     return SchedView{now,
                      &cores_,
                      &timing_cache_,
                      (is_read ? read_meta_ : write_meta_).data(),
                      is_read ? read_q_sorted_ : write_q_sorted_,
-                     is_read ? 0u : 1u,
-                     queue_stamp_[is_read ? 0 : 1]};
+                     static_cast<std::uint32_t>(qi),
+                     queue_stamp_[qi],
+                     &occ_[qi]};
   }
 
   dram::Channel& chan_;
@@ -277,14 +281,12 @@ class Controller {
   std::uint32_t refs_for_mitigation_ = 0;
   std::vector<Cycle> rank_last_activity_;
 
+  // Served requests tombstone in place (stable index order preserves the
+  // schedulers' lowest-index tie-breaks) and compact in batches, so
+  // q.size() overstates occupancy between compactions: the live count is
+  // occ_[qi].live.
   std::vector<QueuedRequest> read_q_;
   std::vector<QueuedRequest> write_q_;
-  // Live (unserved) entries per queue. Served requests tombstone in place
-  // (stable index order preserves the schedulers' lowest-index tie-breaks)
-  // and compact in batches, so q.size() overstates occupancy between
-  // compactions.
-  std::size_t read_q_live_ = 0;
-  std::size_t write_q_live_ = 0;
   // Per-queue arrive monotonicity (SchedView::arrive_sorted): requests are
   // stamped with the enqueue cycle, so queues are sorted in practice and
   // first-ready schedulers can stop at the first match.
@@ -292,7 +294,6 @@ class Controller {
   bool write_q_sorted_ = true;
   Cycle read_q_last_arrive_ = 0;
   Cycle write_q_last_arrive_ = 0;
-  std::vector<std::uint32_t> read_q_count_;  // per-core read-queue occupancy
   // Compact per-queue scan metadata (QueueScanMeta, sched.hh), index-
   // parallel to read_q_/write_q_ including tombstones: feeds next_event's
   // classify pass and the schedulers' pick scans without touching the fat
@@ -308,32 +309,26 @@ class Controller {
   // starts them afresh and a scheduler memo keyed on them must be dropped
   // by the scheduler's own load_state.
   std::uint64_t queue_stamp_[2] = {1, 1};
-  // Per-queue per-unit occupancy aggregates: how many live requests sit at
-  // each unit (`total`) and how many of them target the unit's currently
-  // open row (`match`). With them the next_event kernel folds over
-  // *occupied units* — O(banks touched) — instead of classifying every
-  // queue entry: a closed unit contributes its ACT earliest once, an open
-  // one its RD/WR earliest when match > 0 and its PRE earliest when some
-  // queued row mismatches. Exactly the classify pass's classes, derived
-  // incrementally: enqueue/serve adjust the counts in O(1), the one
-  // mutation that redefines `match` (an ACT changing the open row) rescans
-  // the queues for that single unit, and PIM/scrub commands — whose row-
-  // state effects are not worth tracking — set occ_dirty_ to force a full
-  // rebuild at the next kernel run. PRE needs no bookkeeping: a closed
+  // Per-queue occupancy (QueueOcc, sched.hh): per-unit total/match
+  // counts, the sorted occupied-unit list, per-core live counts and the
+  // live count. With them the next_event kernel folds over *occupied
+  // units* — O(banks touched) — instead of classifying every queue entry:
+  // a closed unit contributes its ACT earliest once, an open one its RD/WR
+  // earliest when match > 0 and its PRE earliest when some queued row
+  // mismatches. RL's state scan folds over the same counts (views point
+  // at them). Exactly the classify pass's classes, derived incrementally:
+  // enqueue/serve adjust the counts in O(1), the one mutation that
+  // redefines `match` (an ACT changing the open row) rescans the queues
+  // for that single unit, and PIM commands — whose row-state effects are
+  // not worth tracking — set occ_dirty_ to force a full rebuild before the
+  // next kernel run or impure pick. PRE needs no bookkeeping: a closed
   // unit's match is simply unused until the next ACT recomputes it.
-  struct UnitCnt {
-    std::uint32_t total = 0;
-    std::uint32_t match = 0;
-  };
-  struct UnitOcc {
-    std::vector<UnitCnt> cnt;           // both counts in one 8-byte slot
-    std::vector<std::uint8_t> listed;   // unit present in `units`
-    std::vector<std::uint32_t> units;   // occupied units, kept sorted
-  };
-  mutable UnitOcc occ_[2];  // 0 = read queue, 1 = write queue
+  // The per-core read counts also serve the per-core read quota.
+  mutable QueueOcc occ_[2];  // 0 = read queue, 1 = write queue
   mutable bool occ_dirty_ = false;
   void refresh_unit_occ(std::uint32_t unit);
-  void rebuild_occ() const;
+  // Rebuild both queues' occupancy if PIM left it dirty.
+  void clean_occ() const;
   Cycle queue_kernel_min(std::size_t qi, Cycle now) const;
   // Refresh (if needed) and return the queue's stashed kernel min; shared
   // by next_event and the pick-elision gate in try_issue_from.

@@ -141,6 +141,24 @@ class SchedTimingCache {
               true};
     return {chan_->earliest_pre_at(u, g), false};
   }
+  /// The cycles the queued entries at unit `u` can issue, by class: `hit`
+  /// for those targeting the open row (RD, or WR when `write`;
+  /// kCycleNever at a closed unit, which has none), `miss` for the rest
+  /// (ACT at a closed unit, PRE at an open one). Both kCycleNever on a
+  /// sleeping rank. Every entry of a class shares its unit's value — it
+  /// is exactly that entry's entry_timing().at — so a fold over occupied
+  /// units (RL's state scan) sees what a per-entry pass would.
+  struct UnitTiming {
+    Cycle hit;
+    Cycle miss;
+  };
+  [[gnu::always_inline]] inline UnitTiming unit_timing(std::size_t u, bool write) const {
+    const dram::Channel::ScanGates& g = gates(chan_->unit_rank(u));
+    if (!g.active) return {kCycleNever, kCycleNever};
+    if (!chan_->unit_open(u)) return {kCycleNever, chan_->earliest_act_at(u, g)};
+    return {write ? chan_->earliest_wr_at(u, g) : chan_->earliest_rd_at(u, g),
+            chan_->earliest_pre_at(u, g)};
+  }
   /// Fused legality + row-hit classification of one entry: 0 = the
   /// required command is not legal at now_ (including a sleeping rank),
   /// 1 = legal, 2 = legal and a row hit.
@@ -179,9 +197,52 @@ inline QueueScanMeta scan_meta(const dram::Channel& chan, const QueuedRequest& r
   return QueueScanMeta{static_cast<std::uint32_t>(chan.unit_of(r.coord)), r.coord.row, flags};
 }
 
+/// Live occupancy of one controller queue, kept exact on every enqueue and
+/// serve: per unit, how many live requests target it (`total`) and how
+/// many of those target its open row (`match`); the occupied units in
+/// ascending id order (so a rank's units, and a bank's SALP subarrays, sit
+/// together); live requests per core id; and the live count. The
+/// controller's next_event kernel and RL's state scan both fold over it.
+/// `match` is meaningful only at an open unit: an ACT recounts it for that
+/// unit, and a closed unit's value is stale until then.
+struct QueueOcc {
+  struct Unit {
+    std::uint32_t total = 0;
+    std::uint32_t match = 0;
+  };
+  std::vector<Unit> cnt;              // both counts in one 8-byte slot
+  std::vector<std::uint8_t> listed;   // unit present in `units`
+  // Occupied units, sorted. A unit that drains stays listed with total 0
+  // until the next_event kernel erases it, so readers skip total == 0.
+  std::vector<std::uint32_t> units;
+  // Live requests per core id. Covers every core id enqueued so far (it
+  // grows on demand), so any reader can count cores below its own bound.
+  std::vector<std::uint32_t> core_live;
+  std::size_t live = 0;
+
+  /// Empty occupancy for `units` units and `cores` pre-sized core slots.
+  void reset(std::size_t units, std::size_t cores);
+  /// Count one live request at `unit` from `core`; `match` = it targets
+  /// the unit's open row.
+  void add(std::uint32_t unit, std::uint32_t core, bool match);
+  /// Uncount one served request: a RD/WR only serves a row hit, so it was
+  /// counted in `match`.
+  void remove(std::uint32_t unit, std::uint32_t core);
+  /// Recount from scratch over queue `q` and its index-parallel scan
+  /// metadata, against the channel's open rows. Rebuilding the controller's
+  /// occupancy after PIM rewrote row state uses this; so do hand-built
+  /// views.
+  void rebuild(const dram::Channel& chan, const std::vector<QueuedRequest>& q,
+               const QueueScanMeta* meta);
+};
+
 /// Read-only view of controller state offered to a scheduler each decision.
 /// Every query answers off the active queue's QueueScanMeta through the
-/// controller's SchedTimingCache, whose epoch has begun at `now`.
+/// controller's SchedTimingCache, whose epoch has begun at `now`. `occ` is
+/// the active queue's occupancy: the controller hands out its own counts,
+/// which are exact except between a PIM op and the next rebuild. The
+/// controller rebuilds before every impure pick (pure picks never read
+/// it), so RL reads its state features off exact counts.
 struct SchedView {
   Cycle now = 0;
   const std::vector<CoreState>* cores = nullptr;
@@ -200,6 +261,7 @@ struct SchedView {
   // queue. 0 = unversioned (hand-built views): never memoize on it.
   std::uint32_t queue = 0;
   std::uint64_t queue_version = 0;
+  const QueueOcc* occ = nullptr;
 
   [[gnu::always_inline]] inline bool live(std::size_t i) const {
     return (meta[i].flags & QueueScanMeta::kLive) != 0;

@@ -10,6 +10,7 @@
 //   reward = data bursts issued since the previous decision (bus
 //            utilization, the same reward Ipek et al. use)
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "common/ckpt.hh"
@@ -143,84 +144,138 @@ class RlScheduler final : public Scheduler {
     Cycle valid_until = 0;
     std::uint64_t state = 0;  // hashed features
     std::vector<std::uint32_t> ready;  // issuable indices in queue order
-    std::vector<std::uint32_t> bank_load;
-    std::vector<std::uint64_t> bank_stamp;
+    std::vector<std::uint32_t> bank_load;  // live entries per occupied flat bank
     std::size_t oldest_hit = kNoPick;
     std::size_t oldest_ready = kNoPick;
     std::size_t oldest_live = kNoPick;
   };
 
-  // One pass over the active queue into `m`: the state features, the
-  // per-bank load histogram, the oldest issuable row hit / issuable / live
-  // entry (strict `<` on arrival, so equal arrivals keep the lowest index),
-  // the issuable indices in queue order — everything select() and the
-  // fallback chain read — and the memo key. The histogram is a slab over
-  // flat bank ids, sized from the geometry; a slot counts only while its
-  // stamp matches the current token, so clearing it is one counter bump.
+  // Fills `m` with the state features, the per-bank load, the oldest
+  // issuable row hit / issuable / live entry (earliest arrival, lowest
+  // index on ties), the issuable indices in queue order — everything
+  // select() and the fallback chain read — and the memo key.
+  //
+  // The features come from the queue's occupancy counts (SchedView::occ),
+  // one fold over its occupied units: every entry of a unit shares one of
+  // two command classes (the open-row hits, `match` of them, and the rest,
+  // which need ACT at a closed unit or PRE at an open one), so each class
+  // contributes its count to `ready` when its command is legal now and its
+  // legal cycle to valid_until otherwise. Units are sorted, so a bank's
+  // SALP subarrays are adjacent and roll up into per-bank load and the
+  // distinct-bank count as the fold goes. Only when something is ready
+  // does one pass over the entries pick out the ready ones (those whose
+  // unit marked their class).
   void scan(const std::vector<QueuedRequest>& q, const SchedView& v, ScanMemo& m) {
-    const std::size_t banks = v.bank_count();
-    if (m.bank_load.size() != banks) {
-      m.bank_load.assign(banks, 0);
-      m.bank_stamp.assign(banks, 0);
+    assert(v.occ && "RL reads its state off the queue's occupancy counts");
+    const QueueOcc& oc = *v.occ;
+    const dram::Channel& chan = v.cache->channel();
+    const bool write = v.queue == 1;
+    if (m.bank_load.size() != v.bank_count()) m.bank_load.assign(v.bank_count(), 0);
+    if (unit_mark_.size() != chan.unit_count()) unit_mark_.assign(chan.unit_count(), UnitMark{});
+    ++mark_token_;
+    Cycle valid_until = kCycleNever;
+    std::uint32_t hits = 0, ready = 0, distinct_banks = 0, max_core_load = 0;
+    std::uint32_t bank = ~0u;
+    for (const std::uint32_t u : oc.units) {
+      const QueueOcc::Unit c = oc.cnt[u];
+      if (c.total == 0) continue;
+      const std::uint32_t b = chan.bank_of_unit(u);
+      if (b != bank) {
+        bank = b;
+        ++distinct_banks;
+        m.bank_load[b] = 0;
+      }
+      m.bank_load[b] += c.total;
+      const bool open = chan.unit_open(u);
+      const std::uint32_t n_hit = open ? c.match : 0;
+      hits += n_hit;
+      const SchedTimingCache::UnitTiming t = v.cache->unit_timing(u, write);
+      std::uint32_t bits = 0;
+      const auto fold = [&](std::uint32_t n, Cycle at, std::uint32_t bit) {
+        if (n == 0) return;
+        if (at <= v.now) {
+          ready += n;
+          bits |= bit;
+        } else {
+          valid_until = std::min(valid_until, at);
+        }
+      };
+      fold(n_hit, t.hit, kHitReady);
+      fold(c.total - n_hit, t.miss, kMissReady);
+      if (bits) unit_mark_[u] = UnitMark{mark_token_, open ? chan.unit_row(u) : kNoRow, bits};
     }
-    ++stamp_token_;
-    core_load_.assign(num_cores_, 0);
+    const std::size_t cores = std::min<std::size_t>(num_cores_, oc.core_live.size());
+    for (std::size_t c = 0; c < cores; ++c) max_core_load = std::max(max_core_load, oc.core_live[c]);
+
     m.ready.clear();
     m.oldest_hit = m.oldest_ready = m.oldest_live = kNoPick;
-    Cycle valid_until = kCycleNever;
-    Cycle hit_arrive = 0, ready_arrive = 0, live_arrive = 0;
-    std::uint32_t live = 0, hits = 0, distinct_banks = 0, max_core_load = 0;
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!v.live(i)) continue;
-      const Request& r = q[i].req;
-      ++live;
-      if (m.oldest_live == kNoPick || r.arrive < live_arrive) {
-        m.oldest_live = i;
-        live_arrive = r.arrive;
+    if (ready > 0) {
+      if (v.arrive_sorted) entry_pass<true>(q, v, m);
+      else entry_pass<false>(q, v, m);
+      assert(m.ready.size() == ready);
+    } else {
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        if (!v.live(i)) continue;
+        if (m.oldest_live == kNoPick || q[i].req.arrive < q[m.oldest_live].req.arrive)
+          m.oldest_live = i;
+        if (v.arrive_sorted) break;
       }
-      // Row hits count whether or not they are legal yet.
-      const SchedTimingCache::EntryTiming t = v.entry_timing(i);
-      if (t.hit) ++hits;
-      if (t.at <= v.now) {
-        m.ready.push_back(static_cast<std::uint32_t>(i));
-        if (m.oldest_ready == kNoPick || r.arrive < ready_arrive) {
-          m.oldest_ready = i;
-          ready_arrive = r.arrive;
-        }
-        if (t.hit && (m.oldest_hit == kNoPick || r.arrive < hit_arrive)) {
-          m.oldest_hit = i;
-          hit_arrive = r.arrive;
-        }
-      } else {
-        valid_until = std::min(valid_until, t.at);
-      }
-      const std::uint32_t b = v.bank(i);
-      if (m.bank_stamp[b] != stamp_token_) {
-        m.bank_stamp[b] = stamp_token_;
-        m.bank_load[b] = 0;
-        ++distinct_banks;
-      }
-      ++m.bank_load[b];
-      if (r.core < num_cores_) max_core_load = std::max(max_core_load, ++core_load_[r.core]);
     }
-    auto bucket = [](std::uint32_t x) -> std::uint64_t {  // log2-ish buckets
-      std::uint64_t b = 0;
-      while (x > 0 && b < 7) {
-        x >>= 1;
-        ++b;
-      }
-      return b;
+
+    // log2-ish buckets: the bit width, capped at 7.
+    const auto bucket = [](std::uint64_t x) -> std::uint64_t {
+      return std::min<std::uint64_t>(static_cast<std::uint64_t>(std::bit_width(x)), 7);
     };
     learn::StateHash h;
-    h.add(bucket(live))
+    h.add(bucket(oc.live))
         .add(bucket(hits))
-        .add(bucket(static_cast<std::uint32_t>(m.ready.size())))
+        .add(bucket(ready))
         .add(bucket(distinct_banks))
         .add(bucket(max_core_load));
     m.state = h.value();
     m.queue_version = v.queue_version;
-    m.chan_version = v.cache->channel().state_version();
+    m.chan_version = chan.state_version();
     m.valid_until = valid_until;
+  }
+
+  // The entry pass of scan(): the ready entries in queue order (live
+  // entries whose unit marked their class) and the oldest ready,
+  // ready-hit and live entries. Every index is written and the ready count
+  // advances by a flag, so the loop carries few branches. On a sorted queue
+  // the first of each class is its oldest; otherwise strict `<` on arrival
+  // keeps the lowest index among equals.
+  template <bool kSorted>
+  void entry_pass(const std::vector<QueuedRequest>& q, const SchedView& v, ScanMemo& m) {
+    m.ready.resize(q.size());
+    std::uint32_t* out = m.ready.data();
+    std::size_t n = 0;
+    Cycle hit_arrive = 0, ready_arrive = 0, live_arrive = 0;
+    const auto older = [&](std::size_t& best, Cycle& best_arrive, std::size_t i) {
+      if (best == kNoPick || q[i].req.arrive < best_arrive) {
+        best = i;
+        best_arrive = q[i].req.arrive;
+      }
+    };
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      const QueueScanMeta& e = v.meta[i];
+      const UnitMark& mark = unit_mark_[e.unit];
+      const bool live = (e.flags & QueueScanMeta::kLive) != 0;
+      const bool hit = e.row == mark.row;
+      const bool ready = live & (mark.token == mark_token_) &
+                         ((mark.bits & (hit ? kHitReady : kMissReady)) != 0);
+      out[n] = static_cast<std::uint32_t>(i);
+      n += ready;
+      if constexpr (kSorted) {
+        if (live && m.oldest_live == kNoPick) m.oldest_live = i;
+        if (ready && hit && m.oldest_hit == kNoPick) m.oldest_hit = i;
+      } else {
+        if (live) older(m.oldest_live, live_arrive, i);
+        if (ready) older(m.oldest_ready, ready_arrive, i);
+        if (ready && hit) older(m.oldest_hit, hit_arrive, i);
+      }
+    }
+    m.ready.resize(n);
+    if constexpr (kSorted) m.oldest_ready = n > 0 ? m.ready[0] : kNoPick;
   }
 
   // Reads the candidates scan() left in `m`; kNoPick when the chosen class
@@ -279,10 +334,20 @@ class RlScheduler final : public Scheduler {
   obs::TraceSink* trace_ = nullptr;
   // Scratch outside fields(): the scan memo, one slot per controller queue
   // (reads and writes alternate on most cycles, so one slot would thrash),
-  // and the per-scan histogram token and core loads.
+  // and the per-unit ready marks of the latest scan: which classes are
+  // legal and the unit's open row (kNoRow when closed), current only while
+  // the token matches, so clearing them is one bump.
+  static constexpr std::uint32_t kHitReady = 1;
+  static constexpr std::uint32_t kMissReady = 2;
+  static constexpr std::uint32_t kNoRow = ~0u;  // a closed unit: no entry hits
+  struct UnitMark {
+    std::uint64_t token = 0;
+    std::uint32_t row = kNoRow;
+    std::uint32_t bits = 0;
+  };
   ScanMemo memo_[2];
-  std::uint64_t stamp_token_ = 0;
-  std::vector<std::uint32_t> core_load_;
+  std::uint64_t mark_token_ = 0;
+  std::vector<UnitMark> unit_mark_;
 };
 
 }  // namespace

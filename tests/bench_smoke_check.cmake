@@ -222,32 +222,37 @@ if(json_err OR n_samples LESS 1)
 endif()
 
 # Perf floor for the issue-loop fast path: the loaded host rate must be
-# recorded, and (outside sanitizer builds, which are legitimately slow)
-# must not regress more than 30% below the rate measured when the fast
-# path landed. IMA_PERF_FLOOR_CPS overrides the floor (0 disables) for
-# slow or shared machines.
+# recorded, and (outside sanitizer builds, which are legitimately slow) the
+# loaded phase must not run more than 30% slower, relative to the host, than
+# when the floor was recorded. bench_smoke times a fixed, simulator-free
+# reference loop on the same pinned CPU after each of its seven loaded
+# repetitions, both in process CPU time, and reports the fastest loaded rate
+# over the fastest reference rate (host_cycles_per_sec_loaded_ref_ratio:
+# simulated cycles per reference loop). A host that is slow for the whole
+# run slows both sides, so the floor holds the ratio, not the absolute rate,
+# which failed on a contended host with unchanged code.
 #
-# Re-recorded after the SoA occupancy-count timing kernel: median of 8
-# runs on the reference host was 7.4M cyc/s for this 300K-cycle phase
-# (pre-SoA recording: 3.5M). On a shared host single timings of the phase
-# are bimodal (a busy neighbour only ever slows it), so bench_smoke reports
-# the fastest of seven repetitions spread over its run and rotated over the
-# allowed CPUs, not one timing.
-set(loaded_cps_recorded 7400000)  # cycles/sec, bench_smoke loaded phase
-math(EXPR loaded_cps_floor "${loaded_cps_recorded} * 7 / 10")
-if(DEFINED ENV{IMA_PERF_FLOOR_CPS})
-  set(loaded_cps_floor $ENV{IMA_PERF_FLOOR_CPS})
-endif()
-string(JSON loaded_cps ERROR_VARIABLE json_err GET "${report_json}" metrics
-       host_cycles_per_sec_loaded)
-if(json_err)
-  message(FATAL_ERROR "BENCH_smoke.json metrics.host_cycles_per_sec_loaded missing (${json_err})")
-endif()
+# Recorded as the median of 10 full-size runs, five RelWithDebInfo and five
+# Release, on a 4-vCPU Xeon host: 132K (106K-137K; the lowest came in a
+# slow spell of the host, with the loaded rate at 5.2M cyc/s). With a busy
+# or a memory-bound process on every CPU, runs read 119K-152K.
+set(loaded_ratio_recorded 132000)
+math(EXPR loaded_ratio_floor "${loaded_ratio_recorded} * 7 / 10")
+foreach(metric host_cycles_per_sec_loaded host_cycles_per_sec_loaded_ref_ratio)
+  string(JSON value ERROR_VARIABLE json_err GET "${report_json}" metrics ${metric})
+  if(json_err)
+    message(FATAL_ERROR "BENCH_smoke.json metrics.${metric} missing (${json_err})")
+  endif()
+endforeach()
+string(JSON loaded_cps GET "${report_json}" metrics host_cycles_per_sec_loaded)
+string(JSON loaded_ratio GET "${report_json}" metrics host_cycles_per_sec_loaded_ref_ratio)
 if(IMA_SANITIZE)
-  message(STATUS "sanitizer build (${IMA_SANITIZE}): perf floor skipped, loaded rate ${loaded_cps} cyc/s")
-elseif(loaded_cps LESS loaded_cps_floor)
-  message(FATAL_ERROR "loaded host rate regressed: ${loaded_cps} cyc/s < floor ${loaded_cps_floor} "
-                      "(recorded ${loaded_cps_recorded}; set IMA_PERF_FLOOR_CPS to override)")
+  message(STATUS "sanitizer build (${IMA_SANITIZE}): perf floor skipped, loaded rate ${loaded_cps} "
+                 "cyc/s, ${loaded_ratio} cycles per reference loop")
+elseif(loaded_ratio LESS loaded_ratio_floor)
+  message(FATAL_ERROR "loaded host rate regressed: ${loaded_ratio} simulated cycles per reference "
+                      "loop < floor ${loaded_ratio_floor} (recorded ${loaded_ratio_recorded}; "
+                      "loaded rate ${loaded_cps} cyc/s)")
 endif()
 
 # The Chrome trace must parse and hold a non-empty traceEvents array with

@@ -8,6 +8,7 @@
 #include "common/clock.hh"
 #include "common/rng.hh"
 #include "dram/channel.hh"
+#include "learn/qlearn.hh"
 #include "mem/memsys.hh"
 #include "mem/sched.hh"
 #include "obs/trace.hh"
@@ -24,14 +25,20 @@ struct SchedFixture : ::testing::Test {
 
   SchedTimingCache cache{chan};
   std::vector<QueueScanMeta> meta;
+  QueueOcc occ;
 
   // The view the controller would hand a scheduler over queue `q`: the
-  // controller's meta builder plus the timing cache, begun at `now`.
+  // controller's meta and occupancy builders plus the timing cache, begun
+  // at `now`.
   SchedView view(const std::vector<QueuedRequest>& q, Cycle now) {
     meta.clear();
     for (const auto& r : q) meta.push_back(scan_meta(chan, r));
+    if (occ.cnt.size() != chan.unit_count()) occ.reset(chan.unit_count(), cores.size());
+    occ.rebuild(chan, q, meta.data());
     cache.begin(now);
-    return SchedView{now, &cores, &cache, meta.data()};
+    SchedView v{now, &cores, &cache, meta.data()};
+    v.occ = &occ;
+    return v;
   }
 
   QueuedRequest make(Addr row, std::uint32_t bank, std::uint32_t core, Cycle arrive,
@@ -398,97 +405,252 @@ TEST(SchedViewReference, EveryQueryMatchesChannel) {
   }
 }
 
-// Runs one RL scheduler on the controller's versioned views and a twin
-// with the same seed on the same views made unversioned (queue_version 0,
-// so it rescans every pick), and counts every pick where the two disagree
-// on the index or on the traced (action, state hash).
-class RlMemoTwin final : public Scheduler {
+// RL's state scan as it was before its features came from the
+// controller's occupancy counts, kept as the reference: one pass over every
+// live entry, asking the channel itself for each entry's required command,
+// legality, open row and (rank, bank). It yields the hashed five features
+// (live, row hits, issuable, distinct banks, max load over cores below
+// `num_cores`), the issuable entries in queue order, the per-bank load and
+// the oldest issuable row hit / issuable / live entry (strict `<` on
+// arrival, so equal arrivals keep the lowest index).
+struct RlScanReference {
+  std::uint64_t state = 0;
+  std::vector<std::uint32_t> ready;
+  std::vector<std::uint32_t> bank_load;
+  std::size_t oldest_hit = kNoPick;
+  std::size_t oldest_ready = kNoPick;
+  std::size_t oldest_live = kNoPick;
+};
+
+RlScanReference rl_scan_reference(const std::vector<QueuedRequest>& q, Cycle now,
+                                  const dram::Channel& chan, std::uint32_t num_cores) {
+  const auto& g = chan.config().geometry;
+  RlScanReference r;
+  r.bank_load.assign(static_cast<std::size_t>(g.ranks) * g.banks, 0);
+  std::vector<std::uint32_t> core_load(num_cores, 0);
+  Cycle hit_arrive = 0, ready_arrive = 0, live_arrive = 0;
+  std::uint32_t live = 0, hits = 0, distinct_banks = 0, max_core_load = 0;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (!q[i].live) continue;
+    const Request& req = q[i].req;
+    const dram::Coord& c = q[i].coord;
+    ++live;
+    if (r.oldest_live == kNoPick || req.arrive < live_arrive) {
+      r.oldest_live = i;
+      live_arrive = req.arrive;
+    }
+    const bool hit = chan.bank_open(c) && chan.open_row(c) == c.row;
+    if (hit) ++hits;
+    if (chan.earliest(chan.required_cmd(c, req.type), c, now) <= now) {
+      r.ready.push_back(static_cast<std::uint32_t>(i));
+      if (r.oldest_ready == kNoPick || req.arrive < ready_arrive) {
+        r.oldest_ready = i;
+        ready_arrive = req.arrive;
+      }
+      if (hit && (r.oldest_hit == kNoPick || req.arrive < hit_arrive)) {
+        r.oldest_hit = i;
+        hit_arrive = req.arrive;
+      }
+    }
+    if (r.bank_load[c.rank * g.banks + c.bank]++ == 0) ++distinct_banks;
+    if (req.core < num_cores) max_core_load = std::max(max_core_load, ++core_load[req.core]);
+  }
+  const auto bucket = [](std::uint32_t x) -> std::uint64_t {
+    std::uint64_t b = 0;
+    while (x > 0 && b < 7) {
+      x >>= 1;
+      ++b;
+    }
+    return b;
+  };
+  learn::StateHash h;
+  h.add(bucket(live))
+      .add(bucket(hits))
+      .add(bucket(static_cast<std::uint32_t>(r.ready.size())))
+      .add(bucket(distinct_banks))
+      .add(bucket(max_core_load));
+  r.state = h.value();
+  return r;
+}
+
+// The index RL must return for `action` (0 row hit, 1 oldest, 2 least
+// attained service, 3 deepest bank) over the reference scan, with its
+// fallback chain: oldest issuable, then oldest live.
+std::size_t rl_pick_reference(const RlScanReference& r, const std::vector<QueuedRequest>& q,
+                              const std::vector<CoreState>& cores, std::uint32_t banks,
+                              std::uint64_t action) {
+  std::size_t best = kNoPick;
+  std::uint64_t best_score = 0;
+  for (const std::uint32_t i : r.ready) {
+    const QueuedRequest& e = q[i];
+    if (action == 2) {
+      const std::uint64_t sv =
+          e.req.core < cores.size() ? cores[e.req.core].attained_service : 0;
+      if (best == kNoPick || sv < best_score) {
+        best = i;
+        best_score = sv;
+      }
+    } else if (action == 3) {
+      const std::uint64_t load = r.bank_load[e.coord.rank * banks + e.coord.bank];
+      if (best == kNoPick || load > best_score) {
+        best = i;
+        best_score = load;
+      }
+    }
+  }
+  if (action == 0) best = r.oldest_hit;
+  if (action == 1) best = r.oldest_ready;
+  if (best != kNoPick) return best;
+  return r.oldest_ready != kNoPick ? r.oldest_ready : r.oldest_live;
+}
+
+// Wraps make_rl(rl_cores, ...) and, on every pick, checks the traced
+// (action, state hash) and the returned index against the reference scan.
+// Counts what the run covered: picks over unsorted queues and over queues
+// holding a core id at or above the controller's core count, and each
+// action taken.
+class RlReferenceCheck final : public Scheduler {
  public:
-  RlMemoTwin() : memo_(make_rl(4, 13, 0.1, 0.05)), rescan_(make_rl(4, 13, 0.1, 0.05)) {
-    memo_->set_trace(&memo_trace_);
-    rescan_->set_trace(&rescan_trace_);
+  RlReferenceCheck(std::uint32_t rl_cores, std::uint32_t ctrl_cores, const dram::Channel& chan)
+      : inner_(make_rl(rl_cores, 13, 0.1, 0.05)),
+        rl_cores_(rl_cores),
+        ctrl_cores_(ctrl_cores),
+        chan_(chan) {
+    inner_->set_trace(&trace_);
   }
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
-    SchedView unversioned = v;
-    unversioned.queue_version = 0;
-    const std::size_t a = memo_->pick(q, v);
-    const std::size_t b = rescan_->pick(q, unversioned);
+    const std::size_t idx = inner_->pick(q, v);
     ++picks;
-    if (v.queue_version != 0) ++versioned;
-    if (a != b || last_decision(memo_trace_) != last_decision(rescan_trace_)) {
-      if (mismatches++ == 0)
-        first = "queue " + std::to_string(v.queue) + " at cycle " + std::to_string(v.now);
-    }
-    return a;
+    if (trace_.size() == 0) return idx;  // tracing compiled out: nothing to compare
+    ++traced;
+    const auto [action, state] = last_decision(trace_);
+    const RlScanReference ref = rl_scan_reference(q, v.now, chan_, rl_cores_);
+    if (action < 4) ++actions[action];
+    if (!v.arrive_sorted) ++unsorted;
+    for (const QueuedRequest& e : q)
+      if (e.live && e.req.core >= ctrl_cores_) {
+        ++high_core;
+        break;
+      }
+    if (!ref.ready.empty()) ++with_ready;
+    if (state != ref.state) mismatch(v, "state hash");
+    if (idx != rl_pick_reference(ref, q, *v.cores, chan_.config().geometry.banks, action))
+      mismatch(v, "picked index");
+    return idx;
   }
   void on_service(const QueuedRequest& r, const SchedView& v) override {
-    memo_->on_service(r, v);
-    rescan_->on_service(r, v);
+    inner_->on_service(r, v);
   }
-  Cycle next_event(Cycle now) const override { return memo_->next_event(now); }
-  std::string name() const override { return memo_->name(); }
-
-  const Scheduler& memo() const { return *memo_; }
-  const Scheduler& rescan() const { return *rescan_; }
+  Cycle next_event(Cycle now) const override { return inner_->next_event(now); }
+  std::string name() const override { return inner_->name(); }
 
   std::uint64_t picks = 0;
-  std::uint64_t versioned = 0;
+  std::uint64_t traced = 0;
+  std::uint64_t with_ready = 0;
+  std::uint64_t unsorted = 0;
+  std::uint64_t high_core = 0;
+  std::uint64_t actions[4] = {};
   std::uint64_t mismatches = 0;
   std::string first;
 
  private:
-  std::unique_ptr<Scheduler> memo_;
-  std::unique_ptr<Scheduler> rescan_;
-  obs::TraceSink memo_trace_{1};
-  obs::TraceSink rescan_trace_{1};
+  void mismatch(const SchedView& v, const char* what) {
+    if (mismatches++ == 0)
+      first = std::string(what) + " on queue " + std::to_string(v.queue) + " at cycle " +
+              std::to_string(v.now);
+  }
+
+  std::unique_ptr<Scheduler> inner_;
+  std::uint32_t rl_cores_;
+  std::uint32_t ctrl_cores_;
+  const dram::Channel& chan_;
+  obs::TraceSink trace_{1};
 };
 
-// The RL scan memo is exact: on a saturated 4-core injection over two
-// ranks, SALP off and on, with power-down and self-refresh timeouts and
-// idle windows so ranks fall asleep and wake mid-run, a scheduler that
-// reuses its memoized scans makes the same pick with the same state hash
-// as one that rescans every pick, and ends with the same learned state.
-TEST(SchedViewReference, RlScanMemoMatchesRescan) {
+// RL's state features come from the controller's occupancy counts and its
+// ready set from one pass that only runs when a unit has a legal class, all
+// behind the scan memo. On every pick this must equal the per-entry
+// reference: same state hash (the five features), same index for the action
+// taken (the ready list and the three oldest candidates). The run is a
+// saturated injection from eight cores on a four-core controller, over two
+// ranks with power-down and self-refresh timeouts and idle windows (ranks
+// sleep and wake mid-run), SALP off and on, with PIM ops queued mid-run
+// (the controller rebuilds its occupancy after them) and out-of-order
+// arrivals (the queue stops being arrive-sorted), under RL instances that
+// count eight cores (ids at or above the controller's four) and two.
+TEST(SchedViewReference, RlStateMatchesEntryScan) {
   for (const bool salp : {false, true}) {
-    SCOPED_TRACE(salp ? "SALP" : "no SALP");
-    auto dram_cfg = dram::DramConfig::ddr4_2400();
-    dram_cfg.timings.salp = salp;
-    dram_cfg.geometry.ranks = 2;
-    ControllerConfig ctrl;
-    ctrl.num_cores = 4;
-    ctrl.powerdown_timeout = 40;
-    ctrl.selfrefresh_timeout = 1500;
-    MemorySystem sys(dram_cfg, ctrl);
-    auto twin = std::make_unique<RlMemoTwin>();
-    RlMemoTwin& t = *twin;
-    sys.controller(0).set_scheduler(std::move(twin));
+    for (const std::uint32_t rl_cores : {8u, 2u}) {
+      SCOPED_TRACE(std::string(salp ? "SALP" : "no SALP") + ", RL over " +
+                   std::to_string(rl_cores) + " cores");
+      auto dram_cfg = dram::DramConfig::ddr4_2400();
+      dram_cfg.timings.salp = salp;
+      dram_cfg.geometry.ranks = 2;
+      ControllerConfig ctrl;
+      ctrl.num_cores = 4;
+      ctrl.powerdown_timeout = 40;
+      ctrl.selfrefresh_timeout = 1500;
+      MemorySystem sys(dram_cfg, ctrl);
+      Controller& mc = sys.controller(0);
+      auto check = std::make_unique<RlReferenceCheck>(rl_cores, ctrl.num_cores, mc.channel());
+      RlReferenceCheck& c = *check;
+      mc.set_scheduler(std::move(check));
 
-    std::vector<sim::Injector> injectors;
-    workloads::StreamParams p;
-    p.footprint = 48ull << 20;
-    for (std::uint32_t i = 0; i < 4; ++i) {
-      p.base = static_cast<Addr>(i) << 30;
-      p.seed = 71 + i;
-      if (i % 2 == 0) injectors.push_back({workloads::make_streaming(p), 16});
-      else injectors.push_back({workloads::make_random(p), 4});
-    }
-    sim::ClosedLoop cores(std::move(injectors));
-    sim::ClosedLoop idle(std::vector<sim::Injector>{});
-    Cycle now = 0;
-    for (int window = 0; window < 6; ++window) {
-      now = cores.run(sys, now, now + 8'000);
-      now = idle.run(sys, now, now + 4'000);
-    }
+      std::vector<sim::Injector> injectors;
+      workloads::StreamParams p;
+      p.footprint = 48ull << 20;
+      for (std::uint32_t i = 0; i < 8; ++i) {
+        // One 64 MB subarray per core: under SALP, cores sharing a bank
+        // occupy different units of it.
+        p.base = static_cast<Addr>(i) << 26;
+        p.seed = 71 + i;
+        if (i % 2 == 0) injectors.push_back({workloads::make_streaming(p), 8});
+        else injectors.push_back({workloads::make_random(p), 4});
+      }
+      sim::ClosedLoop cores(std::move(injectors));
+      sim::ClosedLoop idle(std::vector<sim::Injector>{});
+      Cycle now = 0;
+      for (int window = 0; window < 6; ++window) {
+        if (window % 2 == 1) {
+          PimOp op;
+          op.cmd = dram::Cmd::AapFpm;
+          op.bank = dram::Coord{0, static_cast<std::uint32_t>(window / 2 % 2),
+                                static_cast<std::uint32_t>(window), 1, 0};
+          op.args.src_row = 1;
+          op.args.dst_row = 2;
+          mc.enqueue_pim(std::move(op));
+        }
+        if (window >= 2) {
+          // The queues drained in the idle window: the second request
+          // arrives before the first, so they stay unsorted until they
+          // drain again.
+          for (const Cycle back : {Cycle{0}, Cycle{7}}) {
+            Request r;
+            r.addr = (static_cast<Addr>(window) << 24) + (back << 12);
+            r.core = 1;
+            r.arrive = now - back;
+            ASSERT_TRUE(sys.enqueue(r));
+          }
+        }
+        now = cores.run(sys, now, now + 8'000);
+        now = idle.run(sys, now, now + 4'000);
+      }
 
-    const auto& st = sys.controller(0).stats();
-    EXPECT_GT(st.powerdowns, 0u);
-    EXPECT_GT(st.selfrefreshes, 0u);
-    EXPECT_GT(st.rank_wakes, 0u);
-    EXPECT_GT(t.versioned, 0u);
-    EXPECT_GT(cores.total_served(), 0u);
-    EXPECT_EQ(t.mismatches, 0u) << "first: " << t.first << " of " << t.picks << " picks";
-    EXPECT_TRUE(image_of(t.memo()) == image_of(t.rescan())) << "learned state differs";
+      const auto& st = mc.stats();
+      EXPECT_GT(st.powerdowns, 0u);
+      EXPECT_GT(st.selfrefreshes, 0u);
+      EXPECT_GT(st.rank_wakes, 0u);
+      EXPECT_EQ(st.pim_ops_done, 3u);
+      EXPECT_GT(cores.total_served(), 0u);
+      if (c.traced == 0) GTEST_SKIP() << "tracing compiled out: no decisions to compare";
+      EXPECT_EQ(c.traced, c.picks);
+      EXPECT_GT(c.with_ready, 0u);
+      EXPECT_GT(c.unsorted, 0u);
+      EXPECT_GT(c.high_core, 0u);
+      for (const std::uint64_t n : c.actions) EXPECT_GT(n, 0u) << "an action never occurred";
+      EXPECT_EQ(c.mismatches, 0u) << "first: " << c.first << " of " << c.picks << " picks";
+    }
   }
 }
 
