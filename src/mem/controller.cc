@@ -11,7 +11,7 @@
 namespace ima::mem {
 
 // Tombstone-compaction threshold for the request queues (serve()): a queue
-// vector holds at most queue_size live + kCompactDead dead slots, so the
+// vector holds at most queue_size live + kCompactDead dead entries, so the
 // constructor can reserve the high-water mark once and steady-state
 // enqueue/compaction never reallocates.
 constexpr std::size_t kCompactDead = 16;
@@ -72,10 +72,12 @@ Controller::Controller(dram::Channel& chan, const dram::AddressMapper& mapper,
   read_meta_.reserve(cfg.read_queue_size + kCompactDead);
   write_meta_.reserve(cfg.write_queue_size + kCompactDead);
   for (QueueOcc& oc : occ_) oc.reset(chan.unit_count(), cfg.num_cores);
-  // One burst issues per cycle and completes within a fixed latency, so
-  // the inflight heap stays far below the combined queue capacity:
-  // reserving that up front makes heap growth a cold path.
-  inflight_.reserve(cfg.read_queue_size + cfg.write_queue_size);
+  // Every live slot is queued or inflight, and one burst issues per cycle
+  // and completes within a fixed latency, so the pool rarely outgrows the
+  // combined queue capacity: reserving that up front makes growth a cold
+  // path.
+  slots_.reserve(cfg.read_queue_size + cfg.write_queue_size);
+  free_slots_.reserve(cfg.read_queue_size + cfg.write_queue_size);
   rank_last_activity_.assign(chan.config().geometry.ranks, 0);
   rank_work_.assign(chan.config().geometry.ranks, 0);
   if (cfg.record_spans) spans_ = std::make_unique<SpanRecorders>();
@@ -161,7 +163,7 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   QueuedRequest qr;
   qr.coord = mapper_.decode(req.addr);
   qr.req = req;
-  qr.cb = std::move(cb);
+  qr.slot = claim_slot(std::move(cb));
   assert(qr.coord.channel == chan_.id() && "request routed to wrong channel");
   if (req.core < cores_.size()) ++cores_[req.core].outstanding;
   ++rank_work_[qr.coord.rank];
@@ -175,7 +177,7 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   if (oc.live == 0) sorted = true;
   else if (req.arrive < last) sorted = false;
   last = req.arrive;
-  q.push_back(std::move(qr));
+  q.push_back(qr);
   auto& meta = is_read ? read_meta_ : write_meta_;
   meta.push_back(scan_meta(chan_, q.back()));
   const QueueScanMeta& m = meta.back();
@@ -187,6 +189,19 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   return true;
 }
 
+std::uint32_t Controller::claim_slot(CompletionCallback cb) {
+  std::uint32_t s;
+  if (free_slots_.empty()) {
+    s = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    s = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[s].cb = std::move(cb);
+  return s;
+}
+
 void Controller::enqueue_pim(PimOp op) {
   ++mutation_stamp_;
   ++rank_work_[op.bank.rank];
@@ -196,19 +211,27 @@ void Controller::enqueue_pim(PimOp op) {
 void Controller::retire(Cycle now) {
   while (!inflight_.empty() && inflight_.front().done <= now) {
     std::pop_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
-    Inflight top = std::move(inflight_.back());
+    const Inflight top = inflight_.back();
     inflight_.pop_back();
-    top.req.complete = top.done;
-    if (top.req.type == AccessType::Read) {
+    // Move the request and its callback out and free the slot before the
+    // callback runs: it may enqueue into this controller, which can claim
+    // this very slot or grow the pool under any reference into it.
+    Slot& slot = slots_[top.slot];
+    Request req = slot.req;
+    CompletionCallback cb;
+    cb.swap(slot.cb);
+    free_slots_.push_back(top.slot);
+    req.complete = top.done;
+    if (req.type == AccessType::Read) {
       ++stats_.reads_done;
-      stats_.read_latency.add(top.done - top.req.arrive);
+      stats_.read_latency.add(top.done - req.arrive);
       if (spans_) {
         // Integer stage decomposition; the four stages sum to done - arrive
         // exactly (refresh = blocked_queue + blocked_prep):
         //   queue + blocked_queue = first_cmd - arrive
         //   stall + blocked_prep  = served - first_cmd
         //   xfer                  = done - served
-        const Request& r = top.req;
+        const Request& r = req;
         const Cycle fc = r.first_cmd == kCycleNever ? r.arrive : r.first_cmd;
         const Cycle sv = r.served == kCycleNever ? top.done : r.served;
         spans_->queue.add((fc - r.arrive) - r.blocked_queue);
@@ -219,12 +242,12 @@ void Controller::retire(Cycle now) {
     } else {
       ++stats_.writes_done;
     }
-    if (top.req.core < cores_.size()) {
-      auto& core = cores_[top.req.core];
+    if (req.core < cores_.size()) {
+      auto& core = cores_[req.core];
       ++core.served;
       if (core.outstanding > 0) --core.outstanding;
     }
-    if (top.cb) top.cb(top.req);
+    if (cb) cb(req);
   }
 }
 
@@ -261,10 +284,6 @@ bool Controller::try_issue_pim(Cycle now) {
   if (!chan_.can_issue(op.cmd, op.bank, now)) return false;
   const Cycle latency = chan_.pim_latency(op.cmd, op.args);
   chan_.issue_pim(op.cmd, op.bank, op.args, now);
-  // PIM command sequences open/close rows internally (possibly several
-  // units); rather than track their effects, mark the row-match counts
-  // stale and rebuild them at the next kernel run.
-  occ_dirty_ = true;
   ++stats_.pim_ops_done;
   // Move out before the callback: on_done may enqueue another PIM op and
   // grow the ring, invalidating this front reference. The call order
@@ -314,21 +333,19 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
     ++cores_[qr.req.core].served_in_quantum;
   }
   qr.req.served = now;
-  inflight_.push_back(Inflight{done, qr.req, std::move(qr.cb)});
+  slots_[qr.slot].req = qr.req;
+  inflight_.push_back(Inflight{done, qr.slot});
   std::push_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
-  // Tombstone in place instead of a middle-of-vector erase: the slot keeps
+  // Tombstone in place instead of a middle-of-vector erase: the entry keeps
   // its index (scheduler ties break by index, so survivors must not
   // shift until a *stable* compaction) and the hot path stops paying
   // O(queue) element moves per served request.
   qr.live = false;
   qr.marked = false;
-  qr.cb = nullptr;
   --rank_work_[qr.coord.rank];
   ++queue_stamp_[is_read ? 0 : 1];
   std::vector<QueueScanMeta>& meta = is_read ? read_meta_ : write_meta_;
   meta[idx].flags = 0;
-  // Exact while clean; garbage-tolerant in `match` while occ_dirty_, which
-  // the next rebuild overwrites.
   QueueOcc& oc = occ_[is_read ? 0 : 1];
   oc.remove(meta[idx].unit, qr.req.core);
   if (q.size() - oc.live >= kCompactDead) {
@@ -338,7 +355,7 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!q[i].live) continue;
       if (w != i) {
-        q[w] = std::move(q[i]);
+        q[w] = q[i];
         meta[w] = meta[i];
       }
       ++w;
@@ -419,19 +436,10 @@ Cycle Controller::stashed_issue_min(std::size_t qi, Cycle now) const {
   // get precisely the recomputed answer without the scan.
   const std::uint64_t ver = chan_.state_version();
   if (issue_min_valid_[qi] && issue_min_version_[qi] == ver) return issue_min_[qi];
-  clean_occ();
   issue_min_[qi] = queue_kernel_min(qi, now);
   issue_min_version_[qi] = ver;
   issue_min_valid_[qi] = true;
   return issue_min_[qi];
-}
-
-void Controller::clean_occ() const {
-  // PIM rewrote row state underneath the match counts; recount both queues.
-  if (!occ_dirty_) return;
-  occ_[0].rebuild(chan_, read_q_, read_meta_.data());
-  occ_[1].rebuild(chan_, write_q_, write_meta_.data());
-  occ_dirty_ = false;
 }
 
 bool Controller::try_issue_request(Cycle now) {
@@ -461,13 +469,8 @@ bool Controller::try_issue_from(std::vector<QueuedRequest>& q, Cycle now) {
   // future, no queued command of this queue is legal, so a pick could only
   // return a request the issuable() gate below rejects — with zero state
   // change. Eliding the scan is observably identical for pure picks;
-  // impure policies (RL) keep their exact call cadence, and may read the
-  // view's occupancy, so they get it exact.
-  if (sched_pick_pure_) {
-    if (stashed_issue_min(qi, now) > now) return false;
-  } else {
-    clean_occ();
-  }
+  // impure policies (RL) keep their exact call cadence.
+  if (sched_pick_pure_ && stashed_issue_min(qi, now) > now) return false;
   const std::size_t idx = sched_->pick(q, v);
   if (idx == kNoPick) return false;
   assert(idx < q.size() && q[idx].live);

@@ -254,9 +254,7 @@ class Controller {
   std::uint64_t charge_key(const dram::Coord& c, std::uint32_t row) const;
 
   /// Builds the per-decision scheduler view over the read or write queue,
-  /// entering the timing cache's epoch for `now`. The occupancy it points
-  /// at may be stale after PIM; try_issue_from rebuilds it before an
-  /// impure pick, never here (pure-pick policies do not pay for it).
+  /// entering the timing cache's epoch for `now`.
   SchedView view(Cycle now, bool is_read) const {
     timing_cache_.begin(now);
     const std::size_t qi = is_read ? 0 : 1;
@@ -317,18 +315,14 @@ class Controller {
   // earliest when match > 0 and its PRE earliest when some queued row
   // mismatches. RL's state scan folds over the same counts (views point
   // at them). Exactly the classify pass's classes, derived incrementally:
-  // enqueue/serve adjust the counts in O(1), the one mutation that
+  // enqueue/serve adjust the counts in O(1), and the one mutation that
   // redefines `match` (an ACT changing the open row) rescans the queues
-  // for that single unit, and PIM commands — whose row-state effects are
-  // not worth tracking — set occ_dirty_ to force a full rebuild before the
-  // next kernel run or impure pick. PRE needs no bookkeeping: a closed
-  // unit's match is simply unused until the next ACT recomputes it.
+  // for that single unit. PRE needs no bookkeeping: a closed unit's match
+  // is simply unused until the next ACT recomputes it. PIM commands need
+  // none either: they issue only into a closed bank and open no unit.
   // The per-core read counts also serve the per-core read quota.
   mutable QueueOcc occ_[2];  // 0 = read queue, 1 = write queue
-  mutable bool occ_dirty_ = false;
   void refresh_unit_occ(std::uint32_t unit);
-  // Rebuild both queues' occupancy if PIM left it dirty.
-  void clean_occ() const;
   Cycle queue_kernel_min(std::size_t qi, Cycle now) const;
   // Refresh (if needed) and return the queue's stashed kernel min; shared
   // by next_event and the pick-elision gate in try_issue_from.
@@ -365,16 +359,30 @@ class Controller {
   bool sched_pick_pure_ = false;  // cached sched_->pick_is_pure()
   bool draining_writes_ = false;
 
-  struct Inflight {
-    Cycle done;
+  // Request slot pool: an admitted request's body and callback live in
+  // one slot from enqueue to retire, and the queues and the inflight heap
+  // carry only its index, so neither compaction nor a heap sift moves a
+  // request body or a std::function. The queue entry's copy of the
+  // request is the live one while queued (schedulers and refresh
+  // attribution read and stamp it); serve() writes it into the slot.
+  // Freed indices are reused last-in first-out, so the warmest slot goes
+  // next.
+  struct Slot {
     Request req;
     CompletionCallback cb;
+  };
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint32_t claim_slot(CompletionCallback cb);
+
+  struct Inflight {
+    Cycle done;
+    std::uint32_t slot;
     bool operator>(const Inflight& o) const { return done > o.done; }
   };
+  static_assert(sizeof(Inflight) == 16);
   // Min-heap on `done` (std::push_heap/pop_heap with std::greater, the
-  // operations std::priority_queue runs, so ties pop in the same order);
-  // a plain vector lets retire() move the popped entry out instead of
-  // copying the request and its callback.
+  // operations std::priority_queue runs, so ties pop in the same order).
   std::vector<Inflight> inflight_;
   std::uint64_t mutation_stamp_ = 0;
 

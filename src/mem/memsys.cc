@@ -141,14 +141,14 @@ CompletionCallback MemorySystem::defer_to_mailbox(std::uint32_t ch, CompletionCa
   // Fires exactly once, on the owning shard's thread, into the channel's
   // private mailbox; the barrier delivers it on the coordinator.
   return [this, ch, inner = std::move(cb)](const Request& r) mutable {
-    mail_[ch].push_back(Mail{r, std::move(inner)});
+    mail_[ch].items.push_back(Mail{r, std::move(inner)});
   };
 }
 
 void MemorySystem::deliver_mail() {
   mail_order_.clear();
   for (std::uint32_t ch = 0; ch < mail_.size(); ++ch)
-    for (std::uint32_t i = 0; i < mail_[ch].size(); ++i) mail_order_.emplace_back(ch, i);
+    for (std::uint32_t i = 0; i < mail_[ch].items.size(); ++i) mail_order_.emplace_back(ch, i);
   if (mail_order_.empty()) return;
   // Per-channel boxes are already completion-ordered (retire pops the
   // inflight heap in done order), and the scratch list is built in channel
@@ -157,15 +157,15 @@ void MemorySystem::deliver_mail() {
   // fire in as requests retire without a shard plan.
   std::stable_sort(mail_order_.begin(), mail_order_.end(),
                    [this](const auto& a, const auto& b) {
-                     return mail_[a.first][a.second].req.complete <
-                            mail_[b.first][b.second].req.complete;
+                     return mail_[a.first].items[a.second].req.complete <
+                            mail_[b.first].items[b.second].req.complete;
                    });
   for (const auto& [ch, i] : mail_order_) {
-    Mail& m = mail_[ch][i];
+    Mail& m = mail_[ch].items[i];
     if (m.cb) m.cb(m.req);
     else sinks_[m.sink](ch, m.req);
   }
-  for (auto& box : mail_) box.clear();
+  for (Mailbox& box : mail_) box.items.clear();
 }
 
 void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle now) {
@@ -196,7 +196,7 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
       // so a sourced request allocates nothing for its completion. Without
       // a shard plan the sink fires as the request retires.
       const auto to_sink = [this, c, sink = sink_](const Request& done) {
-        if (shards_ > 0) mail_[c].push_back(Mail{done, nullptr, sink});
+        if (shards_ > 0) mail_[c].items.push_back(Mail{done, nullptr, sink});
         else sinks_[sink](c, done);
       };
       static_assert(sizeof(to_sink) <= 2 * sizeof(void*) &&
@@ -340,7 +340,8 @@ Cycle MemorySystem::run_drain(Cycle from, Cycle deadline, const ChannelSource* s
   }
   // Idle with every mailbox delivered: no sourced request is left to
   // complete, so the retained sinks can go (before a Throw unwinds).
-  if (idle() && std::all_of(mail_.begin(), mail_.end(), [](const auto& b) { return b.empty(); }))
+  if (idle() &&
+      std::all_of(mail_.begin(), mail_.end(), [](const Mailbox& b) { return b.items.empty(); }))
     sinks_.clear();
   last_drain_clipped_ = !channels_done(0, nch, src);
   if (!last_drain_clipped_) return now;
@@ -489,8 +490,8 @@ template <class Ar>
 void MemorySystem::fields(Ar& ar) {
   if (!idle())
     ar.fail(ckpt::ErrorKind::State, "memory system not quiescent: requests queued or inflight");
-  for (const auto& box : mail_)
-    if (!box.empty())
+  for (const Mailbox& box : mail_)
+    if (!box.items.empty())
       ar.fail(ckpt::ErrorKind::State,
               "undelivered barrier mailboxes: checkpoint only at an epoch barrier");
   ar.section("memsys");

@@ -255,11 +255,22 @@ class MemorySystem {
     CompletionCallback cb;
     std::uint32_t sink = 0;  // sinks_ index, read when cb is null
   };
-  struct Feed {
+  // Every per-channel record a shard thread writes owns its cache lines
+  // (DESIGN.md "Sharded execution"): two groups' threads never write one
+  // line, however the channels are split.
+  /// Channel `c`'s barrier mailbox: written by its shard thread between
+  /// barriers, delivered and cleared by the coordinator at them.
+  struct alignas(64) Mailbox {
+    std::vector<Mail> items;
+  };
+  /// Channel `c`'s open-loop feed state: written by its shard thread.
+  struct alignas(64) Feed {
     bool exhausted = false;
     bool has_pending = false;
     Request pending;
   };
+  static_assert(alignof(Mailbox) == 64 && sizeof(Mailbox) % 64 == 0);
+  static_assert(alignof(Feed) == 64 && sizeof(Feed) % 64 == 0);
 
   /// Wraps a callback so it lands in channel `ch`'s barrier mailbox
   /// instead of firing on the shard thread. Null stays null.
@@ -310,6 +321,7 @@ class MemorySystem {
     Cycle at = 0;
     std::uint64_t stamp = kStale;
   };
+  static_assert(alignof(Wake) == 64 && sizeof(Wake) == 64);
 
   dram::DramConfig dram_cfg_;
   std::unique_ptr<dram::DataStore> data_;
@@ -330,8 +342,8 @@ class MemorySystem {
   bool trace_attached_ = false;
   std::unique_ptr<harness::WorkerPool> pool_;          // lazily built, reused
   std::vector<Group> groups_;                          // max(shards_, 1) of them
-  std::vector<std::vector<Mail>> mail_;                // per channel, shard-written
-  std::vector<Feed> feeds_;                            // per channel, shard-written
+  std::vector<Mailbox> mail_;  // per channel, shard-written, line-aligned
+  std::vector<Feed> feeds_;    // per channel, shard-written, line-aligned
   // The on_complete of each sourced drain whose requests may still be in
   // flight, indexed by Mail::sink; released once a drain ends idle.
   std::vector<std::function<void(std::uint32_t, const Request&)>> sinks_;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -30,15 +31,18 @@ class Source;
 namespace ima::mem {
 
 /// A request waiting in the controller queue, plus its decoded coordinates
-/// and scheduling metadata.
+/// and scheduling metadata. Its completion callback stays in the
+/// controller's slot pool; `slot` names it. Trivially copyable, so the
+/// queue's tombstone compaction is a plain copy.
 struct QueuedRequest {
   Request req;
   dram::Coord coord;
+  std::uint32_t slot = 0;   // controller slot holding the callback
   bool live = true;         // false = served tombstone awaiting compaction
   bool marked = false;      // PAR-BS batch membership
   bool classified = false;  // row hit/miss/conflict recorded at first command
-  CompletionCallback cb;    // fires when the data burst completes
 };
+static_assert(std::is_trivially_copyable_v<QueuedRequest> && sizeof(QueuedRequest) == 128);
 
 /// Compact scan metadata the controller maintains index-parallel to each
 /// request queue (tombstones included): exactly the values a legality /
@@ -229,9 +233,8 @@ struct QueueOcc {
   /// counted in `match`.
   void remove(std::uint32_t unit, std::uint32_t core);
   /// Recount from scratch over queue `q` and its index-parallel scan
-  /// metadata, against the channel's open rows. Rebuilding the controller's
-  /// occupancy after PIM rewrote row state uses this; so do hand-built
-  /// views.
+  /// metadata, against the channel's open rows: how hand-built views get
+  /// their occupancy.
   void rebuild(const dram::Channel& chan, const std::vector<QueuedRequest>& q,
                const QueueScanMeta* meta);
 };
@@ -240,9 +243,9 @@ struct QueueOcc {
 /// Every query answers off the active queue's QueueScanMeta through the
 /// controller's SchedTimingCache, whose epoch has begun at `now`. `occ` is
 /// the active queue's occupancy: the controller hands out its own counts,
-/// which are exact except between a PIM op and the next rebuild. The
-/// controller rebuilds before every impure pick (pure picks never read
-/// it), so RL reads its state features off exact counts.
+/// which are always exact (PIM commands never open a unit, so they cannot
+/// stale an open unit's `match`), and RL reads its state features off
+/// them.
 struct SchedView {
   Cycle now = 0;
   const std::vector<CoreState>* cores = nullptr;

@@ -14,6 +14,7 @@
 // paths yields bit-identical values for the non-percentile fields.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -70,8 +71,7 @@ class TailRecorder {
 
  private:
   std::size_t bucket_of(std::uint64_t v) const {
-    unsigned w = 0;
-    for (std::uint64_t x = v; x; x >>= 1) ++w;  // bit width; 0 for v == 0
+    const auto w = static_cast<unsigned>(std::bit_width(v));  // 0 for v == 0
     const unsigned s = w > p_ + 1 ? w - (p_ + 1) : 0;
     return (static_cast<std::size_t>(s) << p_) + static_cast<std::size_t>(v >> s);
   }

@@ -10,7 +10,7 @@ namespace ima::service {
 
 MemoryService::MemoryService(mem::MemorySystem& mem) : mem_(mem) {
   resp_.resize(mem.num_channels());
-  fed_.assign(mem.num_channels(), 0);
+  fed_.resize(mem.num_channels());
 }
 
 bool MemoryService::is_full(std::uint32_t ch, const mem::Request& r) const {
@@ -73,7 +73,7 @@ Cycle MemoryService::pump(const mem::MemorySystem::ChannelSource& src, Cycle fro
   // next runs on the owning shard's thread: fed_[ch] is single-writer.
   wrapped.next = [this, &src](std::uint32_t ch, Cycle now, mem::Request& out) {
     if (!src.next(ch, now, out)) return false;
-    ++fed_[ch];
+    ++fed_[ch].n;
     return true;
   };
   // on_complete is delivered through the barrier mailboxes on the
@@ -89,7 +89,7 @@ Cycle MemoryService::pump(const mem::MemorySystem::ChannelSource& src, Cycle fro
 
 std::uint64_t MemoryService::pushed() const {
   std::uint64_t n = pushed_;
-  for (const auto f : fed_) n += f;
+  for (const FedCount& f : fed_) n += f.n;
   return n;
 }
 

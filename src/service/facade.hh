@@ -122,11 +122,23 @@ class MemoryService {
  private:
   mem::CompletionCallback on_complete(std::uint32_t ch);
 
+  /// One channel's pump() feed count. Single-writer on the channel's shard
+  /// thread, and on a cache line of its own so two shards' feeds never
+  /// write one line. Serializes as the bare counter.
+  struct alignas(64) FedCount {
+    std::uint64_t n = 0;
+
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(n);
+    }
+  };
+  static_assert(alignof(FedCount) == 64 && sizeof(FedCount) == 64);
+
   mem::MemorySystem& mem_;
   std::vector<std::deque<mem::Request>> resp_;  // per-channel responses
   std::uint64_t pushed_ = 0;            // push() admissions (caller thread)
-  std::vector<std::uint64_t> fed_;      // pump() feeds, per channel
-                                        // (single-writer on its shard thread)
+  std::vector<FedCount> fed_;           // pump() feeds, per channel
   std::uint64_t completed_ = 0;         // delivered responses (coordinator)
 };
 

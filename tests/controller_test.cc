@@ -97,6 +97,61 @@ TEST(Controller, AllEnqueuedReadsComplete) {
   EXPECT_EQ(st.row_hits + st.row_misses + st.row_conflicts, enqueued);
 }
 
+TEST(Controller, SlotsRecycleUnderReentrantCallbacks) {
+  // Every retire callback refills the controller it runs in, so slots are
+  // freed and claimed again — and the pool outgrows its reservation, since
+  // a full queue plus the inflight bursts need more slots than the queues
+  // hold — while callbacks run. Each request must still complete exactly
+  // once, with its own id, address, type and completion cycle.
+  ControllerConfig cc = small_ctrl();
+  cc.read_queue_size = 8;
+  cc.write_queue_size = 8;
+  cc.write_drain_high = 6;
+  cc.write_drain_low = 2;
+  MemorySystem sys(small_dram(), cc);
+  Controller& ctrl = sys.controller(0);
+  const std::uint64_t total = 10 * (cc.read_queue_size + cc.write_queue_size);
+  Rng rng(7);
+  std::vector<Addr> addr_of(total + 1);
+  std::vector<AccessType> type_of(total + 1);
+  std::vector<int> fired(total + 1, 0);
+  std::uint64_t issued = 0;
+  Cycle now = 0;
+  std::function<void(AccessType)> fill = [&](AccessType t) {
+    while (issued < total && ctrl.can_accept(t)) {
+      Request r;
+      r.addr = line_base(rng.next_below(small_dram().geometry.total_bytes()));
+      r.type = t;
+      r.core = static_cast<std::uint32_t>(issued % cc.num_cores);
+      r.arrive = now;
+      const std::uint64_t id = ++issued;  // the controller numbers requests 1, 2, ...
+      addr_of[id] = r.addr;
+      type_of[id] = t;
+      EXPECT_TRUE(ctrl.enqueue(r, [&, id](const Request& done) {
+        ++fired[id];
+        // Refill first, then check: the refill claims slots (this one
+        // first) and may grow the pool, so a `done` or a callback still
+        // living in the pool would read back another request here.
+        fill(done.type);
+        EXPECT_EQ(done.id, id);
+        EXPECT_EQ(done.addr, addr_of[id]);
+        EXPECT_EQ(done.type, type_of[id]);
+        EXPECT_EQ(done.complete, now);  // ticked every cycle: retires at `complete`
+      }));
+    }
+  };
+  fill(AccessType::Read);
+  fill(AccessType::Write);
+  for (; issued < total || !ctrl.idle(); ++now) {
+    ASSERT_LT(now, Cycle{1'000'000}) << "controller wedged";
+    ctrl.tick(now);
+  }
+  EXPECT_EQ(issued, total);
+  for (std::uint64_t id = 1; id <= total; ++id) EXPECT_EQ(fired[id], 1) << "id " << id;
+  EXPECT_TRUE(ctrl.idle());
+  EXPECT_EQ(ctrl.stats().reads_done + ctrl.stats().writes_done, total);
+}
+
 TEST(Controller, QueueFullRejects) {
   auto ctrl = small_ctrl();
   ctrl.read_queue_size = 4;

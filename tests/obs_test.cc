@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -289,6 +290,39 @@ TEST(TailRecorder, WideBucketsReportUpperEdgeClampedToObservedRange) {
     const double err = std::ldexp(1.0, -static_cast<int>(p));
     EXPECT_NEAR(t.percentile(0.9), 1'000'000.0, 1'000'000.0 * err);
   }
+}
+
+TEST(TailRecorder, BucketEdgesReportRecordedValues) {
+  // Every value 0, 1 and 2^k - 1, 2^k, 2^k + 1 up to 2^40 sits at or next
+  // to a bucket edge. Recorded beside a larger sample, it reports its own
+  // bucket's upper edge at the median. The folds of those edges, and the
+  // spot values below, were recorded from a bit-counting-loop bucket_of.
+  std::vector<std::uint64_t> vals{0, 1};
+  for (unsigned k = 1; k <= 40; ++k) {
+    const std::uint64_t e = std::uint64_t{1} << k;
+    vals.insert(vals.end(), {e - 1, e, e + 1});
+  }
+  const auto edge = [](unsigned p, std::uint64_t v) {
+    obs::TailRecorder t(p);
+    t.add(v);
+    t.add(std::uint64_t{1} << 41);
+    return t.percentile(0.5);
+  };
+  const std::pair<unsigned, std::uint64_t> recorded[] = {
+      {1u, 0x3f13874e2e7e1099ull}, {4u, 0x9445ad3019da6952ull}, {6u, 0xe58d03317f8db6dcull}};
+  for (const auto& [p, digest] : recorded) {
+    std::uint64_t d = 1469598103934665603ull;
+    for (const std::uint64_t v : vals)
+      d = (d ^ static_cast<std::uint64_t>(edge(p, v))) * 1099511628211ull;
+    EXPECT_EQ(d, digest) << "p=" << p;
+  }
+  EXPECT_EQ(edge(4, 0), 0.0);
+  EXPECT_EQ(edge(4, 31), 31.0);
+  EXPECT_EQ(edge(4, 32), 33.0);
+  EXPECT_EQ(edge(4, 33), 33.0);
+  EXPECT_EQ(edge(4, (std::uint64_t{1} << 40) - 1), 1099511627775.0);
+  EXPECT_EQ(edge(4, std::uint64_t{1} << 40), 1168231104511.0);
+  EXPECT_EQ(edge(4, (std::uint64_t{1} << 40) + 1), 1168231104511.0);
 }
 
 TEST(TailRecorder, EmbeddedStatIsValueIdenticalToARunningStat) {

@@ -576,9 +576,10 @@ class RlReferenceCheck final : public Scheduler {
 // saturated injection from eight cores on a four-core controller, over two
 // ranks with power-down and self-refresh timeouts and idle windows (ranks
 // sleep and wake mid-run), SALP off and on, with PIM ops queued mid-run
-// (the controller rebuilds its occupancy after them) and out-of-order
-// arrivals (the queue stops being arrive-sorted), under RL instances that
-// count eight cores (ids at or above the controller's four) and two.
+// (they open no unit, so the counts stay exact across them) and
+// out-of-order arrivals (the queue stops being arrive-sorted), under RL
+// instances that count eight cores (ids at or above the controller's four)
+// and two.
 TEST(SchedViewReference, RlStateMatchesEntryScan) {
   for (const bool salp : {false, true}) {
     for (const std::uint32_t rl_cores : {8u, 2u}) {
