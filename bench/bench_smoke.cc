@@ -273,9 +273,8 @@ int main() {
     sw.add_row({"sweep jobs", Table::fmt_int(kinds.size())});
     sw.add_row({"workers", Table::fmt_int(par.workers)});
     sw.add_row({"wall (s)", Table::fmt(par.wall_seconds, 3)});
-    // The title states the relation golden_smoke_jobs1/jobs8 check; the
-    // pre-SoA golden (tests/golden/BENCH_smoke_presoa.json) pins it.
-    bench::print_table(sw, "sweep engine (serial vs parallel, results identical)");
+    // golden_smoke_jobs1/jobs8 check that the results are width-invariant.
+    bench::print_table(sw, "sweep engine (parallel jobs)");
 
     bench::record_metric("sweep_jobs", static_cast<double>(kinds.size()));
     bench::record_metric("sweep_workers", static_cast<double>(par.workers));
@@ -320,17 +319,13 @@ int main() {
     st.add_row({"host workers used", Table::fmt_int(sys.shard_workers_used())});
     st.add_row({"cycles", Table::fmt_si(static_cast<double>(cycles), 0)});
     st.add_row({"sharded wall (s)", Table::fmt(wall, 3)});
-    // The title states the relation golden_smoke_shards1/shards8 check; the
-    // pre-SoA golden pins it.
-    bench::print_table(st, "sharded drain (1 vs wide, results byte-identical)");
+    // golden_smoke_shards1/shards8 check that the results are width-invariant.
+    bench::print_table(st, "sharded drain (wide plan)");
 
     bench::record_metric("shard_channels", 8);
     bench::record_metric("shard_cycles", static_cast<double>(cycles));
     bench::record_metric("shard_checksum", static_cast<double>(checksum % 1000003));
     bench::record_metric("shard_epoch", static_cast<double>(sim::default_shard_epoch()));
-    // Constant since the 1-shard leg moved to golden_smoke_shards1: the
-    // pre-SoA golden recorded the old in-binary check's stamp.
-    bench::record_metric("shard_equal", 1);
     bench::record_metric("shard_workers", static_cast<double>(sys.shard_workers_used()));
     bench::record_metric("shard_wall_seconds", wall);
   }

@@ -98,17 +98,17 @@ Cycle run_event_loop(ClockMode mode, Cycle from, Cycle limit, TickFn&& tick,
 
 // --- sharded execution (epoch barriers) ------------------------------------
 //
-// Sharded drains partition a memory system's channels into per-shard groups
-// and advance each group independently through fixed-length epochs, with a
-// global barrier at every epoch boundary (DESIGN.md "Sharded execution";
-// the loop is MemorySystem::run_drain). Between barriers each channel is
-// ticked at its own next_event cycles; cross-shard effects (completion
-// callbacks) are deferred to per-channel mailboxes drained in canonical
-// order at the barrier. Correctness rests on the same invariant PerCycle vs
-// SkipAhead equality already proves: ticking a component at a non-event
-// cycle is observably a no-op, so each channel's state evolution is a
-// function of its own event set, not of which shard group (and therefore
-// which union of tick cycles) it lands in.
+// Sharded drains partition a memory system's channels into contiguous
+// blocks that shard workers claim and advance independently through
+// fixed-length epochs, with a global barrier at every epoch boundary
+// (DESIGN.md "Sharded execution"; the loop is MemorySystem::run_drain).
+// Between barriers each channel is ticked at its own next_event cycles;
+// cross-shard effects (completion callbacks) are deferred to per-channel
+// mailboxes drained in canonical order at the barrier. Correctness rests
+// on the same invariant PerCycle vs SkipAhead equality already proves:
+// ticking a component at a non-event cycle is observably a no-op, so each
+// channel's state evolution is a function of its own event set, not of
+// which block (and therefore which union of tick cycles) it lands in.
 
 /// Default epoch length between shard barriers: $IMA_SHARD_EPOCH when set
 /// to a positive integer, else 8192 cycles (a malformed value throws, see

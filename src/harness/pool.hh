@@ -7,7 +7,7 @@
 //     claimed until the list drains;
 //   - MemorySystem sharded drains: one long-lived pool per memory system,
 //     re-dispatched every epoch between barriers (thousands of small
-//     parallel regions over the same shard groups).
+//     parallel regions over the same channel blocks).
 //
 // The pool is deliberately dumb: parallel_for(n, body) runs body(i, worker)
 // for every i in [0, n), claiming indices from an atomic counter. The

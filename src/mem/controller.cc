@@ -18,7 +18,6 @@ constexpr std::size_t kCompactDead = 16;
 
 void QueueOcc::reset(std::size_t unit_count, std::size_t cores) {
   cnt.assign(unit_count, Unit{});
-  listed.assign(unit_count, 0);
   units.clear();
   units.reserve(unit_count);
   core_live.assign(cores, 0);
@@ -26,14 +25,12 @@ void QueueOcc::reset(std::size_t unit_count, std::size_t cores) {
 }
 
 void QueueOcc::add(std::uint32_t unit, std::uint32_t core, bool match) {
-  if (!listed[unit]) {
-    listed[unit] = 1;
-    // Sorted insertion (rare: first touch of a drained unit). Unit ids
-    // carry the rank in their high bits, so iterating in id order groups
-    // ranks and the kernel's scan_gates memo fires once per rank.
+  if (cnt[unit].total++ == 0) {
+    // Sorted insertion of a newly occupied unit. Unit ids carry the rank in
+    // their high bits, so iterating in id order groups ranks and the
+    // kernel's scan_gates memo fires once per rank.
     units.insert(std::lower_bound(units.begin(), units.end(), unit), unit);
   }
-  ++cnt[unit].total;
   if (match) ++cnt[unit].match;
   if (core >= core_live.size()) core_live.resize(std::size_t{core} + 1, 0);
   ++core_live[core];
@@ -42,18 +39,16 @@ void QueueOcc::add(std::uint32_t unit, std::uint32_t core, bool match) {
 
 void QueueOcc::remove(std::uint32_t unit, std::uint32_t core) {
   assert(cnt[unit].total > 0 && core_live[core] > 0 && live > 0);
-  --cnt[unit].total;
   --cnt[unit].match;
+  if (--cnt[unit].total == 0)
+    units.erase(std::lower_bound(units.begin(), units.end(), unit));
   --core_live[core];
   --live;
 }
 
 void QueueOcc::rebuild(const dram::Channel& chan, const std::vector<QueuedRequest>& q,
                        const QueueScanMeta* meta) {
-  for (const std::uint32_t u : units) {
-    cnt[u] = Unit{};
-    listed[u] = 0;
-  }
+  for (const std::uint32_t u : units) cnt[u] = Unit{};
   units.clear();
   std::fill(core_live.begin(), core_live.end(), 0);
   live = 0;
@@ -396,18 +391,11 @@ void Controller::refresh_unit_occ(std::uint32_t unit) {
 
 Cycle Controller::queue_kernel_min(std::size_t qi, Cycle now) const {
   Cycle qmin = kCycleNever;
-  QueueOcc& oc = occ_[qi];
+  const QueueOcc& oc = occ_[qi];
   std::uint32_t gates_rank = ~0u;
   dram::Channel::ScanGates g{};
-  for (std::size_t k = 0; k < oc.units.size();) {
-    const std::uint32_t u = oc.units[k];
+  for (const std::uint32_t u : oc.units) {
     const QueueOcc::Unit c = oc.cnt[u];
-    if (c.total == 0) {  // drained unit: lazy stable erase (keeps order)
-      oc.listed[u] = 0;
-      oc.units.erase(oc.units.begin() + static_cast<std::ptrdiff_t>(k));
-      continue;
-    }
-    ++k;
     const std::uint32_t rank = chan_.unit_rank(u);
     if (rank != gates_rank) {
       gates_rank = rank;

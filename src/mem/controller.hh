@@ -321,7 +321,7 @@ class Controller {
   // is simply unused until the next ACT recomputes it. PIM commands need
   // none either: they issue only into a closed bank and open no unit.
   // The per-core read counts also serve the per-core read quota.
-  mutable QueueOcc occ_[2];  // 0 = read queue, 1 = write queue
+  QueueOcc occ_[2];  // 0 = read queue, 1 = write queue
   void refresh_unit_occ(std::uint32_t unit);
   Cycle queue_kernel_min(std::size_t qi, Cycle now) const;
   // Refresh (if needed) and return the queue's stashed kernel min; shared

@@ -72,16 +72,15 @@ void MemorySystem::set_shards(unsigned shards, Cycle epoch) {
   shards_ = std::min<unsigned>(shards, static_cast<unsigned>(ctrls_.size()));
   shard_epoch_ = epoch;
   if (shards_ == 0) pool_.reset();
-  // Groups: max(shards, 1) contiguous channel blocks. The partition decides
-  // nothing — per-channel execution is group-invariant — only which host
-  // thread advances which channels.
-  groups_.clear();
+  // Blocks: one inline block without a plan, else one per channel. The
+  // partition decides nothing — per-channel execution is block-invariant —
+  // only which host thread happens to claim which channel in an epoch.
+  blocks_.clear();
   const auto nch = static_cast<std::uint32_t>(ctrls_.size());
-  const unsigned n = std::max(shards_, 1u);
-  for (unsigned g = 0; g < n; ++g) {
-    const auto beg = static_cast<std::uint32_t>(std::uint64_t{nch} * g / n);
-    const auto end = static_cast<std::uint32_t>(std::uint64_t{nch} * (g + 1) / n);
-    if (beg < end) groups_.push_back(Group{beg, end});
+  if (shards_ == 0) {
+    if (nch > 0) blocks_.push_back(Block{0, nch});
+  } else {
+    for (std::uint32_t c = 0; c < nch; ++c) blocks_.push_back(Block{c, c + 1});
   }
 }
 
@@ -146,26 +145,36 @@ CompletionCallback MemorySystem::defer_to_mailbox(std::uint32_t ch, CompletionCa
 }
 
 void MemorySystem::deliver_mail() {
-  mail_order_.clear();
+  // k-way merge of the per-channel boxes. Each box is already in completion
+  // order (retire pops the inflight heap in done order), so repeatedly
+  // taking the head with the smallest completion cycle, the lowest channel
+  // on ties, yields the canonical (cycle, channel, arrival) order —
+  // byte-for-byte the order callbacks fire in as requests retire without a
+  // shard plan.
+  std::vector<MailHead>& heads = mail_heads_;
+  heads.clear();
   for (std::uint32_t ch = 0; ch < mail_.size(); ++ch)
-    for (std::uint32_t i = 0; i < mail_[ch].items.size(); ++i) mail_order_.emplace_back(ch, i);
-  if (mail_order_.empty()) return;
-  // Per-channel boxes are already completion-ordered (retire pops the
-  // inflight heap in done order), and the scratch list is built in channel
-  // order, so a stable sort on the completion cycle yields the canonical
-  // (cycle, channel, arrival) order — byte-for-byte the order callbacks
-  // fire in as requests retire without a shard plan.
-  std::stable_sort(mail_order_.begin(), mail_order_.end(),
-                   [this](const auto& a, const auto& b) {
-                     return mail_[a.first].items[a.second].req.complete <
-                            mail_[b.first].items[b.second].req.complete;
-                   });
-  for (const auto& [ch, i] : mail_order_) {
-    Mail& m = mail_[ch].items[i];
+    if (!mail_[ch].items.empty()) heads.push_back({mail_[ch].items.front().req.complete, ch, 0});
+  const auto later = [](const MailHead& a, const MailHead& b) {
+    return a.complete != b.complete ? a.complete > b.complete : a.ch > b.ch;
+  };
+  std::make_heap(heads.begin(), heads.end(), later);
+  while (!heads.empty()) {
+    std::pop_heap(heads.begin(), heads.end(), later);
+    MailHead& h = heads.back();
+    std::vector<Mail>& items = mail_[h.ch].items;
+    const Mail& m = items[h.i];
     if (m.cb) m.cb(m.req);
-    else sinks_[m.sink](ch, m.req);
+    else sinks_[m.sink](h.ch, m.req);
+    if (++h.i < items.size()) {
+      assert(items[h.i].req.complete >= m.req.complete && "mailbox out of completion order");
+      h.complete = items[h.i].req.complete;
+      std::push_heap(heads.begin(), heads.end(), later);
+    } else {
+      items.clear();
+      heads.pop_back();
+    }
   }
-  for (Mailbox& box : mail_) box.items.clear();
 }
 
 void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle now) {
@@ -182,7 +191,7 @@ void MemorySystem::feed_channel(const ChannelSource& src, std::uint32_t c, Cycle
     }
     // Time-dated feed: a future-dated request is held here until its cycle
     // comes (the held request is this channel's state alone, so the hold
-    // never depends on shard grouping).
+    // never depends on the blocks).
     if (f.pending.arrive > now) break;
     if (!ctrls_[c]->can_accept(f.pending.type, f.pending.core)) break;
     assert(mapper_->decode(f.pending.addr).channel == c &&
@@ -221,17 +230,18 @@ bool MemorySystem::channels_done(std::uint32_t beg, std::uint32_t end,
   return true;
 }
 
-void MemorySystem::run_group(Group& g, Cycle limit, const ChannelSource* src, bool stoppable) {
+void MemorySystem::run_block(Block& b, Cycle limit, const ChannelSource* src, bool stoppable) {
   // Per-channel calendar in wake_: a channel is fed and ticked at its own
   // event cycles only (the wake-cache rule tick() uses), never at a busy
   // sibling's, so its tick set is a function of its own state alone,
-  // whatever group it lands in and wherever the barriers fall. That
+  // whatever block it lands in and wherever the barriers fall. That
   // independence is what keeps results width- and epoch-invariant.
   const bool per_cycle = clock_mode_ == sim::ClockMode::PerCycle;
   obs::Watchdog* const wd = shards_ == 0 ? watchdog_ : nullptr;  // a plan checks at barriers
-  // Locals, not `g`: the groups share cache lines across threads.
-  const std::uint32_t beg = g.beg, end = g.end;
-  Cycle now = g.stop;
+  // Locals, not `b`: the loop's stores through controller pointers could
+  // alias it.
+  const std::uint32_t beg = b.beg, end = b.end;
+  Cycle now = b.stop;
   bool done = stoppable && channels_done(beg, end, src);
   while (!done && now < limit) {
     if (wd) wd->iterate(now);
@@ -255,8 +265,8 @@ void MemorySystem::run_group(Group& g, Cycle limit, const ChannelSource* src, bo
     done = stoppable && channels_done(beg, end, src);
     now = done ? now + 1 : std::min(next, limit);
   }
-  g.stop = now;
-  g.done = done;
+  b.stop = now;
+  b.done = done;
 }
 
 Cycle MemorySystem::wake(std::uint32_t c, Cycle now, bool fed) const {
@@ -306,31 +316,34 @@ Cycle MemorySystem::run_drain(Cycle from, Cycle deadline, const ChannelSource* s
     watchdog_->set_shard_progress(
         [this](std::vector<obs::ShardProgress>& out) { shard_progress(out); });
 
-  // Advances every group that stands before `until`.
+  // Advances every block that stands before `until`. Workers claim the
+  // blocks from the pool's counter, so one that finishes early takes the
+  // next; with none behind `until` there is no dispatch at all.
   const auto advance = [&](Cycle until, bool stoppable) {
-    const auto one = [&](std::size_t g) {
-      if (groups_[g].stop < until) run_group(groups_[g], until, src, stoppable);
-    };
+    behind_.clear();
+    for (std::uint32_t b = 0; b < blocks_.size(); ++b)
+      if (blocks_[b].stop < until) behind_.push_back(b);
+    const auto one = [&](std::size_t k) { run_block(blocks_[behind_[k]], until, src, stoppable); };
     if (workers > 1)
-      pool_->parallel_for(groups_.size(), [&](std::size_t g, unsigned) { one(g); });
+      pool_->parallel_for(behind_.size(), [&](std::size_t k, unsigned) { one(k); });
     else
-      for (std::size_t g = 0; g < groups_.size(); ++g) one(g);
+      for (std::size_t k = 0; k < behind_.size(); ++k) one(k);
   };
   // Without a plan, callbacks fire inline and a barrier has nothing to do.
   const Cycle epoch = shards_ > 0 ? std::max<Cycle>(shard_epoch(), 1) : kCycleNever;
   const auto nch = static_cast<std::uint32_t>(ctrls_.size());
   Cycle now = from;
-  for (Group& g : groups_) g.stop = now;  // each barrier leaves them all at `now`
+  for (Block& b : blocks_) b.stop = now;  // each barrier leaves them all at `now`
   while (now < deadline) {
     const Cycle edge = deadline - now > epoch ? now + epoch : deadline;
     advance(edge, true);
-    // Every group ran out of work mid-epoch: the finish is the last stop.
-    // Either way, groups that stopped early catch up on their own events,
+    // Every block ran out of work mid-epoch: the finish is the last stop.
+    // Either way, blocks that stopped early catch up on their own events,
     // so every channel stands at the barrier cycle when the mail goes out.
     Cycle target = edge;
-    if (std::all_of(groups_.begin(), groups_.end(), [](const Group& g) { return g.done; })) {
+    if (std::all_of(blocks_.begin(), blocks_.end(), [](const Block& b) { return b.done; })) {
       target = now;
-      for (const Group& g : groups_) target = std::max(target, g.stop);
+      for (const Block& b : blocks_) target = std::max(target, b.stop);
     }
     advance(target, false);
     now = target;
@@ -359,22 +372,11 @@ Cycle MemorySystem::run_drain(Cycle from, Cycle deadline, const ChannelSource* s
 }
 
 void MemorySystem::shard_progress(std::vector<obs::ShardProgress>& out) const {
-  const auto sample = [this](std::uint32_t beg, std::uint32_t end) {
-    obs::ShardProgress p;
-    p.idle = true;
-    for (std::uint32_t c = beg; c < end; ++c) {
-      p.token += channel_token(c);
-      if (!ctrls_[c]->idle()) p.idle = false;
-    }
-    return p;
-  };
-  if (shards_ > 0) {
-    for (const Group& g : groups_) out.push_back(sample(g.beg, g.end));
-    return;
-  }
-  // No shard plan: per-channel granularity, so a single wedged channel in
-  // an unsharded run is just as visible.
-  for (std::uint32_t c = 0; c < ctrls_.size(); ++c) out.push_back(sample(c, c + 1));
+  // Per channel, with or without a plan: blocks are claimed by whichever
+  // worker comes first, so no sample coarser than a channel names a
+  // thread, and a single wedged channel is just as visible either way.
+  for (std::uint32_t c = 0; c < ctrls_.size(); ++c)
+    out.push_back(obs::ShardProgress{channel_token(c), ctrls_[c]->idle()});
 }
 
 bool MemorySystem::idle() const {

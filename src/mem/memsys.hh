@@ -10,14 +10,14 @@
 // drain_sourced(): every channel is ticked on its own event calendar, and
 // the drain returns the exact finish, the last cycle at which a channel
 // ticked with work plus one. Without a shard plan the channels run as one
-// inline group and completion callbacks fire as requests retire.
-// set_shards() splits them into contiguous groups advanced independently
-// on a harness::WorkerPool between epoch barriers, with completion
-// callbacks deferred to per-channel mailboxes delivered in canonical
-// (completion cycle, channel, arrival) order at each barrier. Open-loop
-// results — end cycle, energy, StatRegistry snapshots, corruption ledgers
-// and checkpoint images — are byte-identical with no plan and at any shard
-// width, epoch and clock mode (tests/shard_test.cc,
+// inline block and completion callbacks fire as requests retire.
+// set_shards() makes each channel a block that the workers of a
+// harness::WorkerPool claim and advance independently between epoch
+// barriers, with completion callbacks deferred to per-channel mailboxes
+// merged in canonical (completion cycle, channel, arrival) order at each
+// barrier. Open-loop results — end cycle, energy, StatRegistry snapshots,
+// corruption ledgers and checkpoint images — are byte-identical with no
+// plan and at any shard width, epoch and clock mode (tests/shard_test.cc,
 // tests/soa_kernel_test.cc).
 #pragma once
 
@@ -103,13 +103,14 @@ class MemorySystem {
 
   // --- sharded execution ---
 
-  /// Arms a shard plan: `shards` contiguous channel groups (clamped to the
-  /// channel count) advanced independently between barriers every `epoch`
-  /// cycles (0 = sim::default_shard_epoch()). shards = 0 disarms: the
-  /// channels drain as one inline group with inline callbacks. Call before
-  /// enqueueing: with a plan armed, completion callbacks are deferred to
-  /// the barrier mailboxes from enqueue time on. The host-thread width
-  /// actually used can be lower than `shards` — nested inside a sweep job
+  /// Arms a shard plan: `shards` host workers (clamped to the channel
+  /// count) that claim the channels one at a time and advance them
+  /// independently between barriers every `epoch` cycles (0 =
+  /// sim::default_shard_epoch()). shards = 0 disarms: the channels drain
+  /// as one inline block with inline callbacks. Call before enqueueing:
+  /// with a plan armed, completion callbacks are deferred to the barrier
+  /// mailboxes from enqueue time on. The host-thread width actually used
+  /// can be lower than `shards` — nested inside a sweep job
   /// (WorkerPool::on_worker()), with a trace sink attached, or with one
   /// HammerVictimModel shared by several controllers, the epochs run
   /// inline on the caller — but the simulated results never depend on
@@ -181,8 +182,8 @@ class MemorySystem {
   /// the `<prefix>.drain_deadline_clips` counter).
   std::uint64_t drain_deadline_clips() const { return drain_clips_; }
 
-  /// Appends one ShardProgress per shard group (per channel when no plan
-  /// is armed): the obs::Watchdog::set_shard_progress payload.
+  /// Appends one ShardProgress per channel, with or without a plan: the
+  /// obs::Watchdog::set_shard_progress payload.
   void shard_progress(std::vector<obs::ShardProgress>& out) const;
 
   void set_clock_mode(sim::ClockMode mode) { clock_mode_ = mode; }
@@ -256,8 +257,8 @@ class MemorySystem {
     std::uint32_t sink = 0;  // sinks_ index, read when cb is null
   };
   // Every per-channel record a shard thread writes owns its cache lines
-  // (DESIGN.md "Sharded execution"): two groups' threads never write one
-  // line, however the channels are split.
+  // (DESIGN.md "Sharded execution"): two threads never write one line,
+  // whichever blocks they claim.
   /// Channel `c`'s barrier mailbox: written by its shard thread between
   /// barriers, delivered and cleared by the coordinator at them.
   struct alignas(64) Mailbox {
@@ -277,20 +278,36 @@ class MemorySystem {
   CompletionCallback defer_to_mailbox(std::uint32_t ch, CompletionCallback cb);
   /// Delivers all mailboxes in canonical (completion cycle, channel,
   /// arrival) order — the order a drain without a shard plan fires
-  /// callbacks in as requests retire — then clears them.
+  /// callbacks in as requests retire — by a k-way merge of the boxes, and
+  /// clears them.
   void deliver_mail();
-  /// A contiguous block of channels advanced by one host thread, and where
-  /// its last span left it (written only by that thread).
-  struct Group {
+  /// A box's next undelivered mail in deliver_mail's merge.
+  struct MailHead {
+    Cycle complete;    // items[i].req.complete
+    std::uint32_t ch;  // the box
+    std::uint32_t i;   // its next item
+  };
+  /// Channels advanced together by one host thread, and where their last
+  /// span left them. Under a plan each channel is its own block, claimed
+  /// each epoch by whichever worker comes first; without one, one block
+  /// holds every channel and runs inline (an inline callback may enqueue
+  /// into any channel, so they must advance together). A single channel is
+  /// the finest unit a worker can claim, which balances an epoch whose
+  /// channels carry uneven work, and the cheapest to advance: run_block
+  /// visits the union of its channels' event cycles and scans each channel
+  /// at every visit. Its own cache line: whichever thread ran the block
+  /// writes stop/done.
+  struct alignas(64) Block {
     std::uint32_t beg = 0, end = 0;  // channels [beg, end)
     Cycle stop = 0;                  // cycle the last span reached
     bool done = false;               // that span stopped with no work left
   };
-  /// Advances `g` from g.stop towards `limit`, each channel fed and ticked
+  static_assert(alignof(Block) == 64 && sizeof(Block) == 64);
+  /// Advances `b` from b.stop towards `limit`, each channel fed and ticked
   /// at its own wake_ cycles only (runs on a pool worker under a plan;
-  /// touches only the group's channels). `stoppable`: stop after the first
-  /// visit that leaves every channel done (g.stop = that cycle + 1).
-  void run_group(Group& g, Cycle limit, const ChannelSource* src, bool stoppable);
+  /// touches only the block's channels). `stoppable`: stop after the first
+  /// visit that leaves every channel done (b.stop = that cycle + 1).
+  void run_block(Block& b, Cycle limit, const ChannelSource* src, bool stoppable);
   /// Channels [beg, end) are idle and, with `src`, fed to exhaustion.
   bool channels_done(std::uint32_t beg, std::uint32_t end, const ChannelSource* src) const;
   /// Feeds channel `c` from `src` until its queue rejects or the stream
@@ -300,7 +317,7 @@ class MemorySystem {
   /// else once its cached wake has come or its mutation stamp moved.
   bool due(std::size_t c, Cycle now) const;
   /// Channel `c`'s next due cycle after it was fed (when `fed`) and ticked
-  /// at `now` under SkipAhead: the exact wake rule of run_group.
+  /// at `now` under SkipAhead: the exact wake rule of run_block.
   Cycle wake(std::uint32_t c, Cycle now, bool fed) const;
   /// Host-thread width for this drain: the armed shard count, collapsed to
   /// 1 when nested in a pool region, tracing, or sharing a victim model.
@@ -336,19 +353,20 @@ class MemorySystem {
   bool last_drain_clipped_ = false;
   std::uint64_t drain_clips_ = 0;
 
-  unsigned shards_ = 0;  // 0 = no plan: one inline group
+  unsigned shards_ = 0;  // 0 = no plan: one inline block
   Cycle shard_epoch_ = 0;
   unsigned shard_workers_used_ = 0;
   bool trace_attached_ = false;
   std::unique_ptr<harness::WorkerPool> pool_;          // lazily built, reused
-  std::vector<Group> groups_;                          // max(shards_, 1) of them
+  std::vector<Block> blocks_;                          // channel blocks
+  std::vector<std::uint32_t> behind_;  // scratch: blocks an advance runs
   std::vector<Mailbox> mail_;  // per channel, shard-written, line-aligned
   std::vector<Feed> feeds_;    // per channel, shard-written, line-aligned
   // The on_complete of each sourced drain whose requests may still be in
   // flight, indexed by Mail::sink; released once a drain ends idle.
   std::vector<std::function<void(std::uint32_t, const Request&)>> sinks_;
   std::uint32_t sink_ = 0;  // this sourced drain's sinks_ index
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> mail_order_;  // scratch
+  std::vector<MailHead> mail_heads_;  // scratch: deliver_mail's merge heap
   // Liveness token for the registry's registration-epoch check (see
   // obs/stat_registry.hh): reads after this MemorySystem dies throw.
   std::shared_ptr<const void> stats_alive_ = std::make_shared<int>(0);

@@ -214,10 +214,9 @@ struct QueueOcc {
     std::uint32_t total = 0;
     std::uint32_t match = 0;
   };
-  std::vector<Unit> cnt;              // both counts in one 8-byte slot
-  std::vector<std::uint8_t> listed;   // unit present in `units`
-  // Occupied units, sorted. A unit that drains stays listed with total 0
-  // until the next_event kernel erases it, so readers skip total == 0.
+  std::vector<Unit> cnt;  // both counts in one 8-byte slot
+  // Exactly the occupied units (total > 0), sorted: add() inserts a unit
+  // whose total was 0 and remove() erases one whose total reaches 0.
   std::vector<std::uint32_t> units;
   // Live requests per core id. Covers every core id enqueued so far (it
   // grows on demand), so any reader can count cores below its own bound.

@@ -178,7 +178,6 @@ class RlScheduler final : public Scheduler {
     std::uint32_t bank = ~0u;
     for (const std::uint32_t u : oc.units) {
       const QueueOcc::Unit c = oc.cnt[u];
-      if (c.total == 0) continue;
       const std::uint32_t b = chan.bank_of_unit(u);
       if (b != bank) {
         bank = b;

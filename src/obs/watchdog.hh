@@ -83,7 +83,8 @@ class Watchdog {
   /// stall timers reset (a drained queue is not a wedge).
   void set_idle(std::function<bool()> idle);
   /// Shard-aware progress: `fill` appends one ShardProgress per shard
-  /// (MemorySystem::shard_progress is the intended payload). Each shard
+  /// (MemorySystem::shard_progress is the intended payload, one sample per
+  /// channel). Each shard
   /// gets its own stall anchor, so one wedged shard fires even while the
   /// aggregate token keeps rising from the other shards' refresh traffic —
   /// the blind spot a single summed token has under sharded execution.

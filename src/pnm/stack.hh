@@ -129,7 +129,7 @@ class PnmStack {
   /// Drains `ops_per_vault` accesses per vault of mem::hashed_source (one
   /// agent per vault, every fourth op a write) plus one in-vault PUM row
   /// copy per 16 ops (RowClone-style bulk data movement on the
-  /// logic-layer path), open-loop on `shards` epoch-barrier shard groups
+  /// logic-layer path), open-loop on `shards` epoch-barrier shard workers
   /// (0 acts as 1); the result is identical at any width. The streams are
   /// deterministic functions of (seed, vault, index) in the
   /// irregular-traversal shape of the graph workloads. The cores, NoC and

@@ -77,13 +77,18 @@ Cycle MemoryService::pump(const mem::MemorySystem::ChannelSource& src, Cycle fro
     return true;
   };
   // on_complete is delivered through the barrier mailboxes on the
-  // coordinator, in canonical order — the facade's queues and the caller's
-  // hook see the exact same sequence.
-  wrapped.on_complete = [this, &src](std::uint32_t ch, const mem::Request& done) {
-    resp_[ch].push_back(done);
-    ++completed_;
-    if (src.on_complete) src.on_complete(ch, done);
-  };
+  // coordinator, in canonical order, to one consumer: the caller's hook
+  // when it has one, else the response queues.
+  if (src.on_complete)
+    wrapped.on_complete = [this, &src](std::uint32_t ch, const mem::Request& done) {
+      ++completed_;
+      src.on_complete(ch, done);
+    };
+  else
+    wrapped.on_complete = [this](std::uint32_t ch, const mem::Request& done) {
+      resp_[ch].push_back(done);
+      ++completed_;
+    };
   return mem_.drain_sourced(wrapped, from, deadline);
 }
 

@@ -5,8 +5,9 @@
 // pop — plus a clock hook. MemoryService provides exactly that surface over
 // the full timing model: push routes through MemorySystem::enqueue (so the
 // sharded-drain mailbox machinery composes unchanged), completions land in
-// per-channel response queues in the canonical callback order, and the two
-// time hooks (tick for closed-loop callers, drain_to / pump for open-loop
+// per-channel response queues in the canonical callback order (or, for a
+// pump with a completion hook, go to that hook instead), and the two time
+// hooks (tick for closed-loop callers, drain_to / pump for open-loop
 // feeders) advance the underlying system.
 //
 // The facade's contract is *loss-free by construction* (the PR 8 bugfix):
@@ -15,7 +16,7 @@
 // makes that impossible — push() after is_full() == false always admits
 // (the pair is checked against the controller's own can_accept, which
 // enqueue agrees with exactly), and any violation throws std::logic_error
-// instead of dropping. Every request is counted at push and at response
+// instead of dropping. Every request is counted at push and at completion
 // delivery, so `pushed() == completed() + in_flight()` holds at all times
 // and a saturation test can prove nothing leaked.
 //
@@ -85,10 +86,12 @@ class MemoryService {
   Cycle drain_to(Cycle from, Cycle deadline = 100'000'000);
 
   /// Open-loop serving pump: feeds `src` through
-  /// MemorySystem::drain_sourced, delivering completions into the response
-  /// queues *and* to src.on_complete (if set), in canonical order. Arms a
+  /// MemorySystem::drain_sourced and hands each completion, in canonical
+  /// order, to exactly one consumer: src.on_complete when it is set (the
+  /// response queues stay untouched), else the response queues. Arms a
   /// shard plan automatically when none is armed (max(1, $IMA_SHARDS)).
-  /// Counts feeds/completions like push(): nothing is lost silently.
+  /// Counts feeds and completions either way, like push(): nothing is lost
+  /// silently, and `pushed() == completed() + in_flight()` holds.
   Cycle pump(const mem::MemorySystem::ChannelSource& src, Cycle from,
              Cycle deadline = 100'000'000);
 
@@ -96,7 +99,8 @@ class MemoryService {
 
   /// Requests admitted through push() or a pump() source.
   std::uint64_t pushed() const;
-  /// Completions delivered into the response queues (popped or not).
+  /// Completions delivered: into the response queues (popped or not), or
+  /// to a pump() hook.
   std::uint64_t completed() const { return completed_; }
   /// Admitted but not yet completed.
   std::uint64_t in_flight() const { return pushed() - completed_; }
@@ -139,7 +143,7 @@ class MemoryService {
   std::vector<std::deque<mem::Request>> resp_;  // per-channel responses
   std::uint64_t pushed_ = 0;            // push() admissions (caller thread)
   std::vector<FedCount> fed_;           // pump() feeds, per channel
-  std::uint64_t completed_ = 0;         // delivered responses (coordinator)
+  std::uint64_t completed_ = 0;         // delivered completions (coordinator)
 };
 
 }  // namespace ima::service

@@ -262,8 +262,8 @@ obs::Watchdog& System::arm_watchdog(std::uint64_t stall_cycles) {
       t += c->stats().instructions + c->stats().stall_cycles;
     return t;
   });
-  // Per-shard (per-channel when no shard plan is armed) stall anchors: one
-  // wedged channel fires even while the summed token keeps rising.
+  // Per-channel stall anchors, with or without a shard plan: one wedged
+  // channel fires even while the summed token keeps rising.
   watchdog_->set_shard_progress(
       [this](std::vector<obs::ShardProgress>& out) { mem_->shard_progress(out); });
   watchdog_->add_dump("memory", [this](std::ostream& os, Cycle now) { mem_->dump(os, now); });

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/ckpt.hh"
 #include "common/clock.hh"
@@ -51,6 +52,36 @@ struct SchedFixture : ::testing::Test {
     return q;
   }
 };
+
+TEST(QueueOcc, ListsExactlyTheOccupiedUnits) {
+  // add() and remove() keep `units` equal to the sorted set of units whose
+  // total is positive, through units that drain and refill, so the
+  // next_event kernel and RL's fold visit no drained unit.
+  QueueOcc occ;
+  occ.reset(32, 4);
+  std::vector<std::vector<std::uint32_t>> cores_at(32);  // live requests' cores per unit
+  Rng rng(0x0CC);
+  for (int step = 0; step < 4000; ++step) {
+    const auto u = static_cast<std::uint32_t>(rng.next_below(32));
+    if (rng.next_below(2) == 0 || cores_at[u].empty()) {
+      const auto core = static_cast<std::uint32_t>(rng.next_below(6));
+      occ.add(u, core, /*match=*/true);
+      cores_at[u].push_back(core);
+    } else {
+      occ.remove(u, cores_at[u].back());
+      cores_at[u].pop_back();
+    }
+    std::vector<std::uint32_t> occupied;
+    std::size_t live = 0;
+    for (std::uint32_t v = 0; v < 32; ++v) {
+      ASSERT_EQ(occ.cnt[v].total, cores_at[v].size()) << "unit " << v;
+      if (!cores_at[v].empty()) occupied.push_back(v);
+      live += cores_at[v].size();
+    }
+    ASSERT_EQ(occ.units, occupied) << "step " << step;
+    ASSERT_EQ(occ.live, live);
+  }
+}
 
 TEST_F(SchedFixture, FactoryProducesAllKinds) {
   for (auto kind : {SchedKind::Fcfs, SchedKind::FrFcfs, SchedKind::FrFcfsCap,

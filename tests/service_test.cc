@@ -346,6 +346,65 @@ TEST(ServicePump, OpenLoopTensorFeedIsLossFreeAndWidthInvariant) {
   EXPECT_EQ(run(1), run(8));
 }
 
+TEST(ServicePump, EachCompletionHasOneConsumer) {
+  // pump's contract: with a completion hook every completion goes to the
+  // hook and none to the response queues; without one the queues hold
+  // every completion, per channel in the canonical order the hook saw.
+  const unsigned shards = std::max(1u, harness::default_shards());
+  const auto run = [shards](bool hook, std::vector<std::vector<Done>>& per_ch) {
+    mem::MemorySystem sys(small_cfg(), {});
+    sys.set_shards(shards);
+    service::MemoryService svc(sys);
+    std::vector<std::uint64_t> cursor(sys.num_channels(), 0);
+    mem::MemorySystem::ChannelSource src;
+    src.next = [&](std::uint32_t ch, Cycle, mem::Request& r) {
+      std::uint64_t& i = cursor[ch];
+      if (i >= 150) return false;
+      const auto& g = sys.dram_config().geometry;
+      const std::uint64_t h = harness::job_seed(0x9A3Full, ch * 0x10001ull + i);
+      dram::Coord c;
+      c.channel = ch;
+      c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
+      c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
+      c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
+      r = mem::Request{};
+      r.addr = sys.mapper().encode(c);
+      r.type = i % 3 == 2 ? AccessType::Write : AccessType::Read;
+      r.arrive = i * 5;
+      ++i;
+      return true;
+    };
+    per_ch.assign(sys.num_channels(), {});
+    if (hook)
+      src.on_complete = [&per_ch](std::uint32_t ch, const mem::Request& done) {
+        per_ch[ch].push_back({done.addr, done.complete});
+      };
+    svc.pump(src, 0);
+    EXPECT_FALSE(sys.last_drain_clipped());
+    EXPECT_EQ(svc.pushed(), 150u * sys.num_channels());
+    EXPECT_EQ(svc.pushed(), svc.completed() + svc.in_flight());
+    EXPECT_EQ(svc.in_flight(), 0u);
+    if (hook) {
+      EXPECT_EQ(svc.responses_queued(), 0u) << "a hooked pump must leave the queues alone";
+    } else {
+      EXPECT_EQ(svc.responses_queued(), svc.completed());
+      for (std::uint32_t ch = 0; ch < svc.num_channels(); ++ch)
+        while (!svc.is_empty(ch)) {
+          per_ch[ch].push_back({svc.top(ch).addr, svc.top(ch).complete});
+          svc.pop(ch);
+        }
+    }
+    return svc.completed();
+  };
+  std::vector<std::vector<Done>> hooked, queued;
+  const std::uint64_t n = run(true, hooked);
+  EXPECT_EQ(run(false, queued), n);
+  std::uint64_t seen = 0;
+  for (const auto& q : hooked) seen += q.size();
+  EXPECT_EQ(seen, n) << "the hook must see every completion";
+  EXPECT_EQ(queued, hooked);
+}
+
 TEST(ServiceFuzz, RandomInterleavingsKeepTheBooksBalanced) {
   // Fuzz leg (runs at IMA_SHARDS width under the sanitizer jobs): a random
   // interleaving of push / drain_to / pop must keep pushed == completed +

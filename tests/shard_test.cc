@@ -5,7 +5,7 @@
 // snapshots, completion-stream checksums and (where armed) the reliability
 // corruption ledger — across RAIDR row refresh, PARA RowHammer mitigation,
 // a closed loop and the PNM stack's sharded stream. The open-loop legs run
-// the full matrix of shard plans (none, 1, 2, 8), epochs (997, 8192) and
+// the full matrix of shard plans (none, 1, 2, 3, 8), epochs (997, 8192) and
 // clock modes against the unsharded per-cycle reference, and compare the
 // end cycle, the energy charged up to it and the checkpoint image too. The width
 // matrix over all 8 scheduler kinds lives in SoaGoldenMatrix
@@ -18,6 +18,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ckpt.hh"
@@ -48,7 +49,7 @@ struct Ends {
 };
 
 /// Runs `drain(sys, out)` (returning the end cycle) on a system from
-/// `make()` under every shard plan {0, 1, 2, 8} x epoch {997, 8192} x clock
+/// `make()` under every shard plan {0, 1, 2, 3, 8} x epoch {997, 8192} x clock
 /// mode, and requires each leg to equal the unsharded per-cycle reference
 /// in end cycle, completion checksum, statistics, total_energy(end) and
 /// ckpt::capture image.
@@ -69,7 +70,9 @@ void expect_drain_invariant(const std::string& point, const Make& make, const Dr
   };
   const Ends ref = run(0, 0, sim::ClockMode::PerCycle);
   EXPECT_GT(ref.out.cycles, 0u) << point;
-  for (const unsigned shards : {0u, 1u, 2u, 8u}) {
+  // Width 3 divides no power-of-two channel count, so its workers claim
+  // uneven shares of the blocks.
+  for (const unsigned shards : {0u, 1u, 2u, 3u, 8u}) {
     for (const Cycle epoch : {Cycle{997}, Cycle{8192}}) {
       for (const auto mode : {sim::ClockMode::PerCycle, sim::ClockMode::SkipAhead}) {
         const Ends e = run(shards, epoch, mode);
@@ -178,6 +181,58 @@ TEST(Shard, SourcedDrainPerCycleMatchesSkipAhead) {
         };
         return sys.drain_sourced(src, 0);
       });
+}
+
+TEST(Shard, MailboxMergeBreaksCompletionTiesByChannel) {
+  // Two channels fed the same request stream complete in lockstep, so
+  // every completion cycle carries one completion per channel. The drain
+  // without a plan fires channel 0's callback before channel 1's in each
+  // such cycle (it ticks channels in order); the barrier's merge of the
+  // two mailboxes must deliver the same sequence at every width and epoch.
+  using Seen = std::pair<std::uint32_t, Cycle>;  // (channel, completion cycle)
+  const auto run = [](unsigned shards, Cycle epoch) {
+    mem::MemorySystem sys(matrix_dram(2), mem::ControllerConfig{});
+    sys.set_shards(shards, epoch);
+    std::vector<std::uint64_t> cursor(2, 0);
+    std::vector<Seen> seen;
+    mem::MemorySystem::ChannelSource src;
+    src.next = [&](std::uint32_t ch, Cycle, mem::Request& r) {
+      std::uint64_t& i = cursor[ch];
+      if (i >= 400) return false;
+      const auto& g = sys.dram_config().geometry;
+      const std::uint64_t h = harness::job_seed(0x713ull, i);  // not keyed on ch
+      dram::Coord c;
+      c.channel = ch;
+      c.bank = static_cast<std::uint32_t>(h >> 8) % g.banks;
+      c.row = static_cast<std::uint32_t>(h >> 16) % g.rows_per_bank();
+      c.column = static_cast<std::uint32_t>(h >> 40) % g.columns;
+      r = mem::Request{};
+      r.addr = sys.mapper().encode(c);
+      r.type = i % 4 == 3 ? AccessType::Write : AccessType::Read;
+      ++i;
+      return true;
+    };
+    src.on_complete = [&seen](std::uint32_t ch, const mem::Request& done) {
+      seen.emplace_back(ch, done.complete);
+    };
+    EXPECT_GT(sys.drain_sourced(src, 0), 0u);
+    return seen;
+  };
+  const std::vector<Seen> ref = run(0, 0);
+  ASSERT_EQ(ref.size(), 800u);
+  std::size_t ties = 0;
+  for (std::size_t i = 1; i < ref.size(); ++i) {
+    const auto& [ch0, at0] = ref[i - 1];
+    const auto& [ch1, at1] = ref[i];
+    ASSERT_LE(at0, at1) << i;
+    if (at0 != at1) continue;
+    EXPECT_LE(ch0, ch1) << "channel 1 before channel 0 at cycle " << at1;
+    ties += ch0 != ch1;
+  }
+  EXPECT_EQ(ties, 400u) << "the mirrored channels must complete in lockstep";
+  for (const unsigned shards : {1u, 2u})
+    for (const Cycle epoch : {Cycle{64}, Cycle{997}})
+      EXPECT_EQ(run(shards, epoch), ref) << "shards " << shards << " epoch " << epoch;
 }
 
 TEST(Shard, RaidrRefreshAndParaMitigationShardIdentically) {
