@@ -265,12 +265,12 @@ void BM_SchedulerPick(benchmark::State& state) {
     q.push_back(r);
   }
   // Built as the controller builds its view: the same meta builder plus a
-  // timing cache; arrivals ascend, as the controller would track.
+  // timing cache; arrivals ascend, the order the controller keeps.
   std::vector<mem::QueueScanMeta> meta;
   for (const auto& r : q) meta.push_back(mem::scan_meta(chan, r));
   mem::SchedTimingCache cache(chan);
   cache.begin(100);
-  const mem::SchedView view{100, &cores, &cache, meta.data(), /*arrive_sorted=*/true};
+  const mem::SchedView view{100, &cores, &cache, meta.data()};
   for (auto _ : state) {
     sched->tick(view, q);
     benchmark::DoNotOptimize(sched->pick(q, view));

@@ -153,7 +153,9 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
     ++stats_.enqueue_rejects;
     return false;
   }
-  auto& q = req.type == AccessType::Read ? read_q_ : write_q_;
+  const bool is_read = req.type == AccessType::Read;
+  auto& q = is_read ? read_q_ : write_q_;
+  auto& meta = is_read ? read_meta_ : write_meta_;
   req.id = next_req_id_++;
   QueuedRequest qr;
   qr.coord = mapper_.decode(req.addr);
@@ -162,20 +164,21 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   assert(qr.coord.channel == chan_.id() && "request routed to wrong channel");
   if (req.core < cores_.size()) ++cores_[req.core].outstanding;
   ++rank_work_[qr.coord.rank];
-  const bool is_read = req.type == AccessType::Read;
+  // Keep the queue in arrival order (Scheduler::pick). Requests are
+  // stamped with their enqueue cycle, so this is an append; an
+  // earlier-stamped arrival goes after the last entry, tombstone or not,
+  // stamped no later, and its scan meta moves in lockstep.
+  const QueueScanMeta m = scan_meta(chan_, qr);
+  if (q.empty() || req.arrive >= q.back().req.arrive) {
+    q.push_back(qr);
+    meta.push_back(m);
+  } else {
+    const auto before = [](Cycle a, const QueuedRequest& e) { return a < e.req.arrive; };
+    const auto pos = std::upper_bound(q.begin(), q.end(), req.arrive, before);
+    meta.insert(meta.begin() + (pos - q.begin()), m);
+    q.insert(pos, qr);
+  }
   QueueOcc& oc = occ_[is_read ? 0 : 1];
-  bool& sorted = is_read ? read_q_sorted_ : write_q_sorted_;
-  Cycle& last = is_read ? read_q_last_arrive_ : write_q_last_arrive_;
-  // Order restarts when only tombstones remain; otherwise one
-  // out-of-order arrival pins the queue to the argmin scan path until it
-  // fully drains (tombstone compaction never reorders).
-  if (oc.live == 0) sorted = true;
-  else if (req.arrive < last) sorted = false;
-  last = req.arrive;
-  q.push_back(qr);
-  auto& meta = is_read ? read_meta_ : write_meta_;
-  meta.push_back(scan_meta(chan_, q.back()));
-  const QueueScanMeta& m = meta.back();
   oc.add(m.unit, req.core, chan_.unit_open(m.unit) && chan_.unit_row(m.unit) == m.row);
   ++queue_stamp_[is_read ? 0 : 1];
   ++mutation_stamp_;

@@ -262,7 +262,6 @@ class Controller {
                      &cores_,
                      &timing_cache_,
                      (is_read ? read_meta_ : write_meta_).data(),
-                     is_read ? read_q_sorted_ : write_q_sorted_,
                      static_cast<std::uint32_t>(qi),
                      queue_stamp_[qi],
                      &occ_[qi]};
@@ -279,26 +278,22 @@ class Controller {
   std::uint32_t refs_for_mitigation_ = 0;
   std::vector<Cycle> rank_last_activity_;
 
-  // Served requests tombstone in place (stable index order preserves the
-  // schedulers' lowest-index tie-breaks) and compact in batches, so
+  // Each queue is in arrival order, tombstones included (the
+  // Scheduler::pick contract): enqueue appends, or inserts an
+  // earlier-stamped arrival after its equals. Served requests tombstone
+  // in place and compact stably in batches, so neither reorders, and
   // q.size() overstates occupancy between compactions: the live count is
   // occ_[qi].live.
   std::vector<QueuedRequest> read_q_;
   std::vector<QueuedRequest> write_q_;
-  // Per-queue arrive monotonicity (SchedView::arrive_sorted): requests are
-  // stamped with the enqueue cycle, so queues are sorted in practice and
-  // first-ready schedulers can stop at the first match.
-  bool read_q_sorted_ = true;
-  bool write_q_sorted_ = true;
-  Cycle read_q_last_arrive_ = 0;
-  Cycle write_q_last_arrive_ = 0;
   // Compact per-queue scan metadata (QueueScanMeta, sched.hh), index-
   // parallel to read_q_/write_q_ including tombstones: feeds next_event's
   // classify pass and the schedulers' pick scans without touching the fat
-  // queue structs. flags go dead in serve() and both arrays compact
-  // together. In-repo schedulers only flip `marked` on queue entries; a
-  // custom tick() that reordered or erased entries would desync these
-  // (none does — the queue is compacted only in serve()).
+  // queue structs. enqueue inserts into both at one index, flags go dead
+  // in serve() and both arrays compact together. In-repo schedulers only
+  // flip `marked` on queue entries; a custom tick() that reordered or
+  // erased entries would desync these (none does — the queue is compacted
+  // only in serve()).
   std::vector<QueueScanMeta> read_meta_;
   std::vector<QueueScanMeta> write_meta_;
   // Per-queue mutation stamps (SchedView::queue_version; 0 = read, 1 =

@@ -69,6 +69,13 @@ Cycle MemorySystem::drain(Cycle from, Cycle deadline) { return run_drain(from, d
 // --- sharded execution ------------------------------------------------------
 
 void MemorySystem::set_shards(unsigned shards, Cycle epoch) {
+  // enqueue() decides where a callback fires from the plan at that moment,
+  // so switching with work queued would leave an inline callback to fire
+  // on a shard worker, or a deferred one in a mailbox nothing delivers.
+  if (!quiescent())
+    throw std::logic_error(
+        "MemorySystem::set_shards: requests are queued, in flight or awaiting "
+        "barrier delivery; arm or disarm the shard plan on an idle system");
   shards_ = std::min<unsigned>(shards, static_cast<unsigned>(ctrls_.size()));
   shard_epoch_ = epoch;
   if (shards_ == 0) pool_.reset();
@@ -351,11 +358,9 @@ Cycle MemorySystem::run_drain(Cycle from, Cycle deadline, const ChannelSource* s
     if (watchdog_ && shards_ > 0) watchdog_->check(now);
     if (channels_done(0, nch, src)) break;
   }
-  // Idle with every mailbox delivered: no sourced request is left to
-  // complete, so the retained sinks can go (before a Throw unwinds).
-  if (idle() &&
-      std::all_of(mail_.begin(), mail_.end(), [](const Mailbox& b) { return b.items.empty(); }))
-    sinks_.clear();
+  // Quiescent: no sourced request is left to complete, so the retained
+  // sinks can go (before a Throw unwinds).
+  if (quiescent()) sinks_.clear();
   last_drain_clipped_ = !channels_done(0, nch, src);
   if (!last_drain_clipped_) return now;
   ++drain_clips_;
@@ -383,6 +388,11 @@ bool MemorySystem::idle() const {
   for (const auto& c : ctrls_)
     if (!c->idle()) return false;
   return true;
+}
+
+bool MemorySystem::quiescent() const {
+  return idle() &&
+         std::all_of(mail_.begin(), mail_.end(), [](const Mailbox& b) { return b.items.empty(); });
 }
 
 void MemorySystem::poke(Addr addr, std::span<const std::uint8_t> bytes) {

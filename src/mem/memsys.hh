@@ -100,6 +100,8 @@ class MemorySystem {
   Cycle drain(Cycle from, Cycle deadline = 100'000'000);
 
   bool idle() const;
+  /// idle() with every barrier mailbox delivered: nothing left to complete.
+  bool quiescent() const;
 
   // --- sharded execution ---
 
@@ -107,9 +109,12 @@ class MemorySystem {
   /// count) that claim the channels one at a time and advance them
   /// independently between barriers every `epoch` cycles (0 =
   /// sim::default_shard_epoch()). shards = 0 disarms: the channels drain
-  /// as one inline block with inline callbacks. Call before enqueueing:
-  /// with a plan armed, completion callbacks are deferred to the barrier
-  /// mailboxes from enqueue time on. The host-thread width actually used
+  /// as one inline block with inline callbacks. Throws std::logic_error
+  /// unless the system is quiescent (idle() with every barrier mailbox
+  /// delivered): enqueue() binds each callback to the plan armed at that
+  /// moment — deferred to the mailboxes under a plan, inline without — so
+  /// a request queued across a switch would complete on the wrong thread
+  /// or never. The host-thread width actually used
   /// can be lower than `shards` — nested inside a sweep job
   /// (WorkerPool::on_worker()), with a trace sink attached, or with one
   /// HammerVictimModel shared by several controllers, the epochs run

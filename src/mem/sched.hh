@@ -251,12 +251,6 @@ struct SchedView {
   const SchedTimingCache* cache = nullptr;
   // Index-parallel scan metadata for the active queue, tombstones included.
   const QueueScanMeta* meta = nullptr;
-  // True when the active queue's live entries have non-decreasing
-  // req.arrive (the controller tracks this per queue on enqueue; requests
-  // are stamped with the enqueue cycle, so it holds in practice). Then
-  // "oldest in class" = "first in class", and first-ready schedulers may
-  // return at the first match instead of completing an argmin scan.
-  bool arrive_sorted = false;
   // Which controller queue this is (0 = reads, 1 = writes) and its mutation
   // stamp: the controller bumps the stamp whenever the queue's contents or
   // order change, so an unchanged (queue, queue_version) names an unchanged
@@ -300,7 +294,11 @@ class Scheduler {
   virtual ~Scheduler() = default;
 
   /// Chooses the index of the request to advance, or kNoPick to idle.
-  /// `q` is the active queue (reads or writes, chosen by the controller).
+  /// `q` is the active queue (reads or writes, chosen by the controller),
+  /// kept in arrival order: nondecreasing `req.arrive`, tombstones
+  /// included, equal arrivals in enqueue order (Controller::enqueue). So
+  /// the oldest member of any class is its first, and every policy picks
+  /// by a first-match scan, lowest index winning its ties.
   virtual std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& view) = 0;
 
   /// Called when a request's data burst is issued (service granted).

@@ -17,28 +17,15 @@ namespace {
 class FcfsScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
-    // One fused scan (hot path): issuable-set ⊆ live-set, so tracking both
-    // argmins in a single pass picks the same index as the two-pass form.
-    // On a sorted queue "oldest" = "first", so the first issuable wins.
-    if (v.arrive_sorted) {
-      std::size_t any = kNoPick;
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i)) continue;
-        if (any == kNoPick) any = i;
-        if (v.issue_class(i) != 0) return i;
-      }
-      return any;
-    }
-    std::size_t ready = kNoPick, any = kNoPick;
+    // The queue is in arrival order, so the oldest issuable entry is the
+    // first one, and the first live entry is the oldest overall.
+    std::size_t any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
-      const QueuedRequest& r = q[i];
-      if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
-      if (v.issue_class(i) != 0 &&
-          (ready == kNoPick || r.req.arrive < q[ready].req.arrive))
-        ready = i;
+      if (any == kNoPick) any = i;
+      if (v.issue_class(i) != 0) return i;
     }
-    return ready != kNoPick ? ready : any;
+    return any;
   }
   // Decisions depend only on queue/bank state, which is frozen across any
   // gap where no command can issue.
@@ -52,34 +39,19 @@ class FrFcfsScheduler final : public Scheduler {
  public:
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     // Fused hit/ready/any scan: each priority class is a subset of the
-    // next, so one pass tracking three argmins returns exactly what the
-    // three oldest-in-class passes did — at a third of the queue walks (this
-    // is the single hottest loop in a loaded simulation). On a sorted
-    // queue the scan returns at the first issuable row hit.
-    if (v.arrive_sorted) {
-      std::size_t ready = kNoPick, any = kNoPick;
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i)) continue;
-        if (any == kNoPick) any = i;
-        const int cls = v.issue_class(i);
-        if (cls == 0) continue;
-        if (cls == 2) return i;
-        if (ready == kNoPick) ready = i;
-      }
-      return ready != kNoPick ? ready : any;
-    }
-    std::size_t hit = kNoPick, ready = kNoPick, any = kNoPick;
+    // next, and on an arrival-ordered queue the oldest of a class is its
+    // first member, so one pass returns at the first issuable row hit and
+    // otherwise remembers the first issuable and first live entries (this
+    // is the single hottest loop in a loaded simulation).
+    std::size_t ready = kNoPick, any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
-      const QueuedRequest& r = q[i];
-      if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
+      if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
-      if (ready == kNoPick || r.req.arrive < q[ready].req.arrive) ready = i;
-      if (cls == 2 && (hit == kNoPick || r.req.arrive < q[hit].req.arrive))
-        hit = i;
+      if (cls == 2) return i;
+      if (ready == kNoPick) ready = i;
     }
-    if (hit != kNoPick) return hit;
     return ready != kNoPick ? ready : any;
   }
   Cycle next_event(Cycle) const override { return kCycleNever; }
@@ -95,31 +67,15 @@ class FrFcfsCapScheduler final : public Scheduler {
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     // Fused capped-hit/ready/any scan (see FrFcfsScheduler::pick).
-    if (v.arrive_sorted) {
-      std::size_t ready = kNoPick, any = kNoPick;
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i)) continue;
-        if (any == kNoPick) any = i;
-        const int cls = v.issue_class(i);
-        if (cls == 0) continue;
-        if (cls == 2 && streak_for(q[i].coord) < cap_) return i;
-        if (ready == kNoPick) ready = i;
-      }
-      return ready != kNoPick ? ready : any;
-    }
-    std::size_t hit = kNoPick, ready = kNoPick, any = kNoPick;
+    std::size_t ready = kNoPick, any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
-      const QueuedRequest& r = q[i];
-      if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
+      if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
-      if (ready == kNoPick || r.req.arrive < q[ready].req.arrive) ready = i;
-      if (cls == 2 && streak_for(r.coord) < cap_ &&
-          (hit == kNoPick || r.req.arrive < q[hit].req.arrive))
-        hit = i;
+      if (cls == 2 && streak_for(q[i].coord) < cap_) return i;
+      if (ready == kNoPick) ready = i;
     }
-    if (hit != kNoPick) return hit;
     return ready != kNoPick ? ready : any;
   }
 
@@ -182,48 +138,24 @@ class BlissScheduler final : public Scheduler {
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     // Fused form of the original five passes: whitelisted-hit >
     // whitelisted-ready > any-hit > any-ready > oldest-live. Each class is
-    // a subset of a later one, so one scan tracking five argmins picks the
-    // same index the pass cascade did. On a sorted queue each argmin is
-    // the first member of its class, and a whitelisted hit ends the scan.
-    if (v.arrive_sorted) {
-      std::size_t wl_ready = kNoPick, hit = kNoPick, ready = kNoPick, any = kNoPick;
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i)) continue;
-        const QueuedRequest& r = q[i];
-        if (any == kNoPick) any = i;
-        const int cls = v.issue_class(i);
-        if (cls == 0) continue;
-        const bool rh = cls == 2;
-        if (blacklist_ok(r, /*allow=*/false)) {
-          if (rh) return i;
-          if (wl_ready == kNoPick) wl_ready = i;
-        }
-        if (rh && hit == kNoPick) hit = i;
-        if (ready == kNoPick) ready = i;
-      }
-      if (wl_ready != kNoPick) return wl_ready;
-      if (hit != kNoPick) return hit;
-      return ready != kNoPick ? ready : any;
-    }
-    std::size_t wl_hit = kNoPick, wl_ready = kNoPick;
-    std::size_t hit = kNoPick, ready = kNoPick, any = kNoPick;
-    auto older = [&](std::size_t i, std::size_t best) {
-      return best == kNoPick || q[i].req.arrive < q[best].req.arrive;
-    };
+    // a subset of a later one and, on an arrival-ordered queue, its oldest
+    // member is its first, so one scan keeps the first of each class and a
+    // whitelisted hit ends it.
+    std::size_t wl_ready = kNoPick, hit = kNoPick, ready = kNoPick, any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
-      if (older(i, any)) any = i;
+      if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
-      const bool wl = blacklist_ok(r, /*allow=*/false);
       const bool rh = cls == 2;
-      if (older(i, ready)) ready = i;
-      if (rh && older(i, hit)) hit = i;
-      if (wl && older(i, wl_ready)) wl_ready = i;
-      if (wl && rh && older(i, wl_hit)) wl_hit = i;
+      if (blacklist_ok(r, /*allow=*/false)) {
+        if (rh) return i;
+        if (wl_ready == kNoPick) wl_ready = i;
+      }
+      if (rh && hit == kNoPick) hit = i;
+      if (ready == kNoPick) ready = i;
     }
-    if (wl_hit != kNoPick) return wl_hit;
     if (wl_ready != kNoPick) return wl_ready;
     if (hit != kNoPick) return hit;
     return ready != kNoPick ? ready : any;

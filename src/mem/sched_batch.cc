@@ -66,15 +66,16 @@ class ParBsScheduler final : public Scheduler {
     // Priority: marked > row-hit > core rank > age; only issuable requests.
     // The best element's key lives in locals so each candidate is scored
     // once (the old comparator re-derived row_hit/rank for both sides on
-    // every element — measurably hot under saturated queues).
+    // every element — measurably hot under saturated queues). Age needs
+    // no term: the queue is in arrival order, so on equal keys the first
+    // candidate, which keeps the slot, is the oldest.
     std::size_t best = kNoPick, any = kNoPick;
     bool b_marked = false, b_hit = false;
     std::uint32_t b_rank = 0;
-    Cycle b_arrive = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
-      if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
+      if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const bool hit = cls == 2;
@@ -82,14 +83,12 @@ class ParBsScheduler final : public Scheduler {
       const bool better = best == kNoPick ||
           (r.marked != b_marked ? r.marked
            : hit != b_hit       ? hit
-           : rank != b_rank     ? rank < b_rank
-                                : r.req.arrive < b_arrive);
+                                : rank < b_rank);
       if (better) {
         best = i;
         b_marked = r.marked;
         b_hit = hit;
         b_rank = rank;
-        b_arrive = r.req.arrive;
       }
     }
     return best != kNoPick ? best : any;
@@ -137,28 +136,24 @@ class AtlasScheduler final : public Scheduler {
       if (!v.cores || core >= v.cores->size()) return 0;
       return (*v.cores)[core].attained_service;
     };
-    // Single scan, best key in locals (service asc, row-hit desc, age asc).
+    // Single scan, best key in locals (service asc, row-hit desc; age asc
+    // is queue order, so the first of equal keys keeps the slot).
     std::size_t best = kNoPick, any = kNoPick;
     std::uint64_t b_service = 0;
     bool b_hit = false;
-    Cycle b_arrive = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
-      if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
+      if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const std::uint64_t s = service(r.req.core);
       const bool hit = cls == 2;
-      const bool better = best == kNoPick ||
-          (s != b_service ? s < b_service
-           : hit != b_hit ? hit
-                          : r.req.arrive < b_arrive);
+      const bool better = best == kNoPick || (s != b_service ? s < b_service : hit && !b_hit);
       if (better) {
         best = i;
         b_service = s;
         b_hit = hit;
-        b_arrive = r.req.arrive;
       }
     }
     return best != kNoPick ? best : any;
@@ -206,16 +201,16 @@ class TcmScheduler final : public Scheduler {
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
     // Single scan with the best key in locals. Within the latency cluster
     // the shuffle rank never participates in the old comparator, so the
-    // key maps cluster-0 cores to shuffle 0 — identical ordering.
+    // key maps cluster-0 cores to shuffle 0 — identical ordering. Age is
+    // queue order: the first of equal keys keeps the slot.
     std::size_t best = kNoPick, any = kNoPick;
     std::uint8_t b_cluster = 0;
     std::uint32_t b_shuffle = 0;
     bool b_hit = false;
-    Cycle b_arrive = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
       const QueuedRequest& r = q[i];
-      if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
+      if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const std::uint8_t c = cluster_of(r.req.core);
@@ -224,14 +219,12 @@ class TcmScheduler final : public Scheduler {
       const bool better = best == kNoPick ||
           (c != b_cluster   ? c < b_cluster  // latency cluster (0) first
            : s != b_shuffle ? s < b_shuffle  // bandwidth cluster: shuffled
-           : hit != b_hit   ? hit
-                            : r.req.arrive < b_arrive);
+                            : hit && !b_hit);
       if (better) {
         best = i;
         b_cluster = c;
         b_shuffle = s;
         b_hit = hit;
-        b_arrive = r.req.arrive;
       }
     }
     return best != kNoPick ? best : any;

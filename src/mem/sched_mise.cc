@@ -36,38 +36,20 @@ class MiseScheduler final : public Scheduler {
     const bool write_queue = !q.empty() && q.front().req.type == AccessType::Write;
     const std::int32_t sampled = write_queue ? -1 : sampled_app(v.now);
     // Both phases use one fused hit/ready/any scan (subset classes share a
-    // pass; same picks as an oldest-in-class cascade, a third of the walks).
-    // On a sorted queue the first issuable row hit ends the scan.
-    if (v.arrive_sorted) {
-      std::size_t ready = kNoPick, any = kNoPick;
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i)) continue;
-        const QueuedRequest& r = q[i];
-        if (sampled >= 0 && r.req.core != static_cast<std::uint32_t>(sampled)) continue;
-        if (any == kNoPick) any = i;
-        const int cls = v.issue_class(i);
-        if (cls == 0) continue;
-        if (cls == 2) return i;
-        if (ready == kNoPick) ready = i;
-      }
-      if (ready != kNoPick) return ready;
-      return any;  // sampled phase: let it precharge/activate; else idle
-    }
-    std::size_t hit = kNoPick, ready = kNoPick, any = kNoPick;
+    // pass; on an arrival-ordered queue the first of a class is its
+    // oldest), and the first issuable row hit ends it.
+    std::size_t ready = kNoPick, any = kNoPick;
     for (std::size_t i = 0; i < q.size(); ++i) {
       if (!v.live(i)) continue;
-      const QueuedRequest& r = q[i];
       // Exclusive window: only the sampled app may issue. The bus idles if
       // it has nothing — that idle time is the price of a clean sample.
-      if (sampled >= 0 && r.req.core != static_cast<std::uint32_t>(sampled)) continue;
-      if (any == kNoPick || r.req.arrive < q[any].req.arrive) any = i;
+      if (sampled >= 0 && q[i].req.core != static_cast<std::uint32_t>(sampled)) continue;
+      if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
-      if (ready == kNoPick || r.req.arrive < q[ready].req.arrive) ready = i;
-      if (cls == 2 && (hit == kNoPick || r.req.arrive < q[hit].req.arrive))
-        hit = i;
+      if (cls == 2) return i;
+      if (ready == kNoPick) ready = i;
     }
-    if (hit != kNoPick) return hit;
     if (ready != kNoPick) return ready;
     return any;  // sampled phase: let it precharge/activate; else idle
   }

@@ -151,9 +151,9 @@ class RlScheduler final : public Scheduler {
   };
 
   // Fills `m` with the state features, the per-bank load, the oldest
-  // issuable row hit / issuable / live entry (earliest arrival, lowest
-  // index on ties), the issuable indices in queue order — everything
-  // select() and the fallback chain read — and the memo key.
+  // issuable row hit / issuable / live entry (the first of each in the
+  // arrival-ordered queue), the issuable indices in queue order —
+  // everything select() and the fallback chain read — and the memo key.
   //
   // The features come from the queue's occupancy counts (SchedView::occ),
   // one fold over its occupied units: every entry of a unit shares one of
@@ -209,15 +209,14 @@ class RlScheduler final : public Scheduler {
     m.ready.clear();
     m.oldest_hit = m.oldest_ready = m.oldest_live = kNoPick;
     if (ready > 0) {
-      if (v.arrive_sorted) entry_pass<true>(q, v, m);
-      else entry_pass<false>(q, v, m);
+      entry_pass(q, v, m);
       assert(m.ready.size() == ready);
     } else {
       for (std::size_t i = 0; i < q.size(); ++i) {
-        if (!v.live(i)) continue;
-        if (m.oldest_live == kNoPick || q[i].req.arrive < q[m.oldest_live].req.arrive)
+        if (v.live(i)) {
           m.oldest_live = i;
-        if (v.arrive_sorted) break;
+          break;
+        }
       }
     }
 
@@ -239,22 +238,13 @@ class RlScheduler final : public Scheduler {
 
   // The entry pass of scan(): the ready entries in queue order (live
   // entries whose unit marked their class) and the oldest ready,
-  // ready-hit and live entries. Every index is written and the ready count
-  // advances by a flag, so the loop carries few branches. On a sorted queue
-  // the first of each class is its oldest; otherwise strict `<` on arrival
-  // keeps the lowest index among equals.
-  template <bool kSorted>
+  // ready-hit and live entries, which on the arrival-ordered queue are the
+  // first of each class. Every index is written and the ready count
+  // advances by a flag, so the loop carries few branches.
   void entry_pass(const std::vector<QueuedRequest>& q, const SchedView& v, ScanMemo& m) {
     m.ready.resize(q.size());
     std::uint32_t* out = m.ready.data();
     std::size_t n = 0;
-    Cycle hit_arrive = 0, ready_arrive = 0, live_arrive = 0;
-    const auto older = [&](std::size_t& best, Cycle& best_arrive, std::size_t i) {
-      if (best == kNoPick || q[i].req.arrive < best_arrive) {
-        best = i;
-        best_arrive = q[i].req.arrive;
-      }
-    };
     for (std::size_t i = 0; i < q.size(); ++i) {
       const QueueScanMeta& e = v.meta[i];
       const UnitMark& mark = unit_mark_[e.unit];
@@ -264,17 +254,11 @@ class RlScheduler final : public Scheduler {
                          ((mark.bits & (hit ? kHitReady : kMissReady)) != 0);
       out[n] = static_cast<std::uint32_t>(i);
       n += ready;
-      if constexpr (kSorted) {
-        if (live && m.oldest_live == kNoPick) m.oldest_live = i;
-        if (ready && hit && m.oldest_hit == kNoPick) m.oldest_hit = i;
-      } else {
-        if (live) older(m.oldest_live, live_arrive, i);
-        if (ready) older(m.oldest_ready, ready_arrive, i);
-        if (ready && hit) older(m.oldest_hit, hit_arrive, i);
-      }
+      if (live && m.oldest_live == kNoPick) m.oldest_live = i;
+      if (ready && hit && m.oldest_hit == kNoPick) m.oldest_hit = i;
     }
     m.ready.resize(n);
-    if constexpr (kSorted) m.oldest_ready = n > 0 ? m.ready[0] : kNoPick;
+    m.oldest_ready = n > 0 ? m.ready[0] : kNoPick;
   }
 
   // Reads the candidates scan() left in `m`; kNoPick when the chosen class

@@ -89,7 +89,9 @@ class MemoryService {
   /// MemorySystem::drain_sourced and hands each completion, in canonical
   /// order, to exactly one consumer: src.on_complete when it is set (the
   /// response queues stay untouched), else the response queues. Arms a
-  /// shard plan automatically when none is armed (max(1, $IMA_SHARDS)).
+  /// shard plan automatically when none is armed (max(1, $IMA_SHARDS)),
+  /// which needs a quiescent system: with push()ed requests still
+  /// outstanding it throws std::logic_error (MemorySystem::set_shards).
   /// Counts feeds and completions either way, like push(): nothing is lost
   /// silently, and `pushed() == completed() + in_flight()` holds.
   Cycle pump(const mem::MemorySystem::ChannelSource& src, Cycle from,

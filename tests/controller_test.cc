@@ -2,6 +2,9 @@
 // accounting, refresh interaction, PIM queue, stat consistency.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "common/rng.hh"
 #include "mem/memsys.hh"
 
@@ -199,6 +202,41 @@ TEST(Controller, ReadsPrioritizedOverWrites) {
   ASSERT_TRUE(sys.enqueue(r, [&](const Request& req) { read_done = req.complete; }));
   const Cycle end = sys.drain(0);
   EXPECT_LT(read_done, end);
+}
+
+// Enqueues one read per (bank, row, arrive stamp) into an idle controller
+// under `kind` at cycle `now`, in the order given, drains, and returns the
+// stamps in completion order.
+std::vector<Cycle> stamps_in_service_order(
+    SchedKind kind, Cycle now, const std::vector<std::array<std::uint32_t, 3>>& reqs) {
+  const auto dram_cfg = small_dram();
+  ControllerConfig ctrl = small_ctrl();
+  ctrl.sched = kind;
+  MemorySystem sys(dram_cfg, ctrl);
+  std::vector<Cycle> order;
+  for (const auto& [bank, row, arrive] : reqs) {
+    Request r;
+    r.addr = (static_cast<Addr>(row) * dram_cfg.geometry.banks + bank) *
+             dram_cfg.geometry.row_bytes();  // RoBaRaCoCh, one rank
+    r.arrive = arrive;
+    EXPECT_TRUE(sys.enqueue(r, [&order](const Request& done) { order.push_back(done.arrive); }));
+  }
+  sys.drain(now);
+  return order;
+}
+
+// A request stamped earlier than those already queued is still the oldest:
+// the controller keeps its queues in arrival order, so oldest-first
+// policies serve it first.
+TEST(Controller, FcfsServesTheOldestStampFirst) {
+  EXPECT_EQ(stamps_in_service_order(SchedKind::Fcfs, 200, {{0, 1, 100}, {1, 2, 50}, {2, 3, 75}}),
+            (std::vector<Cycle>{50, 75, 100}));
+}
+
+TEST(Controller, FrFcfsFallsBackToTheOldestStampWhenNoHit) {
+  const auto order = stamps_in_service_order(SchedKind::FrFcfs, 100, {{1, 7, 10}, {2, 9, 5}});
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order.front(), 5u);
 }
 
 TEST(Controller, RefreshHappensAtTrefi) {

@@ -1,5 +1,8 @@
 // Scheduler policy unit tests: each policy's signature behaviour on
-// hand-built queues against a real channel.
+// hand-built queues against a real channel. Hand-built queues keep the
+// controller's arrival order (Scheduler::pick); oldest-first picks over
+// requests stamped out of order are controller-level cases
+// (controller_test.cc).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -19,6 +22,31 @@
 namespace ima::mem {
 namespace {
 
+// True when the live entries of `q` have nondecreasing `req.arrive` (the
+// queue order Scheduler::pick may rely on).
+bool live_in_arrival_order(const std::vector<QueuedRequest>& q) {
+  const QueuedRequest* prev = nullptr;
+  for (const QueuedRequest& e : q) {
+    if (!e.live) continue;
+    if (prev && e.req.arrive < prev->req.arrive) return false;
+    prev = &e;
+  }
+  return true;
+}
+
+// True when a live entry of `q` sits before a live entry the controller
+// admitted earlier (a lower request id): an out-of-order arrival was
+// inserted ahead of it instead of appended.
+bool holds_inserted_arrival(const std::vector<QueuedRequest>& q) {
+  std::uint64_t max_id = 0;
+  for (const QueuedRequest& e : q) {
+    if (!e.live) continue;
+    if (e.req.id < max_id) return true;
+    max_id = e.req.id;
+  }
+  return false;
+}
+
 struct SchedFixture : ::testing::Test {
   dram::DramConfig cfg = dram::DramConfig::ddr4_2400();
   dram::Channel chan{cfg, 0, nullptr};
@@ -30,8 +58,10 @@ struct SchedFixture : ::testing::Test {
 
   // The view the controller would hand a scheduler over queue `q`: the
   // controller's meta and occupancy builders plus the timing cache, begun
-  // at `now`.
+  // at `now`. A queue out of arrival order breaks the pick contract, so
+  // the test building it fails.
   SchedView view(const std::vector<QueuedRequest>& q, Cycle now) {
+    if (!live_in_arrival_order(q)) ADD_FAILURE() << "hand-built queue out of arrival order";
     meta.clear();
     for (const auto& r : q) meta.push_back(scan_meta(chan, r));
     if (occ.cnt.size() != chan.unit_count()) occ.reset(chan.unit_count(), cores.size());
@@ -93,12 +123,6 @@ TEST_F(SchedFixture, FactoryProducesAllKinds) {
   }
 }
 
-TEST_F(SchedFixture, FcfsPicksOldest) {
-  auto s = make_scheduler(SchedKind::Fcfs, 4);
-  std::vector<QueuedRequest> q{make(1, 0, 0, 100), make(2, 1, 1, 50), make(3, 2, 2, 75)};
-  EXPECT_EQ(s->pick(q, view(q, 200)), 1u);
-}
-
 TEST_F(SchedFixture, FrFcfsPrefersRowHitOverAge) {
   auto s = make_scheduler(SchedKind::FrFcfs, 4);
   // Open row 5 in bank 0.
@@ -109,24 +133,18 @@ TEST_F(SchedFixture, FrFcfsPrefersRowHitOverAge) {
   EXPECT_EQ(s->pick(q, view(q, now)), 1u);
 }
 
-TEST_F(SchedFixture, FrFcfsFallsBackToOldestWhenNoHit) {
-  auto s = make_scheduler(SchedKind::FrFcfs, 4);
-  std::vector<QueuedRequest> q{make(7, 1, 0, 10), make(9, 2, 1, 5)};
-  EXPECT_EQ(s->pick(q, view(q, 100)), 1u);
-}
-
 TEST_F(SchedFixture, FrFcfsCapBreaksStreak) {
   auto s = make_scheduler(SchedKind::FrFcfsCap, 4);
   chan.issue(dram::Cmd::Act, dram::Coord{0, 0, 0, 5, 0}, 0);
   const Cycle now = cfg.timings.rcd;
-  std::vector<QueuedRequest> q{make(5, 0, 0, 50), make(7, 1, 1, 10)};
+  std::vector<QueuedRequest> q{make(7, 1, 1, 10), make(5, 0, 0, 50)};
   // Serve row hits up to the cap (streak counter trails services by one).
   for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(s->pick(q, view(q, now)), 0u) << "iteration " << i;
-    s->on_service(q[0], view(q, now));
+    EXPECT_EQ(s->pick(q, view(q, now)), 1u) << "iteration " << i;
+    s->on_service(q[1], view(q, now));
   }
   // Past the cap the oldest non-hit wins.
-  EXPECT_EQ(s->pick(q, view(q, now)), 1u);
+  EXPECT_EQ(s->pick(q, view(q, now)), 0u);
 }
 
 TEST_F(SchedFixture, BlissBlacklistsStreakyCore) {
@@ -305,13 +323,17 @@ TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
 // Forwards every Scheduler call to the wrapped policy and, on every pick,
 // checks each queue entry's view answers against the channel itself: the
 // test-only reference for the one query path (SchedTimingCache over
-// QueueScanMeta). Mismatches are counted; the first is described.
+// QueueScanMeta). Mismatches are counted; the first is described. It also
+// counts the picks over a queue out of arrival order (the pick contract
+// broken) and those over a queue holding an inserted arrival.
 class RecordingScheduler final : public Scheduler {
  public:
   RecordingScheduler(std::unique_ptr<Scheduler> inner, const dram::Channel& chan)
       : inner_(std::move(inner)), chan_(chan) {}
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
+    if (!live_in_arrival_order(q)) ++order_violations;
+    if (holds_inserted_arrival(q)) ++inserted;
     for (std::size_t i = 0; i < q.size(); ++i) {
       ++checked;
       if (v.live(i) != q[i].live) mismatch(v.now, i, "live");
@@ -345,6 +367,8 @@ class RecordingScheduler final : public Scheduler {
 
   std::uint64_t checked = 0;
   std::uint64_t mismatches = 0;
+  std::uint64_t order_violations = 0;
+  std::uint64_t inserted = 0;
   std::uint64_t classes[3] = {};
   std::string first;
 
@@ -364,6 +388,10 @@ class RecordingScheduler final : public Scheduler {
 // the channel's open-row state and the entry's flat (rank, bank) id at
 // every pick. Saturation matters: only
 // full queues produce the repeated same-cycle queries the cache serves.
+// Each window after the first also enqueues two requests, the second
+// stamped 7 cycles before the first, into the busy queue: every pick must
+// still see the queue in arrival order, with the inserted arrival ahead of
+// the entries admitted before it.
 TEST(SchedViewReference, EveryQueryMatchesChannel) {
   // `sel` is a SchedKind, or -1 for MISE (not a factory kind).
   const auto run_world = [](int sel, bool salp) {
@@ -394,35 +422,49 @@ TEST(SchedViewReference, EveryQueryMatchesChannel) {
       else cores.push_back({workloads::make_random(p), 4, 0});
     }
 
-    sim::run_event_loop(
-        sys.clock_mode(), 0, 60'000,
-        [&](Cycle now) {
-          for (std::size_t i = 0; i < cores.size(); ++i) {
-            auto& c = cores[i];
-            while (c.outstanding < c.mlp) {
-              const auto e = c.stream->next();
-              Request req;
-              req.addr = e.addr;
-              req.type = e.type;
-              req.core = static_cast<std::uint32_t>(i);
-              req.arrive = now;
-              if (!sys.can_accept(req.addr, req.type, req.core)) break;
-              ++c.outstanding;
-              if (!sys.enqueue(req, [&c](const Request&) { --c.outstanding; })) {
-                --c.outstanding;
-                break;
+    Cycle now = 0;
+    for (int window = 0; window < 6; ++window) {
+      if (window >= 1) {
+        for (const Cycle back : {Cycle{0}, Cycle{7}}) {
+          Request req;
+          req.addr = (static_cast<Addr>(window) << 24) + (back << 12);
+          req.core = 1;
+          req.arrive = now - back;
+          ASSERT_TRUE(sys.enqueue(req));
+        }
+      }
+      now = sim::run_event_loop(
+          sys.clock_mode(), now, now + 10'000,
+          [&](Cycle at) {
+            for (std::size_t i = 0; i < cores.size(); ++i) {
+              auto& c = cores[i];
+              while (c.outstanding < c.mlp) {
+                const auto e = c.stream->next();
+                Request req;
+                req.addr = e.addr;
+                req.type = e.type;
+                req.core = static_cast<std::uint32_t>(i);
+                req.arrive = at;
+                if (!sys.can_accept(req.addr, req.type, req.core)) break;
+                ++c.outstanding;
+                if (!sys.enqueue(req, [&c](const Request&) { --c.outstanding; })) {
+                  --c.outstanding;
+                  break;
+                }
               }
             }
-          }
-          sys.tick(now);
-        },
-        [] { return false; },
-        [&](Cycle now) {
-          for (const auto& c : cores)
-            if (c.outstanding < c.mlp) return now + 1;
-          return sys.next_event(now);
-        });
+            sys.tick(at);
+          },
+          [] { return false; },
+          [&](Cycle at) {
+            for (const auto& c : cores)
+              if (c.outstanding < c.mlp) return at + 1;
+            return sys.next_event(at);
+          });
+    }
     EXPECT_EQ(r.mismatches, 0u) << "first: " << r.first;
+    EXPECT_GT(r.inserted, 0u) << "no pick saw an inserted arrival";
+    EXPECT_EQ(r.order_violations, 0u) << "a pick saw the queue out of arrival order";
     EXPECT_GT(r.checked, 0u);
     for (const std::uint64_t n : r.classes) EXPECT_GT(n, 0u) << "a class never occurred";
   };
@@ -537,9 +579,10 @@ std::size_t rl_pick_reference(const RlScanReference& r, const std::vector<Queued
 
 // Wraps make_rl(rl_cores, ...) and, on every pick, checks the traced
 // (action, state hash) and the returned index against the reference scan.
-// Counts what the run covered: picks over unsorted queues and over queues
-// holding a core id at or above the controller's core count, and each
-// action taken.
+// Counts what the run covered: picks over queues holding an inserted
+// arrival and over queues holding a core id at or above the controller's
+// core count, and each action taken; and the picks over a queue out of
+// arrival order.
 class RlReferenceCheck final : public Scheduler {
  public:
   RlReferenceCheck(std::uint32_t rl_cores, std::uint32_t ctrl_cores, const dram::Channel& chan)
@@ -558,7 +601,8 @@ class RlReferenceCheck final : public Scheduler {
     const auto [action, state] = last_decision(trace_);
     const RlScanReference ref = rl_scan_reference(q, v.now, chan_, rl_cores_);
     if (action < 4) ++actions[action];
-    if (!v.arrive_sorted) ++unsorted;
+    if (holds_inserted_arrival(q)) ++inserted;
+    if (!live_in_arrival_order(q)) ++order_violations;
     for (const QueuedRequest& e : q)
       if (e.live && e.req.core >= ctrl_cores_) {
         ++high_core;
@@ -579,7 +623,8 @@ class RlReferenceCheck final : public Scheduler {
   std::uint64_t picks = 0;
   std::uint64_t traced = 0;
   std::uint64_t with_ready = 0;
-  std::uint64_t unsorted = 0;
+  std::uint64_t inserted = 0;
+  std::uint64_t order_violations = 0;
   std::uint64_t high_core = 0;
   std::uint64_t actions[4] = {};
   std::uint64_t mismatches = 0;
@@ -608,7 +653,8 @@ class RlReferenceCheck final : public Scheduler {
 // ranks with power-down and self-refresh timeouts and idle windows (ranks
 // sleep and wake mid-run), SALP off and on, with PIM ops queued mid-run
 // (they open no unit, so the counts stay exact across them) and
-// out-of-order arrivals (the queue stops being arrive-sorted), under RL
+// out-of-order arrivals (the controller inserts them in arrival order),
+// under RL
 // instances that count eight cores (ids at or above the controller's four)
 // and two.
 TEST(SchedViewReference, RlStateMatchesEntryScan) {
@@ -655,8 +701,8 @@ TEST(SchedViewReference, RlStateMatchesEntryScan) {
         }
         if (window >= 2) {
           // The queues drained in the idle window: the second request
-          // arrives before the first, so they stay unsorted until they
-          // drain again.
+          // arrives before the first, so the controller inserts it ahead
+          // of the first.
           for (const Cycle back : {Cycle{0}, Cycle{7}}) {
             Request r;
             r.addr = (static_cast<Addr>(window) << 24) + (back << 12);
@@ -678,7 +724,8 @@ TEST(SchedViewReference, RlStateMatchesEntryScan) {
       if (c.traced == 0) GTEST_SKIP() << "tracing compiled out: no decisions to compare";
       EXPECT_EQ(c.traced, c.picks);
       EXPECT_GT(c.with_ready, 0u);
-      EXPECT_GT(c.unsorted, 0u);
+      EXPECT_GT(c.inserted, 0u);
+      EXPECT_EQ(c.order_violations, 0u);
       EXPECT_GT(c.high_core, 0u);
       for (const std::uint64_t n : c.actions) EXPECT_GT(n, 0u) << "an action never occurred";
       EXPECT_EQ(c.mismatches, 0u) << "first: " << c.first << " of " << c.picks << " picks";

@@ -298,6 +298,34 @@ TEST(ServiceTick, ClosedLoopWorksAndShardPlanRefusesTick) {
   EXPECT_THROW(svc2.tick(0), std::logic_error);
 }
 
+// enqueue() binds each callback to the shard plan armed at that moment,
+// so the plan may switch only on a quiescent system: arming it over a
+// queued request, or pump() arming it over a push()ed one, throws instead
+// of letting that request's inline callback fire on a shard worker.
+TEST(ServicePlan, ShardPlanSwitchesOnlyWhenQuiescent) {
+  mem::Request r;
+  r.addr = 0x40;
+  mem::MemorySystem sys(small_cfg(2), {});
+  ASSERT_TRUE(sys.enqueue(r));
+  EXPECT_THROW(sys.set_shards(2), std::logic_error);
+  EXPECT_EQ(sys.shards(), 0u);
+  sys.drain(0);
+  sys.set_shards(2);
+  EXPECT_EQ(sys.shards(), 2u);
+
+  mem::MemorySystem sys2(small_cfg(2), {});
+  service::MemoryService svc(sys2);
+  svc.push(svc.channel_of(r.addr), r, 0);
+  mem::MemorySystem::ChannelSource src;
+  src.next = [](std::uint32_t, Cycle, mem::Request&) { return false; };
+  EXPECT_THROW(svc.pump(src, 0), std::logic_error);
+  EXPECT_EQ(sys2.shards(), 0u);
+  const Cycle end = svc.drain_to(0);
+  EXPECT_EQ(svc.completed(), 1u);
+  EXPECT_NO_THROW(svc.pump(src, end));
+  EXPECT_GT(sys2.shards(), 0u);
+}
+
 TEST(ServicePump, OpenLoopTensorFeedIsLossFreeAndWidthInvariant) {
   // Tensor-traffic open-loop pump: byte-identical completions at 1 shard
   // vs a wide plan, and pushed() counts source feeds too.
