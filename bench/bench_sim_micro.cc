@@ -260,8 +260,8 @@ void BM_SchedulerPick(benchmark::State& state) {
     mem::QueuedRequest r;
     r.coord = dram::Coord{0, 0, static_cast<std::uint32_t>(rng.next_below(8)),
                           static_cast<std::uint32_t>(rng.next_below(1024)), 0};
-    r.req.core = static_cast<std::uint32_t>(rng.next_below(4));
-    r.req.arrive = static_cast<Cycle>(i);
+    r.core = static_cast<std::uint32_t>(rng.next_below(4));
+    r.arrive = static_cast<Cycle>(i);
     q.push_back(r);
   }
   // Built as the controller builds its view: the same meta builder plus a

@@ -55,7 +55,7 @@ void QueueOcc::rebuild(const dram::Channel& chan, const std::vector<QueuedReques
   for (std::size_t i = 0; i < q.size(); ++i) {
     const QueueScanMeta& m = meta[i];
     if (!(m.flags & QueueScanMeta::kLive)) continue;
-    add(m.unit, q[i].req.core, chan.unit_open(m.unit) && chan.unit_row(m.unit) == m.row);
+    add(m.unit, q[i].core, chan.unit_open(m.unit) && chan.unit_row(m.unit) == m.row);
   }
 }
 
@@ -159,8 +159,10 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   req.id = next_req_id_++;
   QueuedRequest qr;
   qr.coord = mapper_.decode(req.addr);
-  qr.req = req;
-  qr.slot = claim_slot(std::move(cb));
+  qr.slot = claim_slot(req, std::move(cb));
+  qr.arrive = req.arrive;
+  qr.core = req.core;
+  qr.type = req.type;
   assert(qr.coord.channel == chan_.id() && "request routed to wrong channel");
   if (req.core < cores_.size()) ++cores_[req.core].outstanding;
   ++rank_work_[qr.coord.rank];
@@ -169,11 +171,11 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   // earlier-stamped arrival goes after the last entry, tombstone or not,
   // stamped no later, and its scan meta moves in lockstep.
   const QueueScanMeta m = scan_meta(chan_, qr);
-  if (q.empty() || req.arrive >= q.back().req.arrive) {
+  if (q.empty() || req.arrive >= q.back().arrive) {
     q.push_back(qr);
     meta.push_back(m);
   } else {
-    const auto before = [](Cycle a, const QueuedRequest& e) { return a < e.req.arrive; };
+    const auto before = [](Cycle a, const QueuedRequest& e) { return a < e.arrive; };
     const auto pos = std::upper_bound(q.begin(), q.end(), req.arrive, before);
     meta.insert(meta.begin() + (pos - q.begin()), m);
     q.insert(pos, qr);
@@ -187,7 +189,7 @@ bool Controller::enqueue(Request req, CompletionCallback cb) {
   return true;
 }
 
-std::uint32_t Controller::claim_slot(CompletionCallback cb) {
+std::uint32_t Controller::claim_slot(const Request& req, CompletionCallback cb) {
   std::uint32_t s;
   if (free_slots_.empty()) {
     s = static_cast<std::uint32_t>(slots_.size());
@@ -196,6 +198,7 @@ std::uint32_t Controller::claim_slot(CompletionCallback cb) {
     s = free_slots_.back();
     free_slots_.pop_back();
   }
+  slots_[s].req = req;
   slots_[s].cb = std::move(cb);
   return s;
 }
@@ -304,6 +307,7 @@ void Controller::classify_first_touch(QueuedRequest& qr) {
 
 void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd cmd, Cycle now) {
   QueuedRequest& qr = q[idx];
+  Request& req = slots_[qr.slot].req;
   const auto& tm = chan_.config().timings;
   Cycle done = cmd == dram::Cmd::Rd ? now + tm.cl + tm.bl : now + tm.cwl + tm.bl;
 
@@ -311,7 +315,7 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
     if (cmd == dram::Cmd::Rd) {
       const auto rr = engine_->on_read(qr.coord, now);
       done += rr.extra_latency;  // ECC decode sits on the return path
-      qr.req.poisoned = rr.poisoned;
+      req.poisoned = rr.poisoned;
     } else {
       engine_->on_write(qr.coord, now);
       done += engine_->write_penalty();
@@ -320,38 +324,36 @@ void Controller::serve(std::vector<QueuedRequest>& q, std::size_t idx, dram::Cmd
 
   IMA_TRACE(trace_, .cycle = now, .kind = obs::EventKind::SchedDecision,
             .pid = static_cast<std::uint16_t>(chan_.id()),
-            .tid = static_cast<std::uint16_t>(qr.req.core), .arg0 = qr.req.id,
+            .tid = static_cast<std::uint16_t>(qr.core), .arg0 = req.id,
             .arg1 = qr.coord.row,
             .name = cmd == dram::Cmd::Rd ? "serve-rd" : "serve-wr");
 
   const bool is_read = &q == &read_q_;
   sched_->on_service(qr, view(now, is_read));
-  if (qr.req.core < cores_.size()) {
-    cores_[qr.req.core].attained_service += tm.bl;
-    ++cores_[qr.req.core].served_in_quantum;
+  if (qr.core < cores_.size()) {
+    cores_[qr.core].attained_service += tm.bl;
+    ++cores_[qr.core].served_in_quantum;
   }
-  qr.req.served = now;
-  slots_[qr.slot].req = qr.req;
+  req.served = now;
   inflight_.push_back(Inflight{done, qr.slot});
   std::push_heap(inflight_.begin(), inflight_.end(), std::greater<>{});
   // Tombstone in place instead of a middle-of-vector erase: the entry keeps
   // its index (scheduler ties break by index, so survivors must not
   // shift until a *stable* compaction) and the hot path stops paying
   // O(queue) element moves per served request.
-  qr.live = false;
   qr.marked = false;
   --rank_work_[qr.coord.rank];
   ++queue_stamp_[is_read ? 0 : 1];
   std::vector<QueueScanMeta>& meta = is_read ? read_meta_ : write_meta_;
   meta[idx].flags = 0;
   QueueOcc& oc = occ_[is_read ? 0 : 1];
-  oc.remove(meta[idx].unit, qr.req.core);
+  oc.remove(meta[idx].unit, qr.core);
   if (q.size() - oc.live >= kCompactDead) {
     // Stable in-place compaction of the queue and its scan metadata in
     // lockstep (remove_if is stable; this is the same survivor order).
     std::size_t w = 0;
     for (std::size_t i = 0; i < q.size(); ++i) {
-      if (!q[i].live) continue;
+      if (!(meta[i].flags & QueueScanMeta::kLive)) continue;
       if (w != i) {
         q[w] = q[i];
         meta[w] = meta[i];
@@ -464,7 +466,7 @@ bool Controller::try_issue_from(std::vector<QueuedRequest>& q, Cycle now) {
   if (sched_pick_pure_ && stashed_issue_min(qi, now) > now) return false;
   const std::size_t idx = sched_->pick(q, v);
   if (idx == kNoPick) return false;
-  assert(idx < q.size() && q[idx].live);
+  assert(idx < q.size() && v.live(idx));
 
   QueuedRequest& qr = q[idx];
   if (refresh_->rank_blocked(qr.coord.rank, now)) return false;
@@ -472,7 +474,8 @@ bool Controller::try_issue_from(std::vector<QueuedRequest>& q, Cycle now) {
   const dram::Cmd cmd = v.required_cmd(idx);
   if (!v.issuable(idx)) return false;
   classify_first_touch(qr);
-  if (qr.req.first_cmd == kCycleNever) qr.req.first_cmd = now;
+  Cycle& first_cmd = slots_[qr.slot].req.first_cmd;
+  if (first_cmd == kCycleNever) first_cmd = now;
   rank_last_activity_[qr.coord.rank] = now;
 
   if (cmd == dram::Cmd::Pre && cfg_.charge_cache) {
@@ -692,22 +695,24 @@ void Controller::attribute_refresh_block(std::uint32_t rank, Cycle now) {
   // the rank lost those cycles to refresh, not to queueing or timing.
   const Cycle since = refresh_->blocked_since(rank);
   if (since == kCycleNever || since >= now) return;
-  const auto charge = [&](std::vector<QueuedRequest>& q) {
-    for (QueuedRequest& qr : q) {
-      if (!qr.live || qr.coord.rank != rank) continue;
+  const auto charge = [&](const std::vector<QueuedRequest>& q,
+                          const std::vector<QueueScanMeta>& meta) {
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      if (!(meta[i].flags & QueueScanMeta::kLive) || q[i].coord.rank != rank) continue;
       // Half-open per-request window, clamped to the arrival and to the end
       // of any previously charged window (REF catch-up backlogs can issue
       // several REFs whose raw windows overlap).
-      const Cycle start = std::max({since, qr.req.arrive, qr.req.blocked_mark});
+      Request& r = slots_[q[i].slot].req;
+      const Cycle start = std::max({since, r.arrive, r.blocked_mark});
       if (start >= now) continue;
       const Cycle blocked = now - start;
-      if (qr.req.first_cmd == kCycleNever) qr.req.blocked_queue += blocked;
-      else qr.req.blocked_prep += blocked;
-      qr.req.blocked_mark = now;
+      if (r.first_cmd == kCycleNever) r.blocked_queue += blocked;
+      else r.blocked_prep += blocked;
+      r.blocked_mark = now;
     }
   };
-  charge(read_q_);
-  charge(write_q_);
+  charge(read_q_, read_meta_);
+  charge(write_q_, write_meta_);
 }
 
 void Controller::dump(std::ostream& os, Cycle now) const {
@@ -717,26 +722,28 @@ void Controller::dump(std::ostream& os, Cycle now) const {
      << " slots" << (draining_writes_ ? " (draining writes)" : "") << "\n"
      << "  inflight: " << inflight_.size() << ", victim_q: " << victim_q_.size()
      << ", pim_q: " << pim_q_.size() << "\n";
-  const auto dump_q = [&](const char* name, const std::vector<QueuedRequest>& q) {
+  const auto dump_q = [&](const char* name, const std::vector<QueuedRequest>& q,
+                          const std::vector<QueueScanMeta>& meta) {
     constexpr std::size_t kMaxEntries = 32;
     std::size_t shown = 0;
-    for (const QueuedRequest& qr : q) {
-      if (!qr.live) continue;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      if (!(meta[i].flags & QueueScanMeta::kLive)) continue;
       if (++shown > kMaxEntries) {
         os << "  " << name << "[...] (truncated)\n";
         break;
       }
-      os << "  " << name << " id=" << qr.req.id << " addr=0x" << std::hex
-         << qr.req.addr << std::dec << " rank=" << qr.coord.rank
-         << " bank=" << qr.coord.bank << " row=" << qr.coord.row
-         << " arrive=" << qr.req.arrive << " first_cmd=";
-      if (qr.req.first_cmd == kCycleNever) os << "-";
-      else os << qr.req.first_cmd;
-      os << " waited=" << (now - qr.req.arrive) << "\n";
+      const QueuedRequest& qr = q[i];
+      const Request& r = slots_[qr.slot].req;
+      os << "  " << name << " id=" << r.id << " addr=0x" << std::hex << r.addr << std::dec
+         << " rank=" << qr.coord.rank << " bank=" << qr.coord.bank << " row=" << qr.coord.row
+         << " arrive=" << r.arrive << " first_cmd=";
+      if (r.first_cmd == kCycleNever) os << "-";
+      else os << r.first_cmd;
+      os << " waited=" << (now - r.arrive) << "\n";
     }
   };
-  dump_q("read", read_q_);
-  dump_q("write", write_q_);
+  dump_q("read", read_q_, read_meta_);
+  dump_q("write", write_q_, write_meta_);
   refresh_->dump(os, now);
   const std::uint32_t ranks = chan_.config().geometry.ranks;
   for (std::uint32_t r = 0; r < ranks; ++r) {

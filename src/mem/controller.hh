@@ -288,12 +288,12 @@ class Controller {
   std::vector<QueuedRequest> write_q_;
   // Compact per-queue scan metadata (QueueScanMeta, sched.hh), index-
   // parallel to read_q_/write_q_ including tombstones: feeds next_event's
-  // classify pass and the schedulers' pick scans without touching the fat
-  // queue structs. enqueue inserts into both at one index, flags go dead
-  // in serve() and both arrays compact together. In-repo schedulers only
-  // flip `marked` on queue entries; a custom tick() that reordered or
-  // erased entries would desync these (none does — the queue is compacted
-  // only in serve()).
+  // classify pass and the schedulers' pick scans without touching the
+  // queue entries, and its kLive flag is the only record of liveness.
+  // enqueue inserts into both at one index, flags go dead in serve() and
+  // both arrays compact together. In-repo schedulers only flip `marked` on
+  // queue entries; a custom tick() that reordered or erased entries would
+  // desync these (none does — the queue is compacted only in serve()).
   std::vector<QueueScanMeta> read_meta_;
   std::vector<QueueScanMeta> write_meta_;
   // Per-queue mutation stamps (SchedView::queue_version; 0 = read, 1 =
@@ -355,20 +355,18 @@ class Controller {
   bool draining_writes_ = false;
 
   // Request slot pool: an admitted request's body and callback live in
-  // one slot from enqueue to retire, and the queues and the inflight heap
-  // carry only its index, so neither compaction nor a heap sift moves a
-  // request body or a std::function. The queue entry's copy of the
-  // request is the live one while queued (schedulers and refresh
-  // attribution read and stamp it); serve() writes it into the slot.
-  // Freed indices are reused last-in first-out, so the warmest slot goes
-  // next.
+  // one slot from enqueue to retire, the only copy of the request, and
+  // the queues and the inflight heap carry only its index, so neither
+  // compaction nor a heap sift moves a request body or a std::function.
+  // Each lifecycle stamp is written into the slot where it is made. Freed
+  // indices are reused last-in first-out, so the warmest slot goes next.
   struct Slot {
     Request req;
     CompletionCallback cb;
   };
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::uint32_t claim_slot(CompletionCallback cb);
+  std::uint32_t claim_slot(const Request& req, CompletionCallback cb);
 
   struct Inflight {
     Cycle done;

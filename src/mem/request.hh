@@ -31,14 +31,12 @@ struct Request {
   Cycle blocked_queue = 0;       // refresh-blocked cycles before first_cmd
   Cycle blocked_prep = 0;        // refresh-blocked cycles after first_cmd
   Cycle blocked_mark = 0;        // end of the last blocked window attributed
-  bool is_prefetch = false;
-  bool critical = true;         // data-aware criticality hint (X-Mem)
   bool poisoned = false;        // reliability: detected-uncorrectable data
 
   template <class Ar>
   void fields(Ar& ar) {
     ar(addr, type, core, id, tag, arrive, complete, first_cmd, served, blocked_queue, blocked_prep,
-       blocked_mark, is_prefetch, critical, poisoned);
+       blocked_mark, poisoned);
   }
 };
 

@@ -7,14 +7,6 @@
 
 namespace ima::mem {
 
-void HammerVictimModel::register_stats(obs::StatRegistry& reg, const std::string& prefix) const {
-  reg.counter(obs::join_path(prefix, "flips"), &flips_);
-  reg.gauge(obs::join_path(prefix, "tracked_rows"),
-            [this] { return static_cast<double>(disturb_count_.size()); });
-  reg.gauge(obs::join_path(prefix, "threshold"),
-            [this] { return static_cast<double>(threshold_); });
-}
-
 void HammerVictimModel::disturb(const dram::Coord& c, std::uint32_t row) {
   auto& count = disturb_count_[key(c, row)];
   if (++count >= threshold_) {

@@ -73,9 +73,6 @@ class HammerVictimModel {
   std::uint64_t flips() const { return flips_; }
   std::uint64_t threshold() const { return threshold_; }
 
-  /// Ground-truth observability: bit flips and currently tracked rows.
-  void register_stats(obs::StatRegistry& reg, const std::string& prefix) const;
-
   /// Checkpoint disturbance counters and window progress. The model may be
   /// shared (borrowed) by several controllers; the owner serializes it
   /// exactly once. The flip sink is rewired, not serialized.

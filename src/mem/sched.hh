@@ -30,27 +30,30 @@ class Source;
 
 namespace ima::mem {
 
-/// A request waiting in the controller queue, plus its decoded coordinates
-/// and scheduling metadata. Its completion callback stays in the
-/// controller's slot pool; `slot` names it. Trivially copyable, so the
-/// queue's tombstone compaction is a plain copy.
+/// What a scheduler and the issue path read of one queued request: its
+/// decoded coordinates, the request fields picks rank by, and scheduling
+/// metadata. The request itself (and its completion callback) lives in
+/// the controller's slot pool; `slot` names it. Liveness is the index-
+/// parallel QueueScanMeta's kLive flag. Trivially copyable, so the queue's
+/// tombstone compaction is a plain copy.
 struct QueuedRequest {
-  Request req;
   dram::Coord coord;
-  std::uint32_t slot = 0;   // controller slot holding the callback
-  bool live = true;         // false = served tombstone awaiting compaction
+  std::uint32_t slot = 0;   // controller slot holding the request
+  Cycle arrive = 0;         // Request::arrive
+  std::uint32_t core = 0;   // Request::core
+  AccessType type = AccessType::Read;
   bool marked = false;      // PAR-BS batch membership
   bool classified = false;  // row hit/miss/conflict recorded at first command
 };
-static_assert(std::is_trivially_copyable_v<QueuedRequest> && sizeof(QueuedRequest) == 128);
+static_assert(std::is_trivially_copyable_v<QueuedRequest> && sizeof(QueuedRequest) <= 64);
 
 /// Compact scan metadata the controller maintains index-parallel to each
 /// request queue (tombstones included): exactly the values a legality /
-/// row-hit query needs, 12 bytes per entry instead of a whole
-/// QueuedRequest, so the hot scheduler and next_event scans touch a tenth
-/// of the cache lines. `unit` is immutable per request (Channel::unit_of
-/// depends only on the geometry); `flags` go dead when the request is
-/// served.
+/// row-hit query needs, 12 bytes per entry instead of a 40-byte
+/// QueuedRequest, so the hot scheduler and next_event scans touch under a
+/// third of the cache lines. `unit` is immutable per request
+/// (Channel::unit_of depends only on the geometry); `flags` go dead when
+/// the request is served, and kLive is the one record of liveness.
 struct QueueScanMeta {
   std::uint32_t unit;
   std::uint32_t row;
@@ -190,14 +193,11 @@ class SchedTimingCache {
   mutable std::vector<std::uint64_t> gate_epoch_;
 };
 
-/// The scan-meta entry of one queued request (tombstones carry no flags).
-/// The controller appends one per enqueue; hand-built queues use the same
-/// builder.
+/// The scan-meta entry of one newly queued request: live. The controller
+/// appends one per enqueue; hand-built queues use the same builder.
 inline QueueScanMeta scan_meta(const dram::Channel& chan, const QueuedRequest& r) {
   const std::uint32_t flags =
-      r.live ? QueueScanMeta::kLive |
-                   (r.req.type == AccessType::Read ? 0u : QueueScanMeta::kWrite)
-             : 0u;
+      QueueScanMeta::kLive | (r.type == AccessType::Read ? 0u : QueueScanMeta::kWrite);
   return QueueScanMeta{static_cast<std::uint32_t>(chan.unit_of(r.coord)), r.coord.row, flags};
 }
 
@@ -295,7 +295,7 @@ class Scheduler {
 
   /// Chooses the index of the request to advance, or kNoPick to idle.
   /// `q` is the active queue (reads or writes, chosen by the controller),
-  /// kept in arrival order: nondecreasing `req.arrive`, tombstones
+  /// kept in arrival order: nondecreasing `arrive`, tombstones
   /// included, equal arrivals in enqueue order (Controller::enqueue). So
   /// the oldest member of any class is its first, and every policy picks
   /// by a first-match scan, lowest index winning its ties.

@@ -162,11 +162,11 @@ class BlissScheduler final : public Scheduler {
   }
 
   void on_service(const QueuedRequest& r, const SchedView&) override {
-    if (r.req.core == last_core_) {
-      if (++streak_ >= streak_limit_ && r.req.core < blacklisted_.size())
-        blacklisted_[r.req.core] = true;
+    if (r.core == last_core_) {
+      if (++streak_ >= streak_limit_ && r.core < blacklisted_.size())
+        blacklisted_[r.core] = true;
     } else {
-      last_core_ = r.req.core;
+      last_core_ = r.core;
       streak_ = 1;
     }
   }
@@ -197,7 +197,7 @@ class BlissScheduler final : public Scheduler {
  private:
   bool blacklist_ok(const QueuedRequest& r, bool allow) const {
     if (allow) return true;
-    return r.req.core >= blacklisted_.size() || !blacklisted_[r.req.core];
+    return r.core >= blacklisted_.size() || !blacklisted_[r.core];
   }
 
   std::vector<bool> blacklisted_;

@@ -22,12 +22,12 @@ class ParBsScheduler final : public Scheduler {
  public:
   explicit ParBsScheduler(std::uint32_t num_cores) : num_cores_(num_cores) {}
 
-  void tick(const SchedView&, std::vector<QueuedRequest>& q) override {
+  void tick(const SchedView& v, std::vector<QueuedRequest>& q) override {
     bool any_marked = false, any_live = false;
-    for (const auto& r : q) {
-      if (!r.live) continue;
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      if (!v.live(i)) continue;
       any_live = true;
-      if (r.marked) { any_marked = true; break; }
+      if (q[i].marked) { any_marked = true; break; }
     }
     if (any_marked || !any_live) return;
 
@@ -36,11 +36,11 @@ class ParBsScheduler final : public Scheduler {
     std::vector<std::size_t> order;
     order.reserve(q.size());
     for (std::size_t i = 0; i < q.size(); ++i)
-      if (q[i].live) order.push_back(i);
+      if (v.live(i)) order.push_back(i);
     std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) { return q[a].req.arrive < q[b].req.arrive; });
+              [&](std::size_t a, std::size_t b) { return q[a].arrive < q[b].arrive; });
     for (std::size_t i : order) {
-      const auto key = std::make_pair(q[i].req.core, bank_key(q[i].coord));
+      const auto key = std::make_pair(q[i].core, bank_key(q[i].coord));
       if (marked_count[key] < kMarkCap) {
         q[i].marked = true;
         ++marked_count[key];
@@ -79,7 +79,7 @@ class ParBsScheduler final : public Scheduler {
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
       const bool hit = cls == 2;
-      const std::uint32_t rank = rank_of(r.req.core);
+      const std::uint32_t rank = rank_of(r.core);
       const bool better = best == kNoPick ||
           (r.marked != b_marked ? r.marked
            : hit != b_hit       ? hit
@@ -147,7 +147,7 @@ class AtlasScheduler final : public Scheduler {
       if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
-      const std::uint64_t s = service(r.req.core);
+      const std::uint64_t s = service(r.core);
       const bool hit = cls == 2;
       const bool better = best == kNoPick || (s != b_service ? s < b_service : hit && !b_hit);
       if (better) {
@@ -184,7 +184,7 @@ class TcmScheduler final : public Scheduler {
   }
 
   void on_service(const QueuedRequest& r, const SchedView&) override {
-    if (r.req.core < num_cores_) ++quantum_service_[r.req.core];
+    if (r.core < num_cores_) ++quantum_service_[r.core];
   }
 
   void tick(const SchedView& v, std::vector<QueuedRequest>&) override {
@@ -213,8 +213,8 @@ class TcmScheduler final : public Scheduler {
       if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
-      const std::uint8_t c = cluster_of(r.req.core);
-      const std::uint32_t s = c == 1 ? shuffle_of(r.req.core) : 0;
+      const std::uint8_t c = cluster_of(r.core);
+      const std::uint32_t s = c == 1 ? shuffle_of(r.core) : 0;
       const bool hit = cls == 2;
       const bool better = best == kNoPick ||
           (c != b_cluster   ? c < b_cluster  // latency cluster (0) first

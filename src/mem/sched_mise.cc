@@ -33,7 +33,7 @@ class MiseScheduler final : public Scheduler {
     // Sampling applies to the read path only: write drains are posted,
     // bursty, and shared — holding them exclusive would deadlock drain
     // mode and contaminate the sample.
-    const bool write_queue = !q.empty() && q.front().req.type == AccessType::Write;
+    const bool write_queue = !q.empty() && q.front().type == AccessType::Write;
     const std::int32_t sampled = write_queue ? -1 : sampled_app(v.now);
     // Both phases use one fused hit/ready/any scan (subset classes share a
     // pass; on an arrival-ordered queue the first of a class is its
@@ -43,7 +43,7 @@ class MiseScheduler final : public Scheduler {
       if (!v.live(i)) continue;
       // Exclusive window: only the sampled app may issue. The bus idles if
       // it has nothing — that idle time is the price of a clean sample.
-      if (sampled >= 0 && q[i].req.core != static_cast<std::uint32_t>(sampled)) continue;
+      if (sampled >= 0 && q[i].core != static_cast<std::uint32_t>(sampled)) continue;
       if (any == kNoPick) any = i;
       const int cls = v.issue_class(i);
       if (cls == 0) continue;
@@ -55,8 +55,8 @@ class MiseScheduler final : public Scheduler {
   }
 
   void on_service(const QueuedRequest& r, const SchedView& v) override {
-    const std::uint32_t core = r.req.core;
-    if (core >= num_cores_ || r.req.type != AccessType::Read) return;
+    const std::uint32_t core = r.core;
+    if (core >= num_cores_ || r.type != AccessType::Read) return;
     ++total_served_[core];
     if (sampled_app(v.now) == static_cast<std::int32_t>(core)) ++sampled_served_[core];
   }

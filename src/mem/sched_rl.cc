@@ -279,7 +279,7 @@ class RlScheduler final : public Scheduler {
         std::size_t best = kNoPick;
         std::uint64_t best_service = 0;
         for (const std::uint32_t i : m.ready) {
-          const std::uint64_t sv = service(q[i].req.core);
+          const std::uint64_t sv = service(q[i].core);
           if (best == kNoPick || sv < best_service) {
             best = i;
             best_service = sv;

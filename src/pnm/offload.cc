@@ -2,15 +2,7 @@
 
 #include <algorithm>
 
-#include "obs/stat_registry.hh"
-
 namespace ima::pnm {
-
-void OffloadStats::register_stats(obs::StatRegistry& reg, const std::string& prefix) const {
-  reg.counter(obs::join_path(prefix, "decisions"), &decisions);
-  reg.counter(obs::join_path(prefix, "to_pnm"), &to_pnm);
-  reg.counter(obs::join_path(prefix, "to_host"), &to_host);
-}
 
 const char* to_string(Placement p) { return p == Placement::Host ? "host" : "pnm"; }
 
@@ -35,14 +27,6 @@ Placement decide_offload(const BlockProfile& profile, const OffloadModelParams& 
   const double host = estimate_cycles(profile, params, Placement::Host);
   const double pnm = estimate_cycles(profile, params, Placement::Pnm);
   return pnm < host ? Placement::Pnm : Placement::Host;
-}
-
-Placement decide_offload(const BlockProfile& profile, const OffloadModelParams& params,
-                         OffloadStats& stats) {
-  const Placement p = decide_offload(profile, params);
-  ++stats.decisions;
-  ++(p == Placement::Pnm ? stats.to_pnm : stats.to_host);
-  return p;
 }
 
 }  // namespace ima::pnm

@@ -55,18 +55,4 @@ double estimate_cycles(const BlockProfile& profile, const OffloadModelParams& pa
 /// Cost-model decision: pick the placement with the lower estimate.
 Placement decide_offload(const BlockProfile& profile, const OffloadModelParams& params);
 
-/// Decision accounting across blocks of one workload.
-struct OffloadStats {
-  std::uint64_t decisions = 0;
-  std::uint64_t to_pnm = 0;
-  std::uint64_t to_host = 0;
-
-  /// Counters under `prefix` (decisions/to_pnm/to_host).
-  void register_stats(obs::StatRegistry& reg, const std::string& prefix) const;
-};
-
-/// decide_offload() plus accounting: updates `stats` with the decision.
-Placement decide_offload(const BlockProfile& profile, const OffloadModelParams& params,
-                         OffloadStats& stats);
-
 }  // namespace ima::pnm

@@ -7,7 +7,6 @@
 #include "common/bits.hh"
 #include "common/clock.hh"
 #include "harness/sweep.hh"
-#include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 
 namespace ima::pnm {
@@ -40,14 +39,6 @@ Addr PnmStack::mem_addr(const mem::MemorySystem& mem, Addr addr) const {
   dram::Coord c = vault_map_.decode(local_addr(addr));
   c.channel = vault_of(addr);
   return mem.mapper().encode(c);
-}
-
-void PnmStack::register_stats(obs::StatRegistry& reg, const std::string& prefix) const {
-  reg.counter(obs::join_path(prefix, "runs_pnm"), &stats_.runs_pnm);
-  reg.counter(obs::join_path(prefix, "runs_host"), &stats_.runs_host);
-  reg.counter(obs::join_path(prefix, "instructions"), &stats_.instructions);
-  reg.counter(obs::join_path(prefix, "local_accesses"), &stats_.local_accesses);
-  reg.counter(obs::join_path(prefix, "remote_accesses"), &stats_.remote_accesses);
 }
 
 PnmStack::RunResult PnmStack::run_pnm(const std::vector<VaultTrace>& traces, Cycle max_cycles) {

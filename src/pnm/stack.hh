@@ -32,7 +32,6 @@
 #include "mem/memsys.hh"
 
 namespace ima::obs {
-class StatRegistry;
 class TraceSink;
 }  // namespace ima::obs
 
@@ -150,9 +149,6 @@ class PnmStack {
     std::uint64_t remote_accesses = 0;
   };
   const Stats& stats() const { return stats_; }
-
-  /// Accumulated run counters under `prefix`.
-  void register_stats(obs::StatRegistry& reg, const std::string& prefix) const;
 
   /// Dispatch/completion events for each run land in `sink` (null detaches).
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }

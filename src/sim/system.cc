@@ -152,7 +152,6 @@ void System::issue_prefetches(Addr addr, std::uint64_t pc, bool was_miss) {
     mem::Request pf;
     pf.addr = line;
     pf.type = AccessType::Read;
-    pf.is_prefetch = true;
     pf.arrive = now_;
     const std::uint64_t cpc = c.pc;
     const bool ok = mem_->enqueue(pf, [this, line, cpc](const mem::Request&) {
@@ -186,7 +185,6 @@ std::optional<Cycle> System::issue(std::uint32_t core, const workloads::TraceEnt
     pf.addr = line;
     pf.type = AccessType::Read;
     pf.core = core;
-    pf.is_prefetch = true;
     pf.arrive = now;
     const bool ok = mem_->enqueue(pf, [this, line](const mem::Request&) {
       const auto fr = l2_->fill(line, /*dirty=*/false);

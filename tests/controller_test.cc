@@ -258,6 +258,55 @@ TEST(Controller, RefreshForcesPrechargeOfOpenBanks) {
   EXPECT_GE(sys.channel(0).stats().refs, 1u);
 }
 
+TEST(Controller, RetiredRequestCarriesItsLifecycleStamps) {
+  // Read A activates its row two cycles before the first REF is due, so the
+  // REF waits out tRAS and a forced PREALL and holds A after its first
+  // command; read B arrives inside that window, before any command of its
+  // own. Each retires with the body it was enqueued with and the stamps
+  // made while it was queued.
+  ControllerConfig cc = small_ctrl();
+  cc.record_spans = true;
+  MemorySystem sys(small_dram(), cc);
+  Controller& ctrl = sys.controller(0);
+  const Cycle due = small_dram().timings.refi;
+  std::vector<Request> done;
+  const auto read = [&](Addr addr, std::uint64_t tag, Cycle now) {
+    Request r;
+    r.addr = addr;
+    r.tag = tag;
+    r.arrive = now;
+    ASSERT_TRUE(ctrl.enqueue(r, [&](const Request& q) { done.push_back(q); }));
+  };
+  Cycle now = 0;
+  for (; now < due - 2; ++now) ctrl.tick(now);
+  read(0, 0xA, now);
+  for (; now < due + 1; ++now) ctrl.tick(now);
+  read(small_dram().geometry.total_bytes() / 2, 0xB, now);
+  for (; !ctrl.idle(); ++now) {
+    ASSERT_LT(now, due + 10'000) << "controller wedged";
+    ctrl.tick(now);
+  }
+  ASSERT_EQ(sys.channel(0).stats().refs, 1u);
+  ASSERT_EQ(done.size(), 2u);
+  const Request& a = done[0].tag == 0xA ? done[0] : done[1];
+  const Request& b = done[0].tag == 0xA ? done[1] : done[0];
+  EXPECT_EQ(a.tag, 0xAu);
+  EXPECT_EQ(b.tag, 0xBu);
+  EXPECT_EQ(a.arrive, due - 2);
+  EXPECT_EQ(b.arrive, due + 1);
+  EXPECT_NE(a.id, 0u);
+  EXPECT_NE(b.id, 0u);
+  EXPECT_NE(a.id, b.id);
+  for (const Request* r : {&a, &b}) {
+    EXPECT_LE(r->arrive, r->first_cmd);
+    EXPECT_LE(r->first_cmd, r->served);
+    EXPECT_LT(r->served, r->complete);
+    EXPECT_GT(r->blocked_queue + r->blocked_prep, 0u);
+  }
+  EXPECT_GT(a.blocked_prep, 0u) << "A's first command precedes the refresh";
+  EXPECT_GT(b.blocked_queue, 0u) << "B waits for the refresh before its first command";
+}
+
 TEST(Controller, PimOpsExecuteInOrder) {
   MemorySystem sys(small_dram(), small_ctrl());
   std::vector<int> order;

@@ -22,27 +22,35 @@
 namespace ima::mem {
 namespace {
 
-// True when the live entries of `q` have nondecreasing `req.arrive` (the
-// queue order Scheduler::pick may rely on).
-bool live_in_arrival_order(const std::vector<QueuedRequest>& q) {
+// True when the entries of `q` that view `v` calls live have nondecreasing
+// `arrive` (the queue order Scheduler::pick may rely on).
+bool live_in_arrival_order(const std::vector<QueuedRequest>& q, const SchedView& v) {
   const QueuedRequest* prev = nullptr;
-  for (const QueuedRequest& e : q) {
-    if (!e.live) continue;
-    if (prev && e.req.arrive < prev->req.arrive) return false;
-    prev = &e;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (!v.live(i)) continue;
+    if (prev && q[i].arrive < prev->arrive) return false;
+    prev = &q[i];
   }
   return true;
 }
 
-// True when a live entry of `q` sits before a live entry the controller
-// admitted earlier (a lower request id): an out-of-order arrival was
-// inserted ahead of it instead of appended.
-bool holds_inserted_arrival(const std::vector<QueuedRequest>& q) {
-  std::uint64_t max_id = 0;
-  for (const QueuedRequest& e : q) {
-    if (!e.live) continue;
-    if (e.req.id < max_id) return true;
-    max_id = e.req.id;
+// Two reads a test enqueues back to back: `late` first, then `early`,
+// stamped before it, which the controller must insert ahead of `late`.
+struct ArrivalPair {
+  dram::Coord late, early;
+  Cycle late_arrive = 0, early_arrive = 0;
+};
+
+// True when `q` holds the pair's `early` request live ahead of `late`, which
+// the controller admitted first: the out-of-order arrival was inserted
+// instead of appended. A default pair (early == late) never matches.
+bool holds_inserted_arrival(const std::vector<QueuedRequest>& q, const SchedView& v,
+                            const ArrivalPair& p) {
+  bool early_seen = false;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (!v.live(i)) continue;
+    if (q[i].coord == p.early && q[i].arrive == p.early_arrive) early_seen = true;
+    else if (early_seen && q[i].coord == p.late && q[i].arrive == p.late_arrive) return true;
   }
   return false;
 }
@@ -61,7 +69,6 @@ struct SchedFixture : ::testing::Test {
   // at `now`. A queue out of arrival order breaks the pick contract, so
   // the test building it fails.
   SchedView view(const std::vector<QueuedRequest>& q, Cycle now) {
-    if (!live_in_arrival_order(q)) ADD_FAILURE() << "hand-built queue out of arrival order";
     meta.clear();
     for (const auto& r : q) meta.push_back(scan_meta(chan, r));
     if (occ.cnt.size() != chan.unit_count()) occ.reset(chan.unit_count(), cores.size());
@@ -69,6 +76,7 @@ struct SchedFixture : ::testing::Test {
     cache.begin(now);
     SchedView v{now, &cores, &cache, meta.data()};
     v.occ = &occ;
+    if (!live_in_arrival_order(q, v)) ADD_FAILURE() << "hand-built queue out of arrival order";
     return v;
   }
 
@@ -76,9 +84,9 @@ struct SchedFixture : ::testing::Test {
                      AccessType t = AccessType::Read) {
     QueuedRequest q;
     q.coord = dram::Coord{0, 0, bank, static_cast<std::uint32_t>(row), 0};
-    q.req.core = core;
-    q.req.arrive = arrive;
-    q.req.type = t;
+    q.core = core;
+    q.arrive = arrive;
+    q.type = t;
     return q;
   }
 };
@@ -204,7 +212,7 @@ TEST_F(SchedFixture, ParBsShortestJobFirstRanking) {
   // neither is a row hit.
   const auto pick = s->pick(q, view(q, 100));
   ASSERT_NE(pick, kNoPick);
-  EXPECT_EQ(q[pick].req.core, 1u);
+  EXPECT_EQ(q[pick].core, 1u);
 }
 
 TEST_F(SchedFixture, TcmFavoursLatencySensitiveCluster) {
@@ -325,21 +333,20 @@ TEST_F(SchedFixture, AllSchedulersReturnValidIndicesUnderChurn) {
 // test-only reference for the one query path (SchedTimingCache over
 // QueueScanMeta). Mismatches are counted; the first is described. It also
 // counts the picks over a queue out of arrival order (the pick contract
-// broken) and those over a queue holding an inserted arrival.
+// broken) and those over a queue holding `pair` inserted.
 class RecordingScheduler final : public Scheduler {
  public:
   RecordingScheduler(std::unique_ptr<Scheduler> inner, const dram::Channel& chan)
       : inner_(std::move(inner)), chan_(chan) {}
 
   std::size_t pick(const std::vector<QueuedRequest>& q, const SchedView& v) override {
-    if (!live_in_arrival_order(q)) ++order_violations;
-    if (holds_inserted_arrival(q)) ++inserted;
+    if (!live_in_arrival_order(q, v)) ++order_violations;
+    if (holds_inserted_arrival(q, v, pair)) ++inserted;
     for (std::size_t i = 0; i < q.size(); ++i) {
       ++checked;
-      if (v.live(i) != q[i].live) mismatch(v.now, i, "live");
-      if (!q[i].live) continue;
+      if (!v.live(i)) continue;
       const dram::Coord& c = q[i].coord;
-      const dram::Cmd cmd = chan_.required_cmd(c, q[i].req.type);
+      const dram::Cmd cmd = chan_.required_cmd(c, q[i].type);
       const bool issuable = chan_.earliest(cmd, c, v.now) <= v.now;
       const bool hit = chan_.bank_open(c) && chan_.open_row(c) == c.row;
       const int cls = issuable ? (hit ? 2 : 1) : 0;
@@ -365,6 +372,7 @@ class RecordingScheduler final : public Scheduler {
   Cycle next_event(Cycle now) const override { return inner_->next_event(now); }
   std::string name() const override { return inner_->name(); }
 
+  ArrivalPair pair;
   std::uint64_t checked = 0;
   std::uint64_t mismatches = 0;
   std::uint64_t order_violations = 0;
@@ -431,6 +439,8 @@ TEST(SchedViewReference, EveryQueryMatchesChannel) {
           req.core = 1;
           req.arrive = now - back;
           ASSERT_TRUE(sys.enqueue(req));
+          (back == 0 ? r.pair.late : r.pair.early) = sys.mapper().decode(req.addr);
+          (back == 0 ? r.pair.late_arrive : r.pair.early_arrive) = req.arrive;
         }
       }
       now = sim::run_event_loop(
@@ -495,7 +505,7 @@ struct RlScanReference {
   std::size_t oldest_live = kNoPick;
 };
 
-RlScanReference rl_scan_reference(const std::vector<QueuedRequest>& q, Cycle now,
+RlScanReference rl_scan_reference(const std::vector<QueuedRequest>& q, const SchedView& v,
                                   const dram::Channel& chan, std::uint32_t num_cores) {
   const auto& g = chan.config().geometry;
   RlScanReference r;
@@ -504,9 +514,9 @@ RlScanReference rl_scan_reference(const std::vector<QueuedRequest>& q, Cycle now
   Cycle hit_arrive = 0, ready_arrive = 0, live_arrive = 0;
   std::uint32_t live = 0, hits = 0, distinct_banks = 0, max_core_load = 0;
   for (std::size_t i = 0; i < q.size(); ++i) {
-    if (!q[i].live) continue;
-    const Request& req = q[i].req;
-    const dram::Coord& c = q[i].coord;
+    if (!v.live(i)) continue;
+    const QueuedRequest& req = q[i];
+    const dram::Coord& c = req.coord;
     ++live;
     if (r.oldest_live == kNoPick || req.arrive < live_arrive) {
       r.oldest_live = i;
@@ -514,7 +524,7 @@ RlScanReference rl_scan_reference(const std::vector<QueuedRequest>& q, Cycle now
     }
     const bool hit = chan.bank_open(c) && chan.open_row(c) == c.row;
     if (hit) ++hits;
-    if (chan.earliest(chan.required_cmd(c, req.type), c, now) <= now) {
+    if (chan.earliest(chan.required_cmd(c, req.type), c, v.now) <= v.now) {
       r.ready.push_back(static_cast<std::uint32_t>(i));
       if (r.oldest_ready == kNoPick || req.arrive < ready_arrive) {
         r.oldest_ready = i;
@@ -558,7 +568,7 @@ std::size_t rl_pick_reference(const RlScanReference& r, const std::vector<Queued
     const QueuedRequest& e = q[i];
     if (action == 2) {
       const std::uint64_t sv =
-          e.req.core < cores.size() ? cores[e.req.core].attained_service : 0;
+          e.core < cores.size() ? cores[e.core].attained_service : 0;
       if (best == kNoPick || sv < best_score) {
         best = i;
         best_score = sv;
@@ -599,12 +609,12 @@ class RlReferenceCheck final : public Scheduler {
     if (trace_.size() == 0) return idx;  // tracing compiled out: nothing to compare
     ++traced;
     const auto [action, state] = last_decision(trace_);
-    const RlScanReference ref = rl_scan_reference(q, v.now, chan_, rl_cores_);
+    const RlScanReference ref = rl_scan_reference(q, v, chan_, rl_cores_);
     if (action < 4) ++actions[action];
-    if (holds_inserted_arrival(q)) ++inserted;
-    if (!live_in_arrival_order(q)) ++order_violations;
-    for (const QueuedRequest& e : q)
-      if (e.live && e.req.core >= ctrl_cores_) {
+    if (holds_inserted_arrival(q, v, pair)) ++inserted;
+    if (!live_in_arrival_order(q, v)) ++order_violations;
+    for (std::size_t i = 0; i < q.size(); ++i)
+      if (v.live(i) && q[i].core >= ctrl_cores_) {
         ++high_core;
         break;
       }
@@ -620,6 +630,7 @@ class RlReferenceCheck final : public Scheduler {
   Cycle next_event(Cycle now) const override { return inner_->next_event(now); }
   std::string name() const override { return inner_->name(); }
 
+  ArrivalPair pair;
   std::uint64_t picks = 0;
   std::uint64_t traced = 0;
   std::uint64_t with_ready = 0;
@@ -709,6 +720,8 @@ TEST(SchedViewReference, RlStateMatchesEntryScan) {
             r.core = 1;
             r.arrive = now - back;
             ASSERT_TRUE(sys.enqueue(r));
+            (back == 0 ? c.pair.late : c.pair.early) = sys.mapper().decode(r.addr);
+            (back == 0 ? c.pair.late_arrive : c.pair.early_arrive) = r.arrive;
           }
         }
         now = cores.run(sys, now, now + 8'000);
