@@ -435,13 +435,18 @@ Cycle Controller::stashed_issue_min(std::size_t qi, Cycle now) const {
   return issue_min_[qi];
 }
 
-bool Controller::try_issue_request(Cycle now) {
-  const std::size_t reads = occ_[0].live, writes = occ_[1].live;
+void Controller::update_drain_mode() {
+  const std::size_t writes = occ_[1].live;
   if (draining_writes_) {
     if (writes <= cfg_.write_drain_low) draining_writes_ = false;
   } else if (writes >= cfg_.write_drain_high) {
     draining_writes_ = true;
   }
+}
+
+bool Controller::try_issue_request(Cycle now) {
+  const std::size_t reads = occ_[0].live, writes = occ_[1].live;
+  update_drain_mode();
   const bool use_writes = draining_writes_ || (reads == 0 && writes > 0);
   if (try_issue_from(use_writes ? write_q_ : read_q_, now)) return true;
   // If the scheduler declined every read (e.g. a QoS/sampling policy is
@@ -608,7 +613,26 @@ Cycle Controller::next_event(Cycle now) const {
   // Conservative lower bound on the next cycle where ticking could change
   // state. Sound because between visited cycles nothing else runs: queue
   // contents, bank state and service accounting are all frozen unless one
-  // of the terms below fires first (DESIGN.md "Issue-loop fast path").
+  // of the terms fires first (DESIGN.md "Issue-loop fast path"). The
+  // inflight head is the retire term; every other term is the rest of the
+  // tick's, cached while it stands (rest_holds).
+  const Cycle head = inflight_.empty() ? kCycleNever : inflight_.front().done;
+  Cycle rest;
+  if (rest_holds(now)) {
+    rest = rest_at_;
+  } else {
+    rest = rest_event(now);
+    if (rest > now + 1) {
+      rest_at_ = rest;
+      rest_stamp_ = mutation_stamp_;
+      rest_version_ = chan_.state_version();
+    }
+  }
+  const Cycle next = std::min(head, rest);
+  return next <= now ? now + 1 : next;
+}
+
+Cycle Controller::rest_event(Cycle now) const {
   // Once the running min collapses to <= now + 1 no later term can lower
   // it further (the caller clamps to now + 1), so every section below may
   // return immediately — under saturation the queue scan usually stops
@@ -616,9 +640,7 @@ Cycle Controller::next_event(Cycle now) const {
   const bool queued =
       occ_[0].live > 0 || occ_[1].live > 0 || !pim_q_.empty() || !victim_q_.empty();
 
-  Cycle next = kCycleNever;
-  if (!inflight_.empty()) next = std::min(next, inflight_.front().done);
-  next = std::min(next, refresh_->next_event(now));
+  Cycle next = refresh_->next_event(now);
   if (engine_) next = std::min(next, engine_->next_event(now));
   if (next <= now + 1) return now + 1;
 
@@ -686,7 +708,7 @@ Cycle Controller::next_event(Cycle now) const {
         next = std::min(next, rla + cfg_.powerdown_timeout);
     }
   }
-  return next <= now ? now + 1 : next;
+  return next;
 }
 
 void Controller::attribute_refresh_block(std::uint32_t rank, Cycle now) {
@@ -754,8 +776,19 @@ void Controller::dump(std::ostream& os, Cycle now) const {
 }
 
 void Controller::tick(Cycle now) {
-  ++mutation_stamp_;
+  // Before the cached rest-of-tick wake, a tick can only retire and step
+  // the write-drain hysteresis (DESIGN.md "Issue-loop fast path",
+  // retire-only ticks): retire writes nothing the rest reads, so unless a
+  // completion callback enqueued into this controller, the rest would
+  // change nothing and the cache still holds under the new stamp.
+  const bool retire_only = rest_holds(now);
+  const std::uint64_t stamp = ++mutation_stamp_;
   retire(now);
+  if (retire_only && mutation_stamp_ == stamp) {
+    rest_stamp_ = stamp;
+    update_drain_mode();
+    return;
+  }
   if (cfg_.powerdown_timeout || cfg_.selfrefresh_timeout) manage_power(now);
   if (refresh_->tick(chan_, now)) return;
   if (try_issue_victim_refresh(now)) return;

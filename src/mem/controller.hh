@@ -146,7 +146,11 @@ class Controller {
   /// conservative lower bound — min over per-request command legality,
   /// victim/PIM head legality, retirements, refresh and time-triggered
   /// scheduler state — rather than a blanket now + 1 (see DESIGN.md
-  /// "Issue-loop fast path" for the per-term argument).
+  /// "Issue-loop fast path" for the per-term argument). Every term but the
+  /// inflight head's is cached while the controller and its channel stand
+  /// still, and a tick before that cached cycle only retires (and steps the
+  /// write-drain hysteresis); a clock loop that ticks every cycle and never
+  /// calls next_event never uses it.
   Cycle next_event(Cycle now) const;
 
   bool idle() const {
@@ -244,6 +248,10 @@ class Controller {
   bool try_issue_victim_refresh(Cycle now);
   bool try_issue_pim(Cycle now);
   bool try_issue_request(Cycle now);
+  // Write-drain hysteresis on the queues' current occupancy. Every tick
+  // steps it, whichever queue it then serves: the flag depends on the
+  // occupancies the ticks saw, not only on the current one.
+  void update_drain_mode();
   bool try_issue_from(std::vector<QueuedRequest>& q, Cycle now);
   /// Called from the ref_hook when a blanket REF finally issues on `rank`:
   /// charges the [blocked_since, now) window to every live queued request
@@ -378,6 +386,22 @@ class Controller {
   // operations std::priority_queue runs, so ties pop in the same order).
   std::vector<Inflight> inflight_;
   std::uint64_t mutation_stamp_ = 0;
+
+  // Retire-free wake cache: rest_event's value (every next_event term but
+  // the inflight head), stored by next_event when it lies past now + 1 and
+  // valid while the mutation stamp and the channel's state_version it was
+  // computed under hold. A retire-only tick re-keys it to its own stamp.
+  // A scheduler whose next_event is now + 1 (RL, MISE, PAR-BS) with work
+  // queued never stores it. Scratch: not checkpointed (a restore bumps the
+  // stamp).
+  Cycle rest_event(Cycle now) const;
+  bool rest_holds(Cycle now) const {
+    return rest_stamp_ == mutation_stamp_ && now < rest_at_ &&
+           rest_version_ == chan_.state_version();
+  }
+  mutable Cycle rest_at_ = 0;
+  mutable std::uint64_t rest_stamp_ = 0;
+  mutable std::uint64_t rest_version_ = 0;
 
   std::vector<CoreState> cores_;
   std::uint64_t next_req_id_ = 1;

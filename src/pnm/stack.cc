@@ -1,6 +1,7 @@
 #include "pnm/stack.hh"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -27,7 +28,8 @@ const PnmConfig& validated(const PnmConfig& cfg) {
 
 PnmStack::PnmStack(const PnmConfig& cfg)
     : cfg_(validated(cfg)),
-      vault_map_(cfg.vault_dram.geometry, dram::MapScheme::RoBaRaCoCh) {}
+      vault_map_(cfg.vault_dram.geometry, dram::MapScheme::RoBaRaCoCh),
+      stack_map_(stack_dram().geometry, vault_map_.scheme()) {}
 
 dram::DramConfig PnmStack::stack_dram() const {
   dram::DramConfig dram = cfg_.vault_dram;
@@ -35,17 +37,30 @@ dram::DramConfig PnmStack::stack_dram() const {
   return dram;
 }
 
-Addr PnmStack::mem_addr(const mem::MemorySystem& mem, Addr addr) const {
-  dram::Coord c = vault_map_.decode(local_addr(addr));
-  c.channel = vault_of(addr);
-  return mem.mapper().encode(c);
+PnmStack::Issue PnmStack::translate(const PnmAccess& a) const {
+  if (a.addr >= total_bytes())
+    throw std::invalid_argument("PnmStack: access at address " + std::to_string(a.addr) +
+                                " beyond the " + std::to_string(total_bytes()) + "-byte stack");
+  dram::Coord c = vault_map_.decode(local_addr(a.addr));
+  c.channel = vault_of(a.addr);
+  Issue e;
+  e.addr = stack_map_.encode(c);
+  e.compute = a.compute;
+  e.vault = c.channel;
+  e.write = a.type == AccessType::Write;
+  return e;
 }
 
 PnmStack::RunResult PnmStack::run_pnm(const std::vector<VaultTrace>& traces, Cycle max_cycles) {
   if (traces.size() != cfg_.vaults)
     throw std::invalid_argument("PnmStack::run_pnm: " + std::to_string(traces.size()) +
                                 " traces for " + std::to_string(cfg_.vaults) + " vaults");
-  return run_traces(traces, /*near_memory=*/true, max_cycles);
+  std::vector<std::vector<Issue>> per_core(traces.size());
+  for (std::size_t v = 0; v < traces.size(); ++v) {
+    per_core[v].reserve(traces[v].size());
+    for (const auto& a : traces[v]) per_core[v].push_back(translate(a));
+  }
+  return run_traces(per_core, /*near_memory=*/true, max_cycles);
 }
 
 PnmStack::RunResult PnmStack::run_host(const std::vector<VaultTrace>& traces,
@@ -53,34 +68,58 @@ PnmStack::RunResult PnmStack::run_host(const std::vector<VaultTrace>& traces,
   if (host_cores == 0) throw std::invalid_argument("PnmStack::run_host: no host cores");
   // Merge the per-vault work and deal it round-robin to the host cores —
   // same total work, executed from across the off-package link.
-  std::vector<VaultTrace> per_core(host_cores);
+  std::vector<std::vector<Issue>> per_core(host_cores);
   std::size_t next = 0;
   for (const auto& t : traces)
-    for (const auto& a : t) per_core[next++ % host_cores].push_back(a);
+    for (const auto& a : t) per_core[next++ % host_cores].push_back(translate(a));
   return run_traces(per_core, /*near_memory=*/false, max_cycles);
 }
 
-PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core,
-                                         bool near_memory, Cycle max_cycles) {
-  for (const auto& t : per_core)
-    for (const auto& a : t)
-      if (a.addr >= total_bytes())
-        throw std::invalid_argument("PnmStack: access at address " + std::to_string(a.addr) +
-                                    " beyond the " + std::to_string(total_bytes()) +
-                                    "-byte stack");
+namespace {
 
+// Calls fn(i) for every i with at[i] <= now, in index order, stores its
+// return as the new at[i], and returns the minimum of the updated at[].
+// The due test builds a branch-free mask, one 64-bit word per 64 entries,
+// and takes the minimum of the entries that are not due on the same pass.
+template <class Fn>
+Cycle visit_due(std::vector<Cycle>& at, Cycle now, Fn&& fn) {
+  Cycle next = kCycleNever;
+  const std::size_t n = at.size();
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, n - base);
+    std::uint64_t bits = 0;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const Cycle t = at[base + l];
+      const bool due = t <= now;
+      bits |= std::uint64_t{due} << l;
+      next = std::min(next, due ? kCycleNever : t);
+    }
+    for (; bits != 0; bits &= bits - 1) {
+      const std::size_t i = base + static_cast<std::size_t>(std::countr_zero(bits));
+      at[i] = fn(i);
+      next = std::min(next, at[i]);
+    }
+  }
+  return next;
+}
+
+}  // namespace
+
+PnmStack::RunResult PnmStack::run_traces(const std::vector<std::vector<Issue>>& per_core,
+                                         bool near_memory, Cycle max_cycles) {
   mem::MemorySystem mem(stack_dram(), cfg_.ctrl, vault_map_.scheme());
 
   const std::uint32_t width = near_memory ? cfg_.core_width : cfg_.host_core_width;
   const std::uint32_t mlp = near_memory ? cfg_.pnm_mlp : cfg_.host_mlp;
   const sim::ClockMode mode = sim::default_clock_mode();
+  const bool per_cycle = mode == sim::ClockMode::PerCycle;
 
   struct CoreState {
-    std::size_t idx = 0;           // next trace entry
-    std::uint32_t compute_left = 0;
-    bool primed = false;
-    std::uint32_t outstanding = 0;          // in-flight reads
-    std::vector<Cycle> releases;            // data-return cycles (incl. link/NoC)
+    std::size_t idx = 0;            // next trace entry
+    bool primed = false;            // idx's compute burst credited
+    Cycle ready = 0;                // when primed: the cycle its access may issue
+    std::uint32_t outstanding = 0;  // in-flight reads
+    std::vector<Cycle> releases;    // data-return cycles (incl. link/NoC)
   };
   std::vector<CoreState> cores(per_core.size());
 
@@ -95,25 +134,24 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
   std::uint64_t host_lines = 0;
   Cycle link_free = 0;  // off-package link occupancy (host mode)
   const Cycle link_window = cfg_.host_link_cycles_per_line * 4;
-  bool all_done = false;
-  Cycle core_wake = 0;  // earliest cycle at which some core's step can act
 
-  // Per-vault event calendar: vault v is ticked only from cycle due[v] on.
-  // A tick re-arms it at the vault's own next_event, an enqueue at the next
-  // cycle; PerCycle ticks every vault every cycle.
-  // Why not MemorySystem's own wake cache (mem.tick / mem.next_event): it
-  // gives the same bytes, but it recomputes a vault's next_event after every
-  // enqueue into a vault it did not tick, and the cores enqueue far more
-  // often than the vaults tick. On C4 smoke that traded 25.39M -> 22.48M
-  // controller ticks for 25.36M -> 28.91M next_event calls, and perfbench
-  // pnm_graph ran 16% slower (median 0.1802 -> 0.2086 s, Release, 4-vCPU
-  // Xeon). Arming an enqueued channel for the next cycle instead of
-  // recomputing its wake still left pnm_graph 8% slower.
+  // Two calendars. Vault v is ticked only from cycle due[v] on: a tick
+  // re-arms it at the vault's own next_event, an enqueue at the next cycle
+  // (PerCycle ticks every vault every cycle). Core i is stepped only from
+  // cycle wake[i] on: a step re-arms it at the earliest cycle its next step
+  // can act, a completion callback lowers it to the data's return, and a
+  // core refused by a full vault queue waits in waiters[v] until vault v
+  // ticks (only a tick frees queue space). A step before its wake would
+  // change nothing, so stepping the due cores in index order after the
+  // vault ticks gives the results of stepping every core at every cycle.
   std::vector<Cycle> due(cfg_.vaults, 0);
+  std::vector<Cycle> wake(per_core.size(), 0);
+  std::vector<std::vector<std::uint32_t>> waiters(cfg_.vaults);
+  std::size_t unfinished = per_core.size();
+  Cycle next_vault = 0;  // min over due[] after the current visit
+  Cycle next_core = 0;   // min over wake[]
 
-  // One core's work at `now`; returns the earliest cycle at which its next
-  // step can do anything (a vault tick that frees queue space or fires a
-  // completion is an event of its own).
+  // One core's work at `now`; returns its next wake.
   const auto step = [&](std::size_t i, Cycle now) -> Cycle {
     CoreState& cs = cores[i];
     // Retire reads whose data (including link/NoC transit) has arrived.
@@ -128,31 +166,33 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
         ++r;
       }
     }
-    const VaultTrace& trace = per_core[i];
+    const std::vector<Issue>& trace = per_core[i];
     if (cs.idx >= trace.size()) {
-      if (cs.outstanding > 0) all_done = false;
-      return first_release;
+      if (cs.outstanding > 0) return first_release;
+      --unfinished;  // finished: nothing can wake it again
+      return kCycleNever;
     }
-    all_done = false;
 
-    const PnmAccess& a = trace[cs.idx];
+    const Issue& a = trace[cs.idx];
     if (!cs.primed) {
-      cs.compute_left = a.compute;
+      // The whole burst at once: `width` instructions a cycle, the access
+      // on the cycle after the last of them.
       cs.primed = true;
+      res.instructions += a.compute;
+      cs.ready = now + (a.compute + width - 1) / width;
     }
-    if (cs.compute_left > 0) {
-      const std::uint32_t n = std::min(cs.compute_left, width);
-      cs.compute_left -= n;
-      res.instructions += n;
-      return now + 1;
-    }
+    // A read's return wakes the core mid-burst only to retire it.
+    if (now < cs.ready) return cs.ready;
 
     // Miss window full: stall until a completion drains.
     if (cs.outstanding >= mlp) return first_release;
 
-    const std::uint32_t target_vault = vault_of(a.addr);
-    mem::Controller& vault = mem.controller(target_vault);
-    if (!vault.can_accept(a.type)) return kCycleNever;  // queue full until a vault tick
+    const AccessType type = a.write ? AccessType::Write : AccessType::Read;
+    mem::Controller& vault = mem.controller(a.vault);
+    if (!vault.can_accept(type)) {
+      waiters[a.vault].push_back(static_cast<std::uint32_t>(i));
+      return kCycleNever;
+    }
 
     Cycle extra = 0;
     if (!near_memory) {
@@ -162,7 +202,7 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
       ++host_lines;
       ++res.remote_accesses;
       extra = cfg_.host_link_latency;
-    } else if (target_vault == i) {
+    } else if (a.vault == i) {
       ++res.local_accesses;
     } else {
       ++res.remote_accesses;
@@ -171,14 +211,17 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
     }
 
     mem::Request req;
-    req.addr = mem_addr(mem, a.addr);
-    req.type = a.type;
+    req.addr = a.addr;
+    req.type = type;
     req.core = static_cast<std::uint32_t>(i % 64);
     req.arrive = now;
-    if (a.type == AccessType::Read) {
+    req.tag = extra;  // the link/NoC transit the data still owes its core
+    if (type == AccessType::Read) {
       ++cs.outstanding;
-      const bool ok = vault.enqueue(req, [&cs, extra](const mem::Request& done) {
-        cs.releases.push_back(done.complete + extra);
+      const bool ok = vault.enqueue(req, [&cs, &w = wake[i]](const mem::Request& done) {
+        const Cycle at = done.complete + done.tag;
+        cs.releases.push_back(at);
+        w = std::min(w, at);
       });
       if (!ok) {
         --cs.outstanding;
@@ -187,7 +230,8 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
     } else if (!vault.enqueue(req)) {
       return now + 1;
     }
-    due[target_vault] = std::min(due[target_vault], now + 1);
+    due[a.vault] = std::min(due[a.vault], now + 1);
+    next_vault = std::min(next_vault, now + 1);
 
     ++res.instructions;
     ++cs.idx;
@@ -198,20 +242,17 @@ PnmStack::RunResult PnmStack::run_traces(const std::vector<VaultTrace>& per_core
   const Cycle end = sim::run_event_loop(
       mode, 0, max_cycles,
       [&](Cycle now) {
-        for (std::uint32_t v = 0; v < cfg_.vaults; ++v) {
-          if (now < due[v]) continue;
-          mem::Controller& vault = mem.controller(v);
+        next_vault = visit_due(due, now, [&](std::size_t v) {
+          mem::Controller& vault = mem.controller(static_cast<std::uint32_t>(v));
           vault.tick(now);
-          due[v] = mode == sim::ClockMode::PerCycle ? now + 1 : vault.next_event(now);
-        }
-        all_done = true;
-        core_wake = kCycleNever;
-        for (std::size_t i = 0; i < cores.size(); ++i)
-          core_wake = std::min(core_wake, step(i, now));
+          for (const std::uint32_t c : waiters[v]) wake[c] = std::min(wake[c], now);
+          waiters[v].clear();
+          return per_cycle ? now + 1 : vault.next_event(now);
+        });
+        next_core = visit_due(wake, now, [&](std::size_t i) { return step(i, now); });
       },
-      [&] { return all_done; },
-      [&](Cycle) { return std::min(core_wake, *std::min_element(due.begin(), due.end())); });
-  if (!all_done)
+      [&] { return unfinished == 0; }, [&](Cycle) { return std::min(next_core, next_vault); });
+  if (unfinished > 0)
     throw std::runtime_error(std::string("PnmStack::") + (near_memory ? "run_pnm" : "run_host") +
                              ": work still queued at the " + std::to_string(max_cycles) +
                              "-cycle limit");

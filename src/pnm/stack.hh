@@ -9,12 +9,16 @@
 //
 // Two drivers run on that one model, each on a fresh memory system per run:
 //   - run_pnm/run_host: a closed loop on the shared event kernel
-//     (sim::run_event_loop). Each vault is ticked only at its controller's
-//     own next_event or right after a core enqueues into it (a per-vault
-//     calendar), and the cores are stepped at every visited cycle.
-//     IMA_CLOCK=percycle ticks every vault every cycle and gives identical
-//     results. Cores and vaults interleave every cycle, so this loop runs on
-//     one host thread.
+//     (sim::run_event_loop) with two calendars. A vault is ticked only at
+//     its controller's own next_event or right after a core enqueues into
+//     it. A core is stepped only at its own wake: the cycle its compute
+//     burst ends, one of its reads returns, the host link frees, or a vault
+//     that refused it for a full queue ticks. Each visit finds its due
+//     vaults, then its due cores, with a branch-free mask and steps each in
+//     index order, so the results equal those of stepping every core at
+//     every cycle. IMA_CLOCK=percycle ticks every vault every cycle and
+//     gives identical results. Cores and vaults interleave every cycle, so
+//     this loop runs on one host thread.
 //   - run_stream: open-loop per-vault offload streams fed through
 //     MemorySystem::drain_sourced under a shard plan, so
 //     64–256-vault stacks run across host threads and give byte-identical
@@ -156,16 +160,30 @@ class PnmStack {
  private:
   /// The stack's memory system geometry: one channel per vault.
   dram::DramConfig stack_dram() const;
-  /// The address in `mem` (built from stack_dram()) of stack address `addr`:
-  /// its vault-local coordinate, moved to the vault's channel.
-  Addr mem_addr(const mem::MemorySystem& mem, Addr addr) const;
 
-  // Each run builds a fresh memory system so successive runs are independent.
-  RunResult run_traces(const std::vector<VaultTrace>& per_core, bool near_memory,
+  /// One trace entry as a run issues it, translated once per run: the
+  /// access's vault and its address in the stack's memory system (its
+  /// vault-local coordinate, moved to the vault's channel). 16 bytes, so a
+  /// run's per-core lists stay smaller than the traces they come from.
+  struct Issue {
+    Addr addr = 0;
+    std::uint32_t compute = 0;
+    std::uint32_t vault : 31 = 0;
+    std::uint32_t write : 1 = 0;
+  };
+  static_assert(sizeof(Issue) <= sizeof(PnmAccess));
+  /// Throws std::invalid_argument for an address at or beyond total_bytes().
+  Issue translate(const PnmAccess& a) const;
+
+  // Each run builds a fresh memory system so successive runs are
+  // independent. Runs `per_core[i]` on core i: near memory core i is vault
+  // i's logic-layer core, from the host it is a host core.
+  RunResult run_traces(const std::vector<std::vector<Issue>>& per_core, bool near_memory,
                        Cycle max_cycles);
 
   PnmConfig cfg_;
   dram::AddressMapper vault_map_;  // one vault's address layout
+  dram::AddressMapper stack_map_;  // the stack's memory system's layout
   Stats stats_;
   obs::TraceSink* trace_ = nullptr;
 };

@@ -615,10 +615,40 @@ struct DirectRun {
   std::size_t offered = 0;
   std::uint64_t served = 0;
   std::uint64_t completion_sum = 0;  // sum of id * complete
+  std::uint64_t refilled = 0;        // follow-ups a completion enqueued
+  std::uint64_t refused = 0;         // refill runs: requests a full queue turned away
   std::string render;
   std::vector<std::uint8_t> image;
   mem::Controller::Stats stats;
   std::uint64_t refreshes = 0;  // REFs plus RAIDR row refreshes
+};
+
+// A completion callback that refills the controller which retired it, the
+// pattern System's cores use: each completion enqueues a follow-up, stamped
+// with the completion cycle, for up to kDepth generations (counted in the
+// request's tag). Half the follow-ups go to the completed request's own
+// row, so some are issuable in the very tick that retired their parent.
+struct Refill {
+  static constexpr std::uint64_t kDepth = 3;
+  mem::Controller* ctrl;
+  DirectRun* out;
+
+  void operator()(const mem::Request& done) const {
+    ++out->served;
+    out->completion_sum += done.id * done.complete;
+    if (done.tag >= kDepth) return;
+    Rng rng(done.id * 0x9e3779b97f4a7c15ull + done.complete);
+    const std::uint64_t bytes = ctrl->channel().config().geometry.channel_bytes();
+    mem::Request r;
+    r.addr = rng.next_below(2) == 0
+                 ? done.addr ^ (kLineBytes * (1 + rng.next_below(4)))
+                 : rng.next_below(bytes) & ~Addr{kLineBytes - 1};
+    r.type = rng.next_below(4) == 0 ? AccessType::Write : AccessType::Read;
+    r.core = static_cast<std::uint32_t>(rng.next_below(2));
+    r.arrive = done.complete;
+    r.tag = done.tag + 1;
+    ++(ctrl->enqueue(r, *this) ? out->refilled : out->refused);
+  }
 };
 
 struct Arrival {
@@ -642,7 +672,15 @@ std::vector<Arrival> direct_load(const dram::Geometry& g) {
   return load;
 }
 
-DirectRun run_direct(bool every_cycle, bool raidr) {
+struct DirectSetup {
+  bool raidr = false;
+  mem::SchedKind sched = mem::SchedKind::FrFcfs;
+  // Two cores, and every completion runs a Refill; otherwise one core and a
+  // plain completion counter.
+  bool refill = false;
+};
+
+DirectRun run_direct(bool every_cycle, const DirectSetup& setup) {
   dram::DramConfig cfg = dram::DramConfig::ddr4_2400();
   cfg.geometry.channels = 1;
   cfg.geometry.ranks = 2;
@@ -651,13 +689,14 @@ DirectRun run_direct(bool every_cycle, bool raidr) {
   cfg.geometry.rows_per_subarray = 64;
   cfg.geometry.columns = 32;
   mem::ControllerConfig ccfg;
-  ccfg.num_cores = 1;
+  ccfg.sched = setup.sched;
+  ccfg.num_cores = setup.refill ? 2 : 1;
   ccfg.powerdown_timeout = 300;
   ccfg.selfrefresh_timeout = 3'000;
   dram::AddressMapper mapper(cfg.geometry, dram::MapScheme::RoBaRaCoCh);
   dram::Channel chan(cfg, 0, nullptr);
   mem::Controller ctrl(chan, mapper, ccfg);
-  if (raidr) {
+  if (setup.raidr) {
     const std::uint64_t rows = std::uint64_t{cfg.geometry.ranks} * cfg.geometry.banks *
                                cfg.geometry.rows_per_bank();
     ctrl.set_refresh_policy(
@@ -675,6 +714,11 @@ DirectRun run_direct(bool every_cycle, bool raidr) {
       r.addr = load[next_arrival].addr;
       r.type = load[next_arrival].type;
       r.arrive = now;
+      if (setup.refill) {
+        r.core = static_cast<std::uint32_t>(next_arrival % 2);
+        if (!ctrl.enqueue(r, Refill{&ctrl, &out})) ++out.refused;
+        continue;
+      }
       EXPECT_TRUE(ctrl.enqueue(r, [&out](const mem::Request& done) {
         ++out.served;
         out.completion_sum += done.id * done.complete;
@@ -705,8 +749,8 @@ DirectRun run_direct(bool every_cycle, bool raidr) {
 TEST(ClockExact, ControllerTickedOnlyAtItsEventsMatchesPerCycle) {
   for (const bool raidr : {false, true}) {
     SCOPED_TRACE(raidr ? "RAIDR" : "all-bank");
-    const DirectRun pc = run_direct(true, raidr);
-    const DirectRun ev = run_direct(false, raidr);
+    const DirectRun pc = run_direct(true, {.raidr = raidr});
+    const DirectRun ev = run_direct(false, {.raidr = raidr});
     EXPECT_EQ(pc.served, pc.offered);
     EXPECT_EQ(pc.served, ev.served);
     EXPECT_EQ(pc.completion_sum, ev.completion_sum);
@@ -720,6 +764,34 @@ TEST(ClockExact, ControllerTickedOnlyAtItsEventsMatchesPerCycle) {
     EXPECT_GT(ev.stats.powerdowns, 0u);
     EXPECT_GT(ev.stats.selfrefreshes, 0u);
     EXPECT_GT(ev.stats.rank_wakes, 0u);
+  }
+}
+
+// run_direct's twins again, but each completion enqueues a follow-up into
+// the controller that retired it (Refill), under every scheduler kind, both
+// refresh policies and the power timeouts. Between events a
+// skip-ahead tick may only retire, and a follow-up that a callback enqueues
+// can be issuable in that same tick, so it must take the full tick there as
+// the per-cycle twin does; issuing it a cycle late moves the completions.
+TEST(ClockExact, CompletionRefillsItsOwnController) {
+  for (const bool raidr : {false, true}) {
+    for (const auto kind :
+         {mem::SchedKind::Fcfs, mem::SchedKind::FrFcfs, mem::SchedKind::FrFcfsCap,
+          mem::SchedKind::ParBs, mem::SchedKind::Atlas, mem::SchedKind::Tcm,
+          mem::SchedKind::Bliss, mem::SchedKind::Rl}) {
+      SCOPED_TRACE(std::string(raidr ? "RAIDR, " : "all-bank, ") + mem::to_string(kind));
+      const DirectSetup setup{.raidr = raidr, .sched = kind, .refill = true};
+      const DirectRun pc = run_direct(true, setup);
+      const DirectRun ev = run_direct(false, setup);
+      EXPECT_GT(pc.refilled, pc.offered);
+      EXPECT_EQ(pc.served, pc.offered + pc.refilled);
+      EXPECT_EQ(pc.refilled, ev.refilled);
+      EXPECT_EQ(pc.refused, ev.refused);
+      EXPECT_EQ(pc.served, ev.served);
+      EXPECT_EQ(pc.completion_sum, ev.completion_sum);
+      EXPECT_EQ(pc.render, ev.render);
+      EXPECT_TRUE(pc.image == ev.image) << "checkpoint images differ";
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/rng.hh"
 #include "pnm/kernels.hh"
 #include "pnm/offload.hh"
 #include "pnm/stack.hh"
@@ -111,6 +112,57 @@ TEST(Stack, PinnedRunResults) {
   expect_result(stack.run_pnm(traces), 1474, 1276, 480, 160, 934030);
   expect_result(stack.run_host(traces, 3), 2283, 1276, 0, 640, 2541790);
   expect_result(stack.run_pnm(mixed_traces(stack, true)), 2112, 640, 160, 480, 949220);
+}
+
+// Cores with nothing to do and compute bursts longer than a core's width:
+// vaults 1 and 3 get empty traces (their cores are idle from cycle 0, while
+// their memory still serves remote accesses), bursts of 9 exceed both the
+// PNM width (1) and the host width (4), and run_host deals the 100 entries
+// to 3 cores, which 3 does not divide. Recorded with every core stepped at
+// every visited cycle.
+TEST(Stack, IdleCoresAndLongBursts) {
+  PnmStack stack(small_stack());
+  std::vector<VaultTrace> traces(4);
+  for (std::uint32_t v : {0u, 2u}) {
+    for (std::uint32_t i = 0; i < 50; ++i) {
+      const std::uint32_t target = i % 3 == 0 ? v + 1 : v;
+      traces[v].push_back({i % 4 == 0 ? 9u : i % 7,
+                           target * stack.vault_bytes() + (i * 13 % 256) * kLineBytes,
+                           i % 6 == 5 ? AccessType::Write : AccessType::Read});
+    }
+  }
+  expect_result(stack.run_pnm(traces), 459, 550, 66, 34, 217240);
+  expect_result(stack.run_host(traces, 3), 403, 550, 0, 100, 493400);
+}
+
+// A 2-entry read queue and a 4-entry write queue (drain marks 3 and 1) on
+// every vault, under a random mix of reads and writes: the write-drain
+// hysteresis flips between vault events, and its flag depends on the
+// occupancies the controller's ticks saw, the ticks that only retire a
+// completion included. Recorded with every controller tick taking the full
+// path.
+TEST(Stack, WriteDrainFlipsBetweenVaultEvents) {
+  PnmConfig cfg = small_stack();
+  cfg.ctrl.read_queue_size = 2;
+  cfg.ctrl.write_queue_size = 4;
+  cfg.ctrl.write_drain_high = 3;
+  cfg.ctrl.write_drain_low = 1;
+  PnmStack stack(cfg);
+  Rng rng(146);
+  std::vector<VaultTrace> traces(4);
+  const std::uint32_t n = 20 + static_cast<std::uint32_t>(rng.next_below(60));
+  for (std::uint32_t v = 0; v < 4; ++v) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto compute = static_cast<std::uint32_t>(rng.next_below(4));
+      const Addr vault = rng.next_below(4);
+      const Addr line = rng.next_below(512);
+      const bool write = rng.next_below(2) != 0;
+      traces[v].push_back({compute, vault * stack.vault_bytes() + line * kLineBytes,
+                           write ? AccessType::Write : AccessType::Read});
+    }
+  }
+  expect_result(stack.run_pnm(traces), 447, 245, 24, 72, 208740);
+  expect_result(stack.run_host(traces, 3), 490, 245, 0, 96, 425430);
 }
 
 TEST(StackInput, HostRunNeedsACore) {
